@@ -55,7 +55,6 @@ from .functionals import (
     smooth_max_functional,
 )
 from .models import (
-    FrozenCoefficients,
     SdeModel,
     check_assumptions,
     constant_model,
@@ -78,7 +77,6 @@ from .schemes import (
     euler_nodes,
     fine_reference,
     first_variation,
-    linear_interpolation,
     stochastic_interpolation,
 )
 from .weak_error import (

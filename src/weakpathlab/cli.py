@@ -72,13 +72,14 @@ COMMANDS = (
 
 DEFAULT_DELTAS = [2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6]
 
-# documented defaults, filled in at parse time so a validated config is complete
+# documented defaults, filled in key by key at parse time; a runner with no
+# ``functional`` section falls back to its own whole default functional, so a
+# user's functional never mixes with another functional's parameters
 _COMMAND_DEFAULTS = {
     "weak-rate": {
         "grid": {"T": 1.0, "deltas": DEFAULT_DELTAS},
         "budget": {"n_samples": 1_000_000},
         "model": {"name": "ou"},
-        "functional": {"name": "product", "t1": 0.5, "t2": 1.0},
     },
     "covariance-bias": {
         "grid": {"T": 1.0, "deltas": DEFAULT_DELTAS},
@@ -94,14 +95,12 @@ _COMMAND_DEFAULTS = {
         "grid": {"T": 1.0, "n_steps": 128},
         "budget": {"n_inner": 1000, "n_outer": 1000},
         "model": {"name": "ou"},
-        "functional": {"name": "point", "t1": 1.0},
         "check": {"t": 0.5},
     },
     "martingale-check": {
         "grid": {"T": 1.0, "n_steps": 128},
         "budget": {"n_samples": 256, "n_inner": 256},
         "model": {"name": "ou"},
-        "functional": {"name": "point", "t1": 1.0},
         "check": {"times": [0.25, 0.75]},
     },
     "ito-check": {
@@ -113,7 +112,6 @@ _COMMAND_DEFAULTS = {
         "grid": {"T": 0.25, "n_steps": 2, "fine_factor": 64},
         "budget": {"n_outer": 256, "n_inner": 256, "inner_cap": 200_000_000},
         "model": {"name": "ou"},
-        "functional": {"name": "point", "t1": 0.25},
     },
     "mollifier-audit": {
         "grid": {"T": 1.0, "n_steps": 256},

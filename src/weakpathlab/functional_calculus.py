@@ -6,9 +6,12 @@ where X^{t,x} keeps the frozen prefix x on [0, t) and continues from x(t) as
 a fresh solution path (realized by Euler on the experiment's fine grid), and
 f_eps = f o M_eps is the mollified functional.
 
-Vertical derivatives are estimated by common-random-number central
-differences over endpoint bumps, cross-checked by pairing f's directional
-derivative with a simulated first-variation path.  The horizontal derivative
+Every estimator draws its inner samples through one helper: Euler from a
+(possibly bumped) start value over shared increments, glued onto the prefix
+and evaluated by the one batch evaluator of f o M_eps.  Vertical derivatives
+are estimated by common-random-number central differences over endpoint
+bumps, cross-checked by pairing f's directional derivative with a simulated
+first-variation path.  The horizontal derivative
 is a forward difference over a flat time extension with time-aligned noise.
 On top of these sit numerical verifications of the martingale property, the
 backward Kolmogorov equation, the functional Ito formula for x(t)^2, and the
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_paths import DiscretePath, PathMode, TimeGrid, refine_grid
+from .core_paths import DiscretePath, PathMode, TimeGrid, interpolate_values, refine_grid
 from .errors import (
     BudgetExceededError,
     InvalidArgumentError,
@@ -32,7 +35,12 @@ from .functionals import PathFunctional
 from .models import SdeModel
 from .mollifier import MollifierSpec, mollify_operator
 from .randomness import BrownianPath, SeedSpec
-from .schemes import euler_values_batch, stochastic_interpolation_batch, variation_values_batch
+from .schemes import (
+    euler_scan,
+    euler_values_batch,
+    stochastic_interpolation_batch,
+    variation_values_batch,
+)
 
 __all__ = [
     "NestedEstimate",
@@ -100,41 +108,40 @@ def default_bump(x_end: float) -> float:
 # mollified functional evaluation on batches of node-value matrices
 
 
+def _probe_times(grid: TimeGrid, times) -> np.ndarray:
+    t = np.asarray(times, dtype=np.float64)
+    if np.any(t < 0.0) or np.any(t > grid.horizon):
+        raise OutOfRangeError(f"probe times {times!r} outside [0, {grid.horizon}]")
+    return t
+
+
 def _probe_rows(
-    spec: MollifierSpec | None, grid: TimeGrid, mode: PathMode, probes: tuple[float, ...]
+    spec: MollifierSpec, grid: TimeGrid, mode: PathMode, probes: tuple[float, ...]
 ) -> np.ndarray:
     """Rows r_t with r_t . v = (M x)(t) for node values v; one row per probe.
 
     The mollified path is continuous, so probe times between nodes combine
     the two bracketing rows of the mollifier matrix affinely.
     """
-    eps_key = None if spec is None else (spec.epsilon, spec.kernel_samples)
-    key = (grid.nodes.tobytes(), eps_key, mode, probes)
-    cached = _PROBE_ROW_CACHE.get(key)
-    if cached is not None:
-        return cached
-    n = grid.nodes.size
-    if spec is None:
-        base = np.eye(n)
-        out_mode = mode
-    else:
-        base = mollify_operator(spec, grid, mode)
-        out_mode = PathMode.LINEAR
-    rows = np.empty((len(probes), n))
-    nodes = grid.nodes
-    for i, t in enumerate(probes):
-        if t < 0.0 or t > grid.horizon:
-            raise OutOfRangeError(f"probe time {t} outside [0, {grid.horizon}]")
-        if out_mode is PathMode.CADLAG_STEP:
-            k = int(np.searchsorted(nodes, t, side="right")) - 1
-            rows[i] = base[k]
-        else:
-            k = min(int(np.searchsorted(nodes, t, side="right")) - 1, n - 2)
-            lam = (t - nodes[k]) / (nodes[k + 1] - nodes[k])
-            rows[i] = (1.0 - lam) * base[k] + lam * base[k + 1]
-    rows.flags.writeable = False
-    _PROBE_ROW_CACHE[key] = rows
+    key = (grid.nodes.tobytes(), spec.epsilon, spec.kernel_samples, mode, probes)
+    rows = _PROBE_ROW_CACHE.get(key)
+    if rows is None:
+        a = mollify_operator(spec, grid, mode)
+        rows = np.ascontiguousarray(interpolate_values(grid.nodes, a.T, probes, PathMode.LINEAR).T)
+        rows.flags.writeable = False
+        _PROBE_ROW_CACHE[key] = rows
     return rows
+
+
+def _at_probes(
+    f: PathFunctional, spec: MollifierSpec | None, grid: TimeGrid, mode: PathMode, values
+) -> np.ndarray:
+    """(M x)(t) at f's probe times for every row of ``values``; x(t) when
+    spec is None."""
+    t = _probe_times(grid, f.probe_times)
+    if spec is None:
+        return interpolate_values(grid.nodes, values, t, mode)
+    return values @ _probe_rows(spec, grid, mode, f.probe_times).T
 
 
 def _feps_batch(
@@ -146,8 +153,7 @@ def _feps_batch(
 ) -> np.ndarray:
     """f(M x) for every row of ``values``; f(x) when spec is None."""
     if f.probe_times is not None and f.probe_eval is not None:
-        rows = _probe_rows(spec, grid, mode, f.probe_times)
-        return f.probe_eval(values @ rows.T)
+        return f.probe_eval(_at_probes(f, spec, grid, mode, values))
     if spec is not None:
         values = values @ mollify_operator(spec, grid, mode).T
         mode = PathMode.LINEAR
@@ -169,8 +175,9 @@ def _fd1_batch(
     """Df(M x)(M h) rowwise (mollification is linear, so it commutes into
     the direction)."""
     if f.probe_times is not None and f.probe_d1 is not None:
-        rows = _probe_rows(spec, grid, mode, f.probe_times)
-        return f.probe_d1(values @ rows.T, directions @ rows.T)
+        return f.probe_d1(
+            _at_probes(f, spec, grid, mode, values), _at_probes(f, spec, grid, mode, directions)
+        )
     if spec is not None:
         op = mollify_operator(spec, grid, mode).T
         values = values @ op
@@ -198,29 +205,36 @@ def _prefix_index(prefix: DiscretePath, fine: TimeGrid) -> int:
     return k
 
 
-def _continue_values(
-    model: SdeModel, fine: TimeGrid, i_t: int, start: np.ndarray, dw: np.ndarray
+def _continued(
+    model: SdeModel, fine: TimeGrid, prefix_values: np.ndarray, x0, dw: np.ndarray
 ) -> np.ndarray:
-    """Euler continuation from node i_t; returns (m, steps+1) incl. start."""
-    dt = np.diff(fine.nodes)[i_t:]
-    out = np.empty((dw.shape[0], dt.size + 1))
-    x = np.broadcast_to(start, (dw.shape[0],)).astype(np.float64).copy()
-    out[:, 0] = x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(dt.size):
-            x = x + model.b(x) * dt[k] + model.sigma(x) * dw[:, k]
-            out[:, k + 1] = x
+    """Paths that follow ``prefix_values`` (shared, or one row per path) up to
+    its last node i_t and continue from ``x0`` there by Euler over the
+    increments ``dw`` of steps i_t..N-1; the start column holds ``x0``."""
+    i_t = prefix_values.shape[-1] - 1
+    cont = euler_scan(model, fine, x0, dw, start=i_t)
+    out = np.empty((cont.shape[0], i_t + cont.shape[1]))
+    out[:, :i_t] = prefix_values[..., :i_t]
+    out[:, i_t:] = cont
     return out
 
 
-def _combined(prefix_values: np.ndarray, cont: np.ndarray) -> np.ndarray:
-    """Glue a common prefix onto per-sample continuations (start col shared)."""
-    m = cont.shape[0]
-    n = prefix_values.size - 1 + cont.shape[1]
-    out = np.empty((m, n))
-    out[:, : prefix_values.size] = prefix_values
-    out[:, prefix_values.size - 1 :] = cont
-    return out
+def _f_continued(
+    model: SdeModel,
+    f: PathFunctional,
+    spec: MollifierSpec | None,
+    fine: TimeGrid,
+    prefix_values: np.ndarray,
+    x0,
+    dw: np.ndarray,
+    mode: PathMode = PathMode.LINEAR,
+) -> np.ndarray:
+    """f_eps of the continued paths, one sample per row of ``dw``.
+
+    Calls that differ only in ``x0`` share ``dw``, so their differences are
+    the common-random-number bump differences of every estimator here.
+    """
+    return _feps_batch(f, spec, fine, _continued(model, fine, prefix_values, x0, dw), mode)
 
 
 def _draw_dw(fine: TimeGrid, i_t: int, n_inner: int, rng: np.random.Generator) -> np.ndarray:
@@ -280,8 +294,7 @@ def estimate_F(
         val = float(_feps_batch(f, spec, fine, prefix.values[None, :], prefix.mode)[0])
         return NestedEstimate(val, 0.0, 0, cfg)
     dw = _draw_dw(fine, i_t, n_inner, seed.rng(_TAG_CONTINUATION))
-    cont = _continue_values(model, fine, i_t, prefix.values[-1:], dw)
-    vals = _feps_batch(f, spec, fine, _combined(prefix.values, cont), prefix.mode)
+    vals = _f_continued(model, f, spec, fine, prefix.values, prefix.values[-1], dw, prefix.mode)
     mean, se = _mean_se(vals)
     return NestedEstimate(mean, se, int(n_inner), cfg)
 
@@ -328,32 +341,23 @@ def vertical_derivative(
         return VerticalDerivative(central, NestedEstimate(pair, 0.0, 0, cfg))
 
     dw = _draw_dw(fine, i_t, n_inner, seed.rng(_TAG_CONTINUATION))
-    base_cont = _continue_values(model, fine, i_t, prefix.values[-1:], dw)
-    up = _feps_batch(
-        f, spec, fine, _combined(prefix.values, _continue_values(model, fine, i_t, np.asarray([x0 + bump]), dw)), prefix.mode
-    )
-    down = _feps_batch(
-        f, spec, fine, _combined(prefix.values, _continue_values(model, fine, i_t, np.asarray([x0 - bump]), dw)), prefix.mode
+    up, down = (
+        _f_continued(model, f, spec, fine, prefix.values, x, dw, prefix.mode)
+        for x in (x0 + bump, x0 - bump)
     )
     grad_samples = (up - down) / (2 * bump)
     mean, se = _mean_se(grad_samples)
     central = NestedEstimate(mean, se, int(n_inner), cfg)
 
-    combined = _combined(prefix.values, base_cont)
-    variation = variation_values_batch(model, combined, fine, _pad_dw(dw, i_t), start=i_t)
+    combined = _continued(model, fine, prefix.values, x0, dw)
+    full_dw = np.pad(dw, ((0, 0), (i_t, 0)))  # no noise before t
+    variation = variation_values_batch(model, combined, fine, full_dw, start=i_t)
     direction = np.zeros_like(combined)
     direction[:, i_t:] = variation[:, i_t:]
     pair_samples = _fd1_batch(f, spec, fine, combined, direction, prefix.mode)
     pmean, pse = _mean_se(pair_samples)
     pairing = NestedEstimate(pmean, pse, int(n_inner), cfg)
     return VerticalDerivative(central, pairing)
-
-
-def _pad_dw(dw: np.ndarray, i_t: int) -> np.ndarray:
-    """Left-pad continuation increments with zeros to full-grid width."""
-    if i_t == 0:
-        return dw
-    return np.concatenate([np.zeros((dw.shape[0], i_t)), dw], axis=1)
 
 
 def second_vertical_derivative(
@@ -382,12 +386,11 @@ def second_vertical_derivative(
         second = float((vals[0] - 2 * vals[1] + vals[2]) / bump**2)
         return NestedEstimate(second, 0.0, 0, cfg)
     dw = _draw_dw(fine, i_t, n_inner, seed.rng(_TAG_CONTINUATION))
-
-    def _F(start: float) -> np.ndarray:
-        cont = _continue_values(model, fine, i_t, np.asarray([start]), dw)
-        return _feps_batch(f, spec, fine, _combined(prefix.values, cont), prefix.mode)
-
-    samples = (_F(x0 + bump) - 2 * _F(x0) + _F(x0 - bump)) / bump**2
+    up, mid, down = (
+        _f_continued(model, f, spec, fine, prefix.values, x, dw, prefix.mode)
+        for x in (x0 + bump, x0, x0 - bump)
+    )
+    samples = (up - 2 * mid + down) / bump**2
     mean, se = _mean_se(samples)
     return NestedEstimate(mean, se, int(n_inner), cfg)
 
@@ -422,22 +425,17 @@ def horizontal_derivative(
         target = t + h_step
         if target > fine.horizon * (1 + 1e-12):
             raise OutOfRangeError(f"t + h = {target} exceeds horizon {fine.horizon}")
-        i_ext = int(np.searchsorted(nodes, target))
-        candidates = [j for j in (i_ext - 1, i_ext) if i_t < j < nodes.size]
-        i_ext = min(candidates, key=lambda j: abs(nodes[j] - target))
-        if abs(nodes[i_ext] - target) > 1e-9 * max(1.0, fine.horizon):
-            raise InvalidArgumentError(f"t + h = {target} is not a fine node")
+        i_ext = fine.index_near(target)
+        if i_ext <= i_t:
+            raise InvalidArgumentError(f"t + h = {target} is not a fine node after t")
     h_actual = float(nodes[i_ext] - t)
     cfg = _config(spec, fine, seed, t=float(t), h_step=h_actual)
 
     x0 = prefix.values[-1]
     dw = _draw_dw(fine, i_t, n_inner, seed.rng(_TAG_CONTINUATION))
-    base_cont = _continue_values(model, fine, i_t, prefix.values[-1:], dw)
-    base_vals = _feps_batch(f, spec, fine, _combined(prefix.values, base_cont), prefix.mode)
-
+    base_vals = _f_continued(model, f, spec, fine, prefix.values, x0, dw, prefix.mode)
     ext_prefix = np.concatenate([prefix.values, np.full(i_ext - i_t, x0)])
-    ext_cont = _continue_values(model, fine, i_ext, np.asarray([x0]), dw[:, i_ext - i_t :])
-    ext_vals = _feps_batch(f, spec, fine, _combined(ext_prefix, ext_cont), prefix.mode)
+    ext_vals = _f_continued(model, f, spec, fine, ext_prefix, x0, dw[:, i_ext - i_t :], prefix.mode)
 
     samples = (ext_vals - base_vals) / h_actual
     mean, se = _mean_se(samples)
@@ -487,14 +485,11 @@ def kolmogorov_residual(
     def _batch(bi: int) -> tuple[float, float, float, float]:
         rng = seed.rng(_TAG_INNER, bi)
         dw = _draw_dw(fine, i_t, n_inner, rng)
-
-        def _F(start: float) -> np.ndarray:
-            cont = _continue_values(model, fine, i_t, np.asarray([start]), dw)
-            return _feps_batch(f, spec, fine, _combined(prefix.values, cont), prefix.mode)
-
-        f_up, f_mid, f_down = _F(x0 + h), _F(x0), _F(x0 - h)
-        ext_cont = _continue_values(model, fine, i_t + 1, np.asarray([x0]), dw[:, 1:])
-        f_ext = _feps_batch(f, spec, fine, _combined(ext_prefix, ext_cont), prefix.mode)
+        f_up, f_mid, f_down = (
+            _f_continued(model, f, spec, fine, prefix.values, x, dw, prefix.mode)
+            for x in (x0 + h, x0, x0 - h)
+        )
+        f_ext = _f_continued(model, f, spec, fine, ext_prefix, x0, dw[:, 1:], prefix.mode)
 
         dt_term = float(np.mean((f_ext - f_mid) / h_t))
         grad = float(np.mean((f_up - f_down) / (2 * h)))
@@ -556,23 +551,13 @@ def martingale_gap(
     gaps = []
     for ci in range(n_chunks):
         m = min(chunk, n_samples - ci * chunk)
-        rng_outer = seed.rng(_TAG_OUTER, ci)
-        dw_out = np.sqrt(np.diff(fine.nodes)) * rng_outer.standard_normal(
-            (m, fine.n_intervals)
-        )
-        outer = euler_values_batch(model, fine, dw_out)
-        rng_inner = seed.rng(_TAG_INNER, ci)
-        dw_in = _draw_dw(fine, i_s, m * n_inner, rng_inner)
+        outer = euler_values_batch(model, fine, _draw_dw(fine, 0, m, seed.rng(_TAG_OUTER, ci)))
+        dw_in = _draw_dw(fine, i_s, m * n_inner, seed.rng(_TAG_INNER, ci))
 
         means = []
         for i_u, off in ((i_s, 0), (i_t, i_t - i_s)):
-            start = np.repeat(outer[:, i_u], n_inner)
-            cont = _continue_values(model, fine, i_u, start, dw_in[:, off:])
-            pref_cols = outer[:, : i_u + 1]
-            vals_stack = np.empty((m * n_inner, fine.nodes.size))
-            vals_stack[:, : i_u + 1] = np.repeat(pref_cols, n_inner, axis=0)
-            vals_stack[:, i_u:] = cont
-            fv = _feps_batch(f, spec, fine, vals_stack, PathMode.LINEAR)
+            prefixes = np.repeat(outer[:, : i_u + 1], n_inner, axis=0)
+            fv = _f_continued(model, f, spec, fine, prefixes, prefixes[:, -1], dw_in[:, off:])
             means.append(fv.reshape(m, n_inner).mean(axis=1))
         gaps.append(means[1] - means[0])
     gap_samples = np.concatenate(gaps)
@@ -712,12 +697,11 @@ def error_representation_sides(
             f"projected inner samples {projected} exceed cap {inner_cap}"
         )
 
-    dt_fine = np.diff(fine.nodes)
     lhs_samples = np.empty(n_outer)
     rhs_samples = np.empty(n_outer)
     for oi in range(n_outer):
         rng = seed.rng(_TAG_OUTER, oi)
-        dw_fine = np.sqrt(dt_fine) * rng.standard_normal((1, dt_fine.size))
+        dw_fine = _draw_dw(fine, 0, 1, rng)
         w_vals = np.concatenate([[0.0], np.cumsum(dw_fine[0])])[None, :]
         dw_coarse = dw_fine.reshape(1, n_coarse, fine_factor).sum(axis=2)
         y = euler_values_batch(model, coarse, dw_coarse)
@@ -750,7 +734,7 @@ def error_representation_sides(
                     continue
                 h = default_bump(xi) if bump is None else float(bump)
                 grad, second = _grad_pair_at(
-                    model, f, spec, fine, idx, x_tilde[0, : idx + 1], n_inner,
+                    model, f, spec, fine, x_tilde[0, : idx + 1], n_inner,
                     seed.rng(_TAG_INNER, oi, n, j), h, need_second=delta_s2 != 0.0,
                 )
                 rhs += weight * (grad * delta_b + 0.5 * second * delta_s2)
@@ -773,7 +757,6 @@ def _grad_pair_at(
     f: PathFunctional,
     spec: MollifierSpec | None,
     fine: TimeGrid,
-    i_t: int,
     prefix_values: np.ndarray,
     n_inner: int,
     rng: np.random.Generator,
@@ -782,16 +765,13 @@ def _grad_pair_at(
 ) -> tuple[float, float]:
     """Central-difference (grad F, grad^2 F) at a prefix given by raw values."""
     x0 = float(prefix_values[-1])
-    dw = _draw_dw(fine, i_t, n_inner, rng)
-
-    def _F(start: float) -> np.ndarray:
-        cont = _continue_values(model, fine, i_t, np.asarray([start]), dw)
-        return _feps_batch(f, spec, fine, _combined(prefix_values, cont))
-
-    f_up, f_down = _F(x0 + bump), _F(x0 - bump)
+    dw = _draw_dw(fine, prefix_values.size - 1, n_inner, rng)
+    f_up, f_down = (
+        _f_continued(model, f, spec, fine, prefix_values, x, dw) for x in (x0 + bump, x0 - bump)
+    )
     grad = float(np.mean(f_up - f_down) / (2 * bump))
     second = 0.0
     if need_second:
-        f_mid = _F(x0)
+        f_mid = _f_continued(model, f, spec, fine, prefix_values, x0, dw)
         second = float(np.mean(f_up - 2 * f_mid + f_down) / bump**2)
     return grad, second

@@ -11,12 +11,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core_paths import DiscretePath, TimeGrid
 from .errors import InvalidArgumentError
 
 __all__ = [
     "SdeModel",
-    "FrozenCoefficients",
     "OuMoments",
     "AssumptionReport",
     "ou_model",
@@ -194,28 +192,3 @@ def check_assumptions(
                     (f"derivative:{label}", float(x), f"evaluator {got} vs fd {want}")
                 )
     return report
-
-
-class FrozenCoefficients:
-    """Path-dependent coefficients frozen at the last scheme node:
-
-        b~(t, x_t) = b(x(tau_n(t))),   sigma~(t, x_t) = sigma(x(tau_n(t)))
-
-    with tau_n(t) the largest node of the scheme grid <= t.
-    """
-
-    def __init__(self, base: SdeModel, grid: TimeGrid):
-        self.base = base
-        self.grid = grid
-
-    def anchor_time(self, t: float) -> float:
-        return float(self.grid.nodes[self.grid.interval_index(t)])
-
-    def _anchor_value(self, t: float, path: DiscretePath) -> float:
-        return float(path(self.anchor_time(t)))
-
-    def drift(self, t: float, path: DiscretePath) -> float:
-        return float(self.base.b(self._anchor_value(t, path)))
-
-    def diffusion(self, t: float, path: DiscretePath) -> float:
-        return float(self.base.sigma(self._anchor_value(t, path)))

@@ -1,4 +1,4 @@
-"""Euler-Maruyama node recursion and its two interpolations.
+"""Euler-Maruyama value recursion and its two interpolations.
 
 ``Y`` is the piecewise-linear interpolation of the node values
 
@@ -14,8 +14,10 @@ for t in [tau_n, tau_{n+1}].  Both coincide with Y at the scheme nodes
 exactly.  A strong solution X is stood in for by Euler on a much finer
 nested grid driven by the same Brownian path.
 
-The ``*_batch`` kernels operate on (n_samples, n_nodes) value matrices and
-are the workhorses of every Monte-Carlo harness in the package.
+:func:`euler_scan` is the one implementation of the recursion: every scheme
+path, fine-grid reference and nested continuation in the package is computed
+by it, step-major over an (n_samples,) row of values.  The first-variation
+recursion of :func:`variation_values_batch` is multiplicative and kept apart.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ __all__ = [
     "SchemeOutput",
     "VariationPath",
     "euler_nodes",
+    "euler_scan",
     "euler_values_batch",
     "variation_values_batch",
-    "linear_interpolation",
     "stochastic_interpolation",
     "stochastic_interpolation_batch",
     "fine_reference",
@@ -47,7 +49,6 @@ DEFAULT_REFINEMENT = 64
 
 @dataclass(frozen=True)
 class SchemeOutput:
-    nodes: np.ndarray
     y_path: DiscretePath
     grid: TimeGrid
 
@@ -60,24 +61,51 @@ class VariationPath:
     base: DiscretePath
 
 
+def euler_scan(
+    model: SdeModel, grid: TimeGrid, x0, dw, start: int = 0, keep=None
+) -> np.ndarray:
+    """The Euler recursion from node ``start`` to the last node of ``grid``.
+
+    ``x0`` holds the values at node ``start``: one per row, or a scalar when
+    ``dw`` is an array.  ``dw`` supplies the Brownian increments of steps
+    ``start``..N-1, either as an (m, N - start) array or as a callable
+    returning the contiguous (m,) row of step k, which lets multi-million-row
+    batches draw one row per step instead of holding every increment.
+    ``keep`` lists the node columns to return in increasing order (default
+    ``start``..N), so the result is (m, len(keep)).  Non-finite values
+    propagate; nothing is checked here.
+    """
+    dt = np.diff(grid.nodes)
+    increments = map(dw, range(start, dt.size)) if callable(dw) else iter(dw.T)
+    slot = {int(c): j for j, c in enumerate(range(start, dt.size + 1) if keep is None else keep)}
+    out = np.empty((np.shape(x0)[0] if np.ndim(x0) else dw.shape[0], len(slot)))
+    x = np.empty(out.shape[0])
+    x[...] = x0
+    if start in slot:
+        out[:, slot[start]] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(start, dt.size):
+            # fetch the increment row last: a drawn row lives only for this product
+            drift = model.b(x) * dt[k]
+            diffusion = model.sigma(x) * next(increments)
+            x += drift
+            x += diffusion
+            j = slot.get(k + 1)
+            if j is not None:
+                out[:, j] = x
+    return out
+
+
 def euler_nodes(model: SdeModel, w: BrownianPath) -> SchemeOutput:
     """Run the Euler recursion along the increments of ``w``."""
     grid = w.grid
-    dt = np.diff(grid.nodes)
-    dw = w.increments()
-    values = np.empty(grid.nodes.size)
-    x = float(model.xi0)
-    values[0] = x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(dt.size):
-            x = x + float(model.b(x)) * dt[k] + float(model.sigma(x)) * dw[k]
-            if not np.isfinite(x):
-                raise NumericalOverflowError(
-                    f"Euler value became non-finite at step {k + 1}", step_index=k + 1
-                )
-            values[k + 1] = x
-    path = DiscretePath(grid, values, PathMode.LINEAR)
-    return SchemeOutput(nodes=path.values, y_path=path, grid=grid)
+    values = euler_values_batch(model, grid, w.increments()[None, :])[0]
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NumericalOverflowError(
+            f"Euler value became non-finite at step {bad[0]}", step_index=int(bad[0])
+        )
+    return SchemeOutput(y_path=DiscretePath(grid, values, PathMode.LINEAR), grid=grid)
 
 
 def euler_values_batch(model: SdeModel, grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
@@ -86,16 +114,7 @@ def euler_values_batch(model: SdeModel, grid: TimeGrid, dw: np.ndarray) -> np.nd
     Non-finite values propagate to the final column, where callers read off
     the exclusion mask; no per-step check is made here.
     """
-    dt = np.diff(grid.nodes)
-    m = dw.shape[0]
-    values = np.empty((m, grid.nodes.size))
-    values[:, 0] = model.xi0
-    x = values[:, 0].copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(dt.size):
-            x = x + model.b(x) * dt[k] + model.sigma(x) * dw[:, k]
-            values[:, k + 1] = x
-    return values
+    return euler_scan(model, grid, model.xi0, dw)
 
 
 def variation_values_batch(
@@ -118,11 +137,6 @@ def variation_values_batch(
     return out
 
 
-def linear_interpolation(s: SchemeOutput) -> DiscretePath:
-    """The scheme's piecewise-linear path through its nodes."""
-    return s.y_path
-
-
 def _check_consistent(model: SdeModel, s: SchemeOutput, w_fine: BrownianPath, fine: TimeGrid):
     if w_fine.grid.nodes.shape != fine.nodes.shape or not np.array_equal(
         w_fine.grid.nodes, fine.nodes
@@ -133,7 +147,7 @@ def _check_consistent(model: SdeModel, s: SchemeOutput, w_fine: BrownianPath, fi
     # (tolerance covers the ulp gap between summed and differenced increments)
     w_coarse = w_fine.values[coarse_idx]
     redone = euler_values_batch(model, s.grid, np.diff(w_coarse)[None, :])[0]
-    if not np.allclose(redone, s.nodes, rtol=1e-10, atol=1e-13):
+    if not np.allclose(redone, s.y_path.values, rtol=1e-10, atol=1e-13):
         raise InvalidArgumentError(
             "w_fine is inconsistent with the scheme output (coarse increments differ)"
         )
@@ -176,7 +190,7 @@ def stochastic_interpolation(
     """X~ for a single path, with nesting and coupling validated."""
     _check_consistent(model, s, w_fine, fine)
     values = stochastic_interpolation_batch(
-        model, s.grid, fine, s.nodes[None, :], w_fine.values[None, :]
+        model, s.grid, fine, s.y_path.values[None, :], w_fine.values[None, :]
     )[0]
     return DiscretePath(fine, values, PathMode.LINEAR)
 

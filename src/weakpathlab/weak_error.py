@@ -6,6 +6,12 @@ is bit-reproducible.  With a closed-form reference (OU with point or product
 functionals) no reference path is simulated at all and the reported bias
 carries no reference bias.
 
+Scheme and reference paths come from the one Euler kernel,
+:func:`schemes.euler_scan`, and f (mollified or not) is evaluated on them by
+the one batch evaluator of :mod:`functional_calculus`.  Without a
+mollifier, a functional that reads only probe times keeps just the node
+columns bracketing them and interpolates those.
+
 Batches have a fixed, thread-independent layout; each derives its own
 random stream from its index and partial sums are reduced in index order,
 so reports are pure functions of (experiment, master seed).
@@ -23,10 +29,12 @@ from .core_paths import PathMode, TimeGrid, interpolate_values, make_uniform_gri
 from .errors import InsufficientSignalError, InvalidArgumentError
 from .functionals import PathFunctional
 from .models import SdeModel, ou_exact_moments
-from .mollifier import MollifierSpec, mollify_operator
+from .functional_calculus import _fd1_batch, _feps_batch, _probe_times, _spec
+from .mollifier import MollifierSpec
+from .mollifier import mollify_operator  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .parallel import batch_layout, deterministic_batch_map
 from .randomness import SeedSpec
-from .schemes import euler_values_batch, stochastic_interpolation_batch
+from .schemes import euler_scan, euler_values_batch, stochastic_interpolation_batch
 
 __all__ = [
     "ClosedFormReference",
@@ -168,50 +176,8 @@ def closed_form_expectation(model: SdeModel, f: PathFunctional) -> float:
     return mom.cov + mom.mean1 * mom.mean2
 
 
-def _probe_columns(grid: TimeGrid, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bracketing node columns and affine weights realizing Y(t) at probe
-    times from node values (Y evaluated by its own linear interpolation)."""
-    nodes = grid.nodes
-    t = np.asarray(times, dtype=np.float64)
-    if np.any(t < 0) or np.any(t > grid.horizon):
-        raise InvalidArgumentError(f"probe times {times!r} outside [0, T]")
-    k = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, nodes.size - 2)
-    lam = (t - nodes[k]) / (nodes[k + 1] - nodes[k])
-    return k, k + 1, lam
-
-
-def _euler_scan(
-    model: SdeModel, grid: TimeGrid, m: int, cols, increment_row
-) -> tuple[np.ndarray, dict]:
-    """Euler recursion over ``m`` samples retaining only selected node columns.
-
-    ``increment_row(k)`` supplies the scaled Brownian increments of step k as
-    a contiguous row; working step-major keeps every array the recursion
-    touches contiguous, which is what makes multi-million-sample batches
-    affordable.
-    """
-    dt = np.diff(grid.nodes)
-    wanted = sorted({int(c) for c in cols})
-    order = {c: i for i, c in enumerate(wanted)}
-    out = np.empty((m, len(wanted)))
-    x = np.full(m, model.xi0)
-    if 0 in order:
-        out[:, order[0]] = x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(dt.size):
-            drift = np.asarray(model.b(x), dtype=np.float64) * dt[k]
-            diff = np.asarray(model.sigma(x), dtype=np.float64) * increment_row(k)
-            x += drift
-            x += diff
-            if k + 1 in order:
-                out[:, order[k + 1]] = x
-    return out, order
-
-
-def _euler_columns(
-    model: SdeModel, grid: TimeGrid, m: int, rng: np.random.Generator, cols
-) -> tuple[np.ndarray, dict]:
-    """Step-major Euler drawing one increment row per step from ``rng``."""
+def _gaussian_rows(rng: np.random.Generator, grid: TimeGrid, m: int):
+    """Increment source drawing the m Brownian increments of step k per call."""
     sqdt = np.sqrt(np.diff(grid.nodes))
 
     def row(k: int) -> np.ndarray:
@@ -219,43 +185,26 @@ def _euler_columns(
         z *= sqdt[k]
         return z
 
-    return _euler_scan(model, grid, m, cols, row)
+    return row
 
 
-def _f_on_path_matrix(
-    f: PathFunctional, eps: Optional[float], grid: TimeGrid, y: np.ndarray
+def _at_times(model: SdeModel, grid: TimeGrid, m: int, dw, times) -> np.ndarray:
+    """Y at ``times`` for m scheme paths, computing only the bracketing node
+    columns (interpolated as :func:`interpolate_values` does on the full path)."""
+    t = _probe_times(grid, times)
+    k = np.clip(np.searchsorted(grid.nodes, t, side="right") - 1, 0, grid.n_intervals - 1)
+    keep = np.union1d(k, k + 1)
+    vals = euler_scan(model, grid, np.broadcast_to(model.xi0, (m,)), dw, keep=keep)
+    return interpolate_values(grid.nodes[keep], vals, t, PathMode.LINEAR)
+
+
+def _f_on_scheme(
+    f: PathFunctional, spec: Optional[MollifierSpec], grid: TimeGrid, model: SdeModel, m: int, dw
 ) -> np.ndarray:
-    """f (optionally mollified) on rows of piecewise-linear path values."""
-    if eps is not None:
-        y = y @ mollify_operator(MollifierSpec(eps), grid, PathMode.LINEAR).T
-    if f.probe_times is not None and f.probe_eval is not None:
-        probes = interpolate_values(grid.nodes, y, np.asarray(f.probe_times), PathMode.LINEAR)
-        return f.probe_eval(probes)
-    if f.batch_eval is not None:
-        return f.batch_eval(y, grid, PathMode.LINEAR)
-    from .core_paths import DiscretePath
-
-    return np.asarray([f.eval(DiscretePath(grid, row, PathMode.LINEAR)) for row in y])
-
-
-def _f_on_scheme_scan(
-    f: PathFunctional,
-    eps: Optional[float],
-    grid: TimeGrid,
-    model: SdeModel,
-    m: int,
-    increment_row,
-) -> np.ndarray:
-    """f on the scheme path, materializing only probe columns when possible."""
-    if eps is None and f.probe_times is not None and f.probe_eval is not None:
-        lo, hi, lam = _probe_columns(grid, f.probe_times)
-        vals, order = _euler_scan(model, grid, m, set(lo) | set(hi), increment_row)
-        li = np.asarray([order[int(c)] for c in lo])
-        hi_i = np.asarray([order[int(c)] for c in hi])
-        probes = (1.0 - lam) * vals[:, li] + lam * vals[:, hi_i]
-        return f.probe_eval(probes)
-    y, _ = _euler_scan(model, grid, m, range(grid.nodes.size), increment_row)
-    return _f_on_path_matrix(f, eps, grid, y)
+    """f (mollified when ``spec`` is given) on m Euler paths on ``grid`` driven by ``dw``."""
+    if spec is None and f.probe_times is not None and f.probe_eval is not None:
+        return f.probe_eval(_at_times(model, grid, m, dw, f.probe_times))
+    return _feps_batch(f, spec, grid, euler_scan(model, grid, np.broadcast_to(model.xi0, (m,)), dw))
 
 
 def coupled_bias(exp: RateExperiment, rung: int) -> BiasPoint:
@@ -267,6 +216,7 @@ def coupled_bias(exp: RateExperiment, rung: int) -> BiasPoint:
     n = exp.n_samples(rung)
     delta = float(exp.deltas[rung])
     f = exp.functional
+    spec = _spec(exp.eps)
 
     fine_ref = isinstance(exp.reference, FineGridReference)
     if fine_ref:
@@ -287,22 +237,10 @@ def coupled_bias(exp: RateExperiment, rung: int) -> BiasPoint:
             dw_fine = rng.standard_normal((fine.n_intervals, m))
             dw_fine *= np.sqrt(np.diff(fine.nodes))[:, None]
             dw_coarse = dw_fine.reshape(grid.n_intervals, factor, m).sum(axis=1)
-            g = _f_on_scheme_scan(
-                f, exp.eps, grid, exp.model, m, lambda k: dw_coarse[k]
-            )
-            x_ref, _ = _euler_scan(
-                exp.model, fine, m, range(fine.nodes.size), lambda k: dw_fine[k]
-            )
-            g = g - _f_on_path_matrix(f, exp.eps, fine, x_ref)
+            g = _f_on_scheme(f, spec, grid, exp.model, m, dw_coarse.__getitem__)
+            g = g - _f_on_scheme(f, spec, fine, exp.model, m, dw_fine.__getitem__)
         else:
-            sqdt = np.sqrt(np.diff(grid.nodes))
-
-            def row(k: int) -> np.ndarray:
-                z = rng.standard_normal(m)
-                z *= sqdt[k]
-                return z
-
-            g = _f_on_scheme_scan(f, None, grid, exp.model, m, row) - ref_value
+            g = _f_on_scheme(f, None, grid, exp.model, m, _gaussian_rows(rng, grid, m)) - ref_value
         keep = np.isfinite(g)
         gk = g[keep]
         return float(gk.sum()), float((gk**2).sum()), int(gk.size), int(m - gk.size)
@@ -401,11 +339,7 @@ def covariance_bias(
     def worker(bi: int):
         off, m = layout[bi]
         rng = seed.rng(_TAG_COV, bi)
-        klo, khi, lam = _probe_columns(grid, [t1, t2])
-        vals, order = _euler_columns(model, grid, m, rng, set(klo) | set(khi))
-        cols = np.asarray([[order[int(a)], order[int(b)]] for a, b in zip(klo, khi)])
-        a = (1 - lam[0]) * vals[:, cols[0, 0]] + lam[0] * vals[:, cols[0, 1]]
-        b = (1 - lam[1]) * vals[:, cols[1, 0]] + lam[1] * vals[:, cols[1, 1]]
+        a, b = _at_times(model, grid, m, _gaussian_rows(rng, grid, m), [t1, t2]).T
         keep = np.isfinite(a) & np.isfinite(b)
         a, b = a[keep], b[keep]
         if a.size < 2:
@@ -496,10 +430,7 @@ def interpolation_gap_stats(
             int(gap.shape[0]),
         ]
         if functional is not None:
-            if functional.batch_d1 is not None:
-                pair = functional.batch_d1(y_interp, gap, fine, PathMode.LINEAR)
-            else:
-                pair = _pairing_fallback(functional, y_interp, gap, fine)
+            pair = _fd1_batch(functional, None, fine, y_interp, gap)
             row.append(float(pair.sum()))
             row.append(float((pair**2).sum()))
         return row
@@ -532,19 +463,3 @@ def interpolation_gap_stats(
         report.pairing_mean = float(pmean)
         report.pairing_se = float(np.sqrt(pvar / kept))
     return report
-
-
-def _pairing_fallback(f: PathFunctional, x: np.ndarray, h: np.ndarray, grid: TimeGrid):
-    if f.probe_times is not None and f.probe_d1 is not None:
-        t = np.asarray(f.probe_times)
-        xp = interpolate_values(grid.nodes, x, t, PathMode.LINEAR)
-        hp = interpolate_values(grid.nodes, h, t, PathMode.LINEAR)
-        return f.probe_d1(xp, hp)
-    from .core_paths import DiscretePath
-
-    return np.asarray(
-        [
-            f.d1(DiscretePath(grid, xr, PathMode.LINEAR), DiscretePath(grid, hr, PathMode.LINEAR))
-            for xr, hr in zip(x, h)
-        ]
-    )

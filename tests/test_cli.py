@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from weakpathlab.cli import build_functional, build_model, main, parse_config, run
+from weakpathlab.cli import COMMANDS, build_functional, build_model, main, parse_config, run
 from weakpathlab.errors import ConfigError, UnknownNameError
 
 MINIMAL_WEAK_RATE = """
@@ -70,6 +70,14 @@ class TestParseConfig:
     def test_scalar_document_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("42")
+
+    @pytest.mark.parametrize("name", ["product", "point", "integral-square", "smooth-max"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_shipped_functional_parses_unmerged(self, command, name):
+        # a functional section is taken whole: no default parameters of
+        # another functional are merged into it
+        cfg = parse_config(f"command: {command}\nfunctional:\n  name: {name}\n")
+        assert cfg.functional == {"name": name}
 
 
 class TestBuilders:

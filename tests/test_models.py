@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from weakpathlab.core_paths import DiscretePath, PathMode, make_uniform_grid
 from weakpathlab.errors import InvalidArgumentError
 from weakpathlab.models import (
-    FrozenCoefficients,
     SdeModel,
     check_assumptions,
     ou_exact_moments,
     ou_model,
     sine_model,
 )
-from weakpathlab.randomness import SeedSpec, sample_brownian
 
 PROBES = np.linspace(-4.0, 4.0, 21)
 
@@ -125,37 +122,3 @@ class TestCheckAssumptions:
     def test_empty_probe_set_rejected(self):
         with pytest.raises(InvalidArgumentError):
             check_assumptions(ou_model(1.0, 1.0, 0.0), [])
-
-
-class TestFrozenCoefficients:
-    def setup_method(self):
-        self.grid = make_uniform_grid(1.0, 4)
-        self.model = sine_model(0.5, 1.0, 0.3)
-        self.frozen = FrozenCoefficients(self.model, self.grid)
-        rng = np.random.default_rng(3)
-        fine = make_uniform_grid(1.0, 32)
-        self.path = DiscretePath(fine, rng.standard_normal(33), PathMode.LINEAR)
-
-    def test_matches_base_at_nodes(self):
-        for t in self.grid.nodes:
-            assert self.frozen.drift(t, self.path) == pytest.approx(
-                float(self.model.b(self.path(t))), rel=1e-14
-            )
-
-    def test_constant_within_interval(self):
-        a = self.frozen.diffusion(0.26, self.path)
-        b = self.frozen.diffusion(0.49, self.path)
-        assert a == b
-        assert a == pytest.approx(float(self.model.sigma(self.path(0.25))), rel=1e-14)
-
-    def test_linear_growth_bound(self):
-        # |b~| + |sigma~| <= C (1 + running sup), random paths
-        seed = SeedSpec(44)
-        fine = make_uniform_grid(1.0, 64)
-        c_bound = 3.0  # |b| <= 1, |sigma| <= 1.5 for the sine model
-        for i in range(50):
-            w = sample_brownian(fine, seed.with_stream(i)).path
-            for t in [0.1, 0.3, 0.55, 0.8, 1.0]:
-                running_sup = np.abs(w.values[: fine.interval_index(t) + 1]).max()
-                total = abs(self.frozen.drift(t, w)) + abs(self.frozen.diffusion(t, w))
-                assert total <= c_bound * (1.0 + running_sup)

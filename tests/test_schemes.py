@@ -3,13 +3,14 @@ import pytest
 
 from weakpathlab.core_paths import DiscretePath, PathMode, make_uniform_grid, refine_grid
 from weakpathlab.errors import InvalidArgumentError, NumericalOverflowError
-from weakpathlab.models import SdeModel, constant_model, ou_model
+from weakpathlab.models import SdeModel, constant_model, ou_model, sine_model
 from weakpathlab.randomness import BrownianPath, SeedSpec, sample_brownian
 from weakpathlab.schemes import (
     euler_nodes,
+    euler_scan,
+    euler_values_batch,
     fine_reference,
     first_variation,
-    linear_interpolation,
     stochastic_interpolation,
     stochastic_interpolation_batch,
 )
@@ -30,41 +31,111 @@ def degenerate_model(b_const, sigma_const, xi0):
     )
 
 
+def reference_euler(model, grid, x0, dw, start=0):
+    """The recursion written out step by step: columns start..N of the paths
+    started from ``x0`` at node ``start``, dw being (m, N - start)."""
+    dt = np.diff(grid.nodes)
+    out = np.empty((dw.shape[0], grid.nodes.size - start))
+    x = np.broadcast_to(np.asarray(x0, dtype=np.float64), (dw.shape[0],)).copy()
+    out[:, 0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(start, dt.size):
+            x = x + model.b(x) * dt[k] + model.sigma(x) * dw[:, k - start]
+            out[:, k + 1 - start] = x
+    return out
+
+
+def blowup_model(xi0, scale):
+    """b(x) = scale x^3 and sigma = 0: overflows to inf, then 0 * inf = NaN."""
+    return SdeModel(
+        b=lambda x: x**3 * scale,
+        sigma=lambda x: 0.0 * x,
+        db=lambda x: 3 * scale * x**2,
+        d2b=lambda x: 6 * scale * x,
+        dsigma=lambda x: 0.0 * x,
+        d2sigma=lambda x: 0.0 * x,
+        nondegeneracy_c=0.0,
+        xi0=xi0,
+    )
+
+
+class TestEulerScan:
+    GRID = make_uniform_grid(1.0, 64)
+    MODELS = {"ou": ou_model(1.3, 0.7, 0.4), "sine": sine_model(0.5, 1.0, 0.3)}
+
+    def increments(self, rows, start, seed):
+        n = self.GRID.n_intervals - start
+        return np.sqrt(self.GRID.mesh) * SeedSpec(seed).rng().standard_normal((rows, n))
+
+    @pytest.mark.parametrize("model", ["ou", "sine"])
+    @pytest.mark.parametrize("rows", [1, 256])
+    @pytest.mark.parametrize("start", [0, 29, 63])
+    def test_matches_reference_loop(self, model, rows, start):
+        model = self.MODELS[model]
+        dw = self.increments(rows, start, rows + start)
+        per_row = 0.2 + np.linspace(-1.0, 1.0, rows)
+        for x0 in (0.7, per_row):
+            want = reference_euler(model, self.GRID, x0, dw, start)
+            assert np.array_equal(euler_scan(model, self.GRID, x0, dw, start=start), want)
+            # the same steps from a callable source of step rows, which needs
+            # one start value per row
+            by_step = np.ascontiguousarray(dw.T)
+            lazy = euler_scan(
+                model, self.GRID, np.broadcast_to(x0, (rows,)), lambda k: by_step[k - start],
+                start=start,
+            )
+            assert np.array_equal(lazy, want)
+            keep = [start, (start + 64) // 2, 64] if start < 63 else [64]
+            subset = euler_scan(model, self.GRID, x0, dw, start=start, keep=keep)
+            assert np.array_equal(subset, want[:, np.asarray(keep) - start])
+
+    def test_values_batch_matches_reference_loop(self):
+        for model in self.MODELS.values():
+            dw = self.increments(256, 0, 7)
+            want = reference_euler(model, self.GRID, model.xi0, dw)
+            assert np.array_equal(euler_values_batch(model, self.GRID, dw), want)
+
+    def test_overflowing_row_propagates_like_reference(self):
+        model = blowup_model(1.0, 1.0)
+        dw = self.increments(4, 0, 8)
+        x0 = np.array([0.5, 1e103, -0.25, 2.0])  # row 1 overflows at once, row 3 later
+        got = euler_scan(model, self.GRID, x0, dw)
+        want = reference_euler(model, self.GRID, x0, dw)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[1, -1]) and not np.isfinite(got[3, -1])
+        assert np.all(np.isfinite(got[[0, 2]]))
+
+
 class TestEulerNodes:
     def test_frozen_dynamics(self):
         grid = make_uniform_grid(1.0, 8)
         w = sample_brownian(grid, SeedSpec(1))
         s = euler_nodes(degenerate_model(0.0, 0.0, 2.5), w)
-        assert np.all(s.nodes == 2.5)
+        assert np.all(s.y_path.values == 2.5)
 
     def test_pure_drift(self):
         grid = make_uniform_grid(1.0, 8)
         w = sample_brownian(grid, SeedSpec(2))
         s = euler_nodes(degenerate_model(1.0, 0.0, 0.5), w)
-        assert np.allclose(s.nodes, 0.5 + grid.nodes, atol=1e-14)
+        assert np.allclose(s.y_path.values, 0.5 + grid.nodes, atol=1e-14)
 
     def test_pure_noise(self):
         grid = make_uniform_grid(1.0, 8)
         w = sample_brownian(grid, SeedSpec(3))
         s = euler_nodes(degenerate_model(0.0, 1.0, 0.5), w)
-        assert np.allclose(s.nodes, 0.5 + w.values, atol=1e-14)
+        assert np.allclose(s.y_path.values, 0.5 + w.values, atol=1e-14)
 
     def test_overflow_reports_step(self):
         grid = make_uniform_grid(1.0, 8)
         w = sample_brownian(grid, SeedSpec(4))
-        blowup = SdeModel(
-            b=lambda x: x**3 * 1e200,
-            sigma=lambda x: 0.0 * x,
-            db=lambda x: 3e200 * x**2,
-            d2b=lambda x: 6e200 * x,
-            dsigma=lambda x: 0.0 * x,
-            d2sigma=lambda x: 0.0 * x,
-            nondegeneracy_c=0.0,
-            xi0=1.0,
-        )
-        with pytest.raises(NumericalOverflowError) as err:
-            euler_nodes(blowup, w)
-        assert err.value.step_index is not None
+        # step_index is the first node whose value is non-finite: step 2 for
+        # an immediate blow-up, the last node for one that overflows at T
+        for model, step in ((blowup_model(1.0, 1e200), 2), (blowup_model(3.0, 1.0), 8)):
+            with pytest.raises(NumericalOverflowError) as err:
+                euler_nodes(model, w)
+            assert err.value.step_index == step
+            row = reference_euler(model, grid, model.xi0, w.increments()[None, :])[0]
+            assert step == np.flatnonzero(~np.isfinite(row))[0]
 
 
 class TestLinearInterpolation:
@@ -72,15 +143,15 @@ class TestLinearInterpolation:
         grid = make_uniform_grid(1.0, 4)
         w = sample_brownian(grid, SeedSpec(5))
         s = euler_nodes(ou_model(1.0, 1.0, 1.0), w)
-        y = linear_interpolation(s)
+        y = s.y_path
         for k, t in enumerate(grid.nodes):
-            assert y(t) == s.nodes[k]
-        assert y(0.125) == pytest.approx(0.5 * (s.nodes[0] + s.nodes[1]), rel=1e-14)
+            assert y(t) == y.values[k]
+        assert y(0.125) == pytest.approx(0.5 * (y.values[0] + y.values[1]), rel=1e-14)
 
     def test_constant_nodes(self):
         grid = make_uniform_grid(1.0, 4)
         w = sample_brownian(grid, SeedSpec(6))
-        y = linear_interpolation(euler_nodes(degenerate_model(0.0, 0.0, 1.5), w))
+        y = euler_nodes(degenerate_model(0.0, 0.0, 1.5), w).y_path
         assert y(0.3) == 1.5
 
 
@@ -99,13 +170,13 @@ class TestStochasticInterpolation:
         s = euler_nodes(model, self.w_coarse)
         x_tilde = stochastic_interpolation(s, self.w_fine, self.fine, model)
         idx = self.fine.indices_of_subgrid(self.coarse)
-        assert np.array_equal(x_tilde.values[idx], s.nodes)
+        assert np.array_equal(x_tilde.values[idx], s.y_path.values)
 
     def test_zero_diffusion_reduces_to_linear(self):
         model = degenerate_model(1.3, 0.0, 0.2)
         s = euler_nodes(model, self.w_coarse)
         x_tilde = stochastic_interpolation(s, self.w_fine, self.fine, model)
-        y = linear_interpolation(s)
+        y = s.y_path
         expect = np.array([y(t) for t in self.fine.nodes])
         assert np.allclose(x_tilde.values, expect, atol=1e-12)
 
@@ -114,7 +185,7 @@ class TestStochasticInterpolation:
         model = degenerate_model(0.0, 1.0, 0.0)
         s = euler_nodes(model, self.w_coarse)
         x_tilde = stochastic_interpolation(s, self.w_fine, self.fine, model)
-        y = linear_interpolation(s)
+        y = s.y_path
         idx = self.fine.indices_of_subgrid(self.coarse)
         for j, t in enumerate(self.fine.nodes):
             n = min(np.searchsorted(self.coarse.nodes, t, side="right") - 1, 3)
@@ -141,9 +212,9 @@ class TestStochasticInterpolation:
             wc = BrownianPath(DiscretePath(self.coarse, wf.values[idx], PathMode.LINEAR))
             s = euler_nodes(model, wc)
             vals = stochastic_interpolation_batch(
-                model, self.coarse, self.fine, s.nodes[None, :], wf.values[None, :]
+                model, self.coarse, self.fine, s.y_path.values[None, :], wf.values[None, :]
             )[0]
-            y = linear_interpolation(s)
+            y = s.y_path
             gaps.append(vals[7] - y(self.fine.nodes[7]))
         gaps = np.asarray(gaps)
         se = gaps.std(ddof=1) / np.sqrt(n)
@@ -181,7 +252,7 @@ class TestFineReference:
         grid = make_uniform_grid(1.0, 16)
         w = sample_brownian(grid, SeedSpec(13))
         ref = fine_reference(model, w, coarse_mesh=grid.mesh, min_refinement=1)
-        assert np.array_equal(ref.values, euler_nodes(model, w).nodes)
+        assert np.array_equal(ref.values, euler_nodes(model, w).y_path.values)
 
 
 class TestFirstVariation:
@@ -208,7 +279,7 @@ class TestFirstVariation:
         model = ou_model(1.3, 0.7, 0.4)
         fine = make_uniform_grid(1.0, 64)
         w = sample_brownian(fine, SeedSpec(17))
-        x = euler_nodes(model, w).nodes
+        x = euler_nodes(model, w).y_path.values
         k = 24
         restart = x[k]
         dw = np.diff(w.values)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from weakpathlab.core_paths import make_uniform_grid, refine_grid
+from weakpathlab.core_paths import PathMode, interpolate_values, make_uniform_grid, refine_grid
 from weakpathlab.errors import InsufficientSignalError, InvalidArgumentError
 from weakpathlab.functionals import point_functional, product_functional
-from weakpathlab.models import constant_model, ou_model
+from weakpathlab.models import constant_model, ou_model, sine_model
 from weakpathlab.randomness import SeedSpec
+from weakpathlab.schemes import euler_values_batch
 from weakpathlab.weak_error import (
     ClosedFormReference,
+    _at_times,
     FineGridReference,
     RateExperiment,
     closed_form_expectation,
@@ -134,6 +136,25 @@ class TestCoupledBias:
         assert exp.n_samples(0) == 4000
         assert exp.n_samples(1) == 16000
         assert exp.n_samples(2) == 64000
+
+
+class TestProbeColumns:
+    @pytest.mark.parametrize("n_steps", [4, 24, 64])
+    def test_kept_columns_interpolate_like_the_full_path(self, n_steps):
+        # the scheme path is kept only at the nodes bracketing each probe;
+        # the blend must equal interpolating the full path bit for bit
+        model = sine_model(0.5, 1.0, 0.3)
+        grid = make_uniform_grid(1.0, n_steps)
+        times = [0.0, 0.3, 1.0 / 3.0, 0.5, 0.77, 1.0]
+        dw = np.sqrt(grid.mesh) * SeedSpec(n_steps).rng().standard_normal((300, n_steps))
+        full = euler_values_batch(model, grid, dw)
+        want = interpolate_values(grid.nodes, full, np.asarray(times), PathMode.LINEAR)
+        assert np.array_equal(_at_times(model, grid, 300, dw, times), want)
+
+    def test_probe_outside_horizon_rejected(self):
+        grid = make_uniform_grid(1.0, 8)
+        with pytest.raises(InvalidArgumentError):
+            _at_times(OU, grid, 4, np.zeros((4, 8)), [0.5, 1.5])
 
 
 class TestWeakRateExperiment:
