@@ -10,7 +10,12 @@ numeric output.  Each run writes ``report.csv``, ``summary.json`` and a
 never overwritten.
 
 Exit status: 0 when every embedded check passed, 1 when a check failed,
-2 for usage or config errors, 3 for insufficient signal or a budget cap.
+2 for usage or config errors, 3 for insufficient signal or a budget cap,
+4 for a numeric failure (a non-finite value an estimator cannot exclude).
+Once the experiment runs, every exit writes ``summary.json``; its
+``status`` is ``ok`` (exit 0 or 1), ``invalid-experiment`` (2),
+``insufficient-signal`` or ``budget-cap`` (3) or ``numeric-failure`` (4),
+and a failure adds its ``detail``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -161,10 +166,14 @@ class ExperimentConfig:
     budget: dict = field(default_factory=dict)
     check: dict = field(default_factory=dict)
     reference: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
+        """sha256 of the resolved experiment: the command, the effective seed
+        and every section with its documented defaults filled in.
+        ``threads`` and ``out_dir`` change no number and are left out."""
+        resolved = asdict(self)
+        del resolved["threads"], resolved["out_dir"]
+        canon = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -213,7 +222,6 @@ def parse_config(text: str) -> ExperimentConfig:
         budget=dict(doc.get("budget", {})),
         check=dict(doc.get("check", {})),
         reference=dict(doc.get("reference", {})),
-        raw=doc,
     )
     for section, defaults in _COMMAND_DEFAULTS.get(command, {}).items():
         target = getattr(cfg, section)
@@ -350,8 +358,7 @@ def _run_covariance_bias(cfg: ExperimentConfig):
     deltas = list(cfg.grid.get("deltas", DEFAULT_DELTAS))
     horizon = float(cfg.grid.get("T", 1.0))
     n_base = int(cfg.budget.get("n_samples", 1_000_000))
-    rows, ratios = [], []
-    signal = []
+    rows, signal = [], []
     for k, delta in enumerate(deltas):
         grid = make_uniform_grid(horizon, round(horizon / delta))
         n = int(np.ceil(n_base * (deltas[0] / delta) ** 2))
@@ -606,10 +613,18 @@ _RUNNERS = {
 }
 
 
+# exceptions a runner may raise for its experiment: summary status, exit status
+_FAILURES = (
+    (InvalidArgumentError, "invalid-experiment", 2),
+    (InsufficientSignalError, "insufficient-signal", 3),
+    (BudgetExceededError, "budget-cap", 3),
+    (ArithmeticError, "numeric-failure", 4),
+)
+
+
 def _write_once(path: Path, text: str):
-    if path.exists():
-        raise ConfigError(f"refusing to overwrite existing report {path}")
-    path.write_text(text)
+    with path.open("x") as fh:
+        fh.write(text)
 
 
 def run(config: ExperimentConfig) -> int:
@@ -621,16 +636,13 @@ def run(config: ExperimentConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         checks, csv_text, extra = _RUNNERS[config.command](config)
-    except InvalidArgumentError as exc:
-        print(f"invalid experiment configuration: {exc}", file=sys.stderr)
-        return 2
-    except (InsufficientSignalError, BudgetExceededError) as exc:
-        reason = "insufficient-signal" if isinstance(exc, InsufficientSignalError) else "budget-cap"
+    except tuple(kind for kind, _, _ in _FAILURES) as exc:
+        reason, code = next((r, c) for kind, r, c in _FAILURES if isinstance(exc, kind))
         _write_once(out_dir / "summary.json", json.dumps(
             {"status": reason, "detail": str(exc), "command": config.command}, indent=2,
             sort_keys=True) + "\n")
         print(f"FAIL {config.command}: {reason}: {exc}")
-        return 3
+        return code
 
     summary = {
         "command": config.command,

@@ -9,9 +9,6 @@ from vertical perturbations of a path's endpoint.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -100,13 +97,6 @@ class TimeGrid:
             raise InvalidArgumentError(f"t={t!r} is not near a grid node")
         return best
 
-    def interval_index(self, t: float) -> int:
-        """Index n of the largest node tau_n <= t (n < N for t = T is not
-        forced; t = T maps to the last node)."""
-        if t < 0.0 or t > self.horizon:
-            raise OutOfRangeError(f"t={t!r} outside [0, {self.horizon}]")
-        return int(np.searchsorted(self.nodes, t, side="right")) - 1
-
     def is_refinement_of(self, coarse: "TimeGrid") -> bool:
         """True when every node of ``coarse`` is a node of this grid."""
         idx = np.searchsorted(self.nodes, coarse.nodes)
@@ -172,40 +162,6 @@ class DiscretePath:
 
     def __call__(self, t):
         return eval_path(self, t)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "grid": self.grid.nodes.tolist(),
-                "values": self.values.tolist(),
-                "mode": self.mode.value,
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "DiscretePath":
-        obj = json.loads(text)
-        return DiscretePath(
-            TimeGrid(np.asarray(obj["grid"], dtype=np.float64)),
-            np.asarray(obj["values"], dtype=np.float64),
-            PathMode(obj["mode"]),
-        )
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t", "x"])
-        for t, x in zip(self.grid.nodes, self.values):
-            writer.writerow([repr(float(t)), repr(float(x))])
-        return buf.getvalue()
-
-    @staticmethod
-    def from_csv(text: str, mode: PathMode = PathMode.LINEAR) -> "DiscretePath":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != ["t", "x"]:
-            raise InvalidArgumentError("path CSV must have header 't,x'")
-        data = np.asarray([[float(r[0]), float(r[1])] for r in rows[1:]])
-        return DiscretePath(TimeGrid(data[:, 0]), data[:, 1], mode)
 
 
 def interpolate_values(

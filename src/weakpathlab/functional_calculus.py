@@ -34,6 +34,7 @@ from .errors import (
 from .functionals import PathFunctional
 from .models import SdeModel
 from .mollifier import MollifierSpec, mollify_operator
+from .parallel import Moments, batch_layout
 from .randomness import BrownianPath, SeedSpec
 from .schemes import (
     euler_scan,
@@ -87,7 +88,7 @@ class ResidualReport:
         return ResidualReport(
             residual=float(residual),
             tolerance=float(tolerance),
-            passed=bool(abs(residual) <= tolerance),
+            passed=_within(residual, tolerance),
             components=components,
         )
 
@@ -102,6 +103,12 @@ class VerticalDerivative:
 
 def default_bump(x_end: float) -> float:
     return 1e-2 * (1.0 + abs(x_end))
+
+
+def _within(value, tolerance) -> bool:
+    """|value| <= tolerance everywhere; a non-finite value or tolerance fails."""
+    value, tolerance = np.asarray(value), np.asarray(tolerance)
+    return bool(np.all(np.isfinite(value) & np.isfinite(tolerance) & (np.abs(value) <= tolerance)))
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +164,7 @@ def _feps_batch(
     if spec is not None:
         values = values @ mollify_operator(spec, grid, mode).T
         mode = PathMode.LINEAR
-    if f.batch_eval is not None:
-        return f.batch_eval(values, grid, mode)
-    return np.asarray(
-        [f.eval(DiscretePath(grid, row, mode)) for row in values], dtype=np.float64
-    )
+    return f.batch_eval(values, grid, mode)
 
 
 def _fd1_batch(
@@ -183,15 +186,7 @@ def _fd1_batch(
         values = values @ op
         directions = directions @ op
         mode = PathMode.LINEAR
-    if f.batch_d1 is not None:
-        return f.batch_d1(values, directions, grid, mode)
-    return np.asarray(
-        [
-            f.d1(DiscretePath(grid, x, mode), DiscretePath(grid, h, mode))
-            for x, h in zip(values, directions)
-        ],
-        dtype=np.float64,
-    )
+    return f.batch_d1(values, directions, grid, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +238,11 @@ def _draw_dw(fine: TimeGrid, i_t: int, n_inner: int, rng: np.random.Generator) -
 
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:
-    if not np.all(np.isfinite(samples)):
+    """Mean and standard error of 1-D samples; a non-finite sample raises."""
+    mom = Moments.of(samples)
+    if mom.excluded:
         raise NumericalOverflowError("continuation produced non-finite functional values")
-    if samples.size < 2:
-        return float(samples.mean()), 0.0
-    return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(samples.size))
+    return float(mom.mean), float(mom.se)
 
 
 def _config(eps, fine: TimeGrid, seed: SeedSpec, **extra) -> dict:
@@ -491,19 +486,16 @@ def kolmogorov_residual(
         )
         f_ext = _f_continued(model, f, spec, fine, ext_prefix, x0, dw[:, 1:], prefix.mode)
 
-        dt_term = float(np.mean((f_ext - f_mid) / h_t))
-        grad = float(np.mean((f_up - f_down) / (2 * h)))
-        second = float(np.mean((f_up - 2 * f_mid + f_down) / h**2))
+        dt_term = _mean_se((f_ext - f_mid) / h_t)[0]
+        grad = _mean_se((f_up - f_down) / (2 * h))[0]
+        second = _mean_se((f_up - 2 * f_mid + f_down) / h**2)[0]
         resid = dt_term + b0 * grad + 0.5 * s0**2 * second
         return resid, dt_term, grad, second
 
     rows = np.asarray([_batch(bi) for bi in range(n_outer)])
-    if not np.all(np.isfinite(rows)):
-        raise NumericalOverflowError("Kolmogorov batches produced non-finite values")
-    residual, se = _mean_se(rows[:, 0])
-    dt_term = float(rows[:, 1].mean())
-    grad_term = b0 * float(rows[:, 2].mean())
-    second_term = 0.5 * s0**2 * float(rows[:, 3].mean())
+    (residual, se), (dt_term, _), (grad, _), (second, _) = (_mean_se(c) for c in rows.T)
+    grad_term = b0 * grad
+    second_term = 0.5 * s0**2 * second
     allowance = allowance_rel * (abs(dt_term) + abs(grad_term) + abs(second_term))
     return ResidualReport.make(
         residual,
@@ -512,8 +504,8 @@ def kolmogorov_residual(
             "horizontal_term": dt_term,
             "drift_term": grad_term,
             "diffusion_term": second_term,
-            "grad_F": float(rows[:, 2].mean()),
-            "second_grad_F": float(rows[:, 3].mean()),
+            "grad_F": grad,
+            "second_grad_F": second,
             "std_error": se,
             "allowance": allowance,
             "n_outer": int(n_outer),
@@ -547,10 +539,8 @@ def martingale_gap(
     if s == t:
         return ResidualReport.make(0.0, 0.0, {"note": "s = t, gap vanishes identically"})
 
-    n_chunks = (n_samples + chunk - 1) // chunk
     gaps = []
-    for ci in range(n_chunks):
-        m = min(chunk, n_samples - ci * chunk)
+    for ci, (_, m) in enumerate(batch_layout(n_samples, chunk)):
         outer = euler_values_batch(model, fine, _draw_dw(fine, 0, m, seed.rng(_TAG_OUTER, ci)))
         dw_in = _draw_dw(fine, i_s, m * n_inner, seed.rng(_TAG_INNER, ci))
 
@@ -615,17 +605,12 @@ def ito_rms_study(
     for si, n_steps in enumerate(steps_list):
         dt = T / n_steps
         total = 0.0
-        done = 0
-        bi = 0
-        while done < n_samples:
-            m = min(batch, n_samples - done)
+        for bi, (_, m) in enumerate(batch_layout(n_samples, batch)):
             z = seed.rng(_TAG_INNER, si, bi).standard_normal((m, n_steps))
             w = np.cumsum(np.sqrt(dt) * z, axis=1)
             ito_sum = 2.0 * np.sum(np.concatenate([np.zeros((m, 1)), w[:, :-1]], axis=1) * np.sqrt(dt) * z, axis=1)
             resid = w[:, -1] ** 2 - ito_sum - T
             total += float(np.sum(resid**2))
-            done += m
-            bi += 1
         out["meshes"].append(float(dt))
         out["rms"].append(float(np.sqrt(total / n_samples)))
     out["ratios"] = [
@@ -643,7 +628,7 @@ class ErrorRepresentationReport:
 
     @property
     def passed(self) -> bool:
-        return abs(self.diff) <= 4.0 * self.diff_std_error
+        return _within(self.diff, 4.0 * self.diff_std_error)
 
 
 def error_representation_sides(
@@ -769,9 +754,9 @@ def _grad_pair_at(
     f_up, f_down = (
         _f_continued(model, f, spec, fine, prefix_values, x, dw) for x in (x0 + bump, x0 - bump)
     )
-    grad = float(np.mean(f_up - f_down) / (2 * bump))
+    grad = _mean_se(f_up - f_down)[0] / (2 * bump)
     second = 0.0
     if need_second:
         f_mid = _f_continued(model, f, spec, fine, prefix_values, x0, dw)
-        second = float(np.mean(f_up - 2 * f_mid + f_down) / bump**2)
+        second = _mean_se(f_up - 2 * f_mid + f_down)[0] / bump**2
     return grad, second

@@ -7,9 +7,9 @@ derivatives; no estimator relies on numerically differentiating ``eval``.
 
 Point evaluations between grid nodes use the path's own interpolation mode,
 so Linear and CadlagStep arguments are distinguished exactly where they
-should be.  The optional ``probe_*`` and ``batch_*`` hooks are vectorized
-fast paths over matrices of node values; the Monte-Carlo harnesses use them
-to avoid per-sample path objects.
+should be.  The ``probe_*`` or ``batch_*`` hooks evaluate f and its first
+derivative on matrices of node values; the Monte-Carlo harnesses evaluate
+only through them, so every functional carries one of the two sets.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core_paths import DiscretePath, PathMode, TimeGrid
-from .errors import InvalidArgumentError, NumericalOverflowError
+from .errors import InvalidArgumentError
 
 __all__ = [
     "PathFunctional",
@@ -38,7 +38,6 @@ class PathFunctional:
     d1: Callable[[DiscretePath, DiscretePath], float]
     d2: Callable[[DiscretePath, DiscretePath, DiscretePath], float]
     growth_exponent: float
-    smoothness_order: int
     # reads only these times; None means the whole path matters
     probe_times: Optional[tuple[float, ...]] = None
     probe_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -47,6 +46,11 @@ class PathFunctional:
     batch_d1: Optional[
         Callable[[np.ndarray, np.ndarray, TimeGrid, PathMode], np.ndarray]
     ] = None
+
+    def __post_init__(self):
+        probe = self.probe_times is not None and None not in (self.probe_eval, self.probe_d1)
+        if not probe and None in (self.batch_eval, self.batch_d1):
+            raise InvalidArgumentError(f"functional {self.name!r} has no probe or batch hooks")
 
 
 def _check_time(t: float):
@@ -74,7 +78,6 @@ def product_functional(t1: float, t2: float) -> PathFunctional:
         d1=_d1,
         d2=_d2,
         growth_exponent=2.0,
-        smoothness_order=4,
         probe_times=(float(t1), float(t2)),
         probe_eval=lambda v: v[..., 0] * v[..., 1],
         probe_d1=lambda v, h: h[..., 0] * v[..., 1] + v[..., 0] * h[..., 1],
@@ -90,7 +93,6 @@ def point_functional(t1: float) -> PathFunctional:
         d1=lambda x, h: float(h(t1)),
         d2=lambda x, h1, h2: 0.0,
         growth_exponent=1.0,
-        smoothness_order=4,
         probe_times=(float(t1),),
         probe_eval=lambda v: v[..., 0],
         probe_d1=lambda v, h: h[..., 0],
@@ -131,7 +133,6 @@ def integral_functional(
         d1=_d1,
         d2=_d2,
         growth_exponent=float(growth_exponent),
-        smoothness_order=4,
         batch_eval=_batch_eval,
         batch_d1=_batch_d1,
     )
@@ -143,44 +144,34 @@ def smooth_max_functional(beta: float) -> PathFunctional:
         f(x) = beta^{-1} log( (1/T) int_0^T exp(beta x(t)) dt ).
 
     Always <= sup |x| and increasing to the maximum as beta grows.  The
-    log-mean-exp is evaluated in shifted form; inputs with
-    beta * sup|x| > 700 are rejected rather than silently degraded.
+    log-mean-exp and the exp(beta x) weights are evaluated in shifted form
+    (exponents <= 0), so both stay finite for every finite path.
     """
     if not beta > 0:
         raise InvalidArgumentError(f"beta must be positive, got {beta!r}")
     bf = float(beta)
 
-    def _guard(v: np.ndarray):
-        if bf * np.abs(v).max() > 700.0:
-            raise NumericalOverflowError("beta * sup|x| exceeds the exp range")
-
     def _batch_eval(v: np.ndarray, grid: TimeGrid, mode: PathMode) -> np.ndarray:
-        _guard(v)
         m = v.max(axis=-1, keepdims=True)
         t_span = grid.horizon
         integral = np.trapezoid(np.exp(bf * (v - m)), grid.nodes, axis=-1)
         return m[..., 0] + np.log(integral / t_span) / bf
 
-    def _weighted(v: np.ndarray, payload: np.ndarray, grid: TimeGrid) -> np.ndarray:
-        # normalized weighted trapezoid <payload> with weights exp(beta x)
+    def _weighted(v: np.ndarray, payload: np.ndarray, grid: TimeGrid, mode=None) -> np.ndarray:
+        # weighted trapezoid mean of payload, weights exp(beta x): f's batch_d1
         m = v.max(axis=-1, keepdims=True)
         w = np.exp(bf * (v - m))
         num = np.trapezoid(w * payload, grid.nodes, axis=-1)
         den = np.trapezoid(w, grid.nodes, axis=-1)
         return num / den
 
-    def _batch_d1(v, hv, grid: TimeGrid, mode: PathMode) -> np.ndarray:
-        _guard(v)
-        return _weighted(v, hv, grid)
-
     def _eval(x: DiscretePath) -> float:
         return float(_batch_eval(x.values, x.grid, x.mode))
 
     def _d1(x: DiscretePath, h: DiscretePath) -> float:
-        return float(_batch_d1(x.values, h.values, x.grid, x.mode))
+        return float(_weighted(x.values, h.values, x.grid))
 
     def _d2(x: DiscretePath, h1: DiscretePath, h2: DiscretePath) -> float:
-        _guard(x.values)
         v = x.values
         both = _weighted(v, h1.values * h2.values, x.grid)
         first = _weighted(v, h1.values, x.grid)
@@ -193,7 +184,6 @@ def smooth_max_functional(beta: float) -> PathFunctional:
         d1=_d1,
         d2=_d2,
         growth_exponent=1.0,
-        smoothness_order=4,
         batch_eval=_batch_eval,
-        batch_d1=_batch_d1,
+        batch_d1=_weighted,
     )

@@ -13,14 +13,17 @@ mollifier, a functional that reads only probe times keeps just the node
 columns bracketing them and interpolates those.
 
 Batches have a fixed, thread-independent layout; each derives its own
-random stream from its index and partial sums are reduced in index order,
-so reports are pure functions of (experiment, master seed).
+random stream from its index and its :class:`parallel.Moments` partials are
+merged in index order, so reports are pure functions of (experiment, master
+seed).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Union
 
 import numpy as np
@@ -29,10 +32,10 @@ from .core_paths import PathMode, TimeGrid, interpolate_values, make_uniform_gri
 from .errors import InsufficientSignalError, InvalidArgumentError
 from .functionals import PathFunctional
 from .models import SdeModel, ou_exact_moments
-from .functional_calculus import _fd1_batch, _feps_batch, _probe_times, _spec
+from .functional_calculus import _fd1_batch, _feps_batch, _probe_times, _spec, _within
 from .mollifier import MollifierSpec
 from .mollifier import mollify_operator  # noqa: F401  (wrapped by name in perfbench/tracing.py)
-from .parallel import batch_layout, deterministic_batch_map
+from .parallel import Moments, batch_layout, deterministic_batch_map
 from .randomness import SeedSpec
 from .schemes import euler_scan, euler_values_batch, stochastic_interpolation_batch
 
@@ -241,19 +244,12 @@ def coupled_bias(exp: RateExperiment, rung: int) -> BiasPoint:
             g = g - _f_on_scheme(f, spec, fine, exp.model, m, dw_fine.__getitem__)
         else:
             g = _f_on_scheme(f, None, grid, exp.model, m, _gaussian_rows(rng, grid, m)) - ref_value
-        keep = np.isfinite(g)
-        gk = g[keep]
-        return float(gk.sum()), float((gk**2).sum()), int(gk.size), int(m - gk.size)
+        return Moments.of(g)
 
-    parts = deterministic_batch_map(worker, len(layout), exp.threads)
-    arr = np.asarray(parts)
-    total, total2 = arr[:, 0].sum(), arr[:, 1].sum()
-    kept, excluded = int(arr[:, 2].sum()), int(arr[:, 3].sum())
-    if kept < 2:
+    mom = reduce(operator.add, deterministic_batch_map(worker, len(layout), exp.threads))
+    if mom.n < 2:
         raise InvalidArgumentError("all samples excluded; cannot estimate the bias")
-    mean = total / kept
-    var = max((total2 - kept * mean**2) / (kept - 1), 0.0)
-    return BiasPoint(delta, kept, float(mean), float(np.sqrt(var / kept)), excluded)
+    return BiasPoint(delta, mom.n, float(mom.mean), float(mom.se), mom.excluded)
 
 
 def fit_rate(deltas, biases, std_errors=None) -> RateFit:
@@ -342,20 +338,15 @@ def covariance_bias(
         a, b = _at_times(model, grid, m, _gaussian_rows(rng, grid, m), [t1, t2]).T
         keep = np.isfinite(a) & np.isfinite(b)
         a, b = a[keep], b[keep]
-        if a.size < 2:
-            return np.nan, int(m - a.size), 0
-        cov = float(np.cov(a, b, ddof=1)[0, 1])
-        return cov, int(m - a.size), a.size
+        return (float(np.cov(a, b, ddof=1)[0, 1]) if a.size >= 2 else np.nan), a.size
 
     parts = deterministic_batch_map(worker, len(layout), threads)
-    covs = np.asarray([p[0] for p in parts if np.isfinite(p[0])])
-    excluded = int(sum(p[1] for p in parts))
-    kept = int(sum(p[2] for p in parts))
-    if covs.size < 2:
+    covs = Moments.of([cov for cov, _ in parts])
+    kept = sum(size for _, size in parts)
+    if covs.n < 2:
         raise InvalidArgumentError("too few complete batches for a covariance estimate")
-    bias = float(covs.mean() - exact)
-    se = float(covs.std(ddof=1) / np.sqrt(covs.size))
-    return BiasPoint(float(grid.mesh), kept, bias, se, excluded)
+    bias = float(covs.mean - exact)
+    return BiasPoint(float(grid.mesh), kept, bias, float(covs.se), n_samples - kept)
 
 
 @dataclass
@@ -374,13 +365,13 @@ class GapStatsReport:
 
     @property
     def probes_pass(self) -> bool:
-        return bool(np.all(np.abs(self.probe_mean) <= 4.0 * self.probe_se + 1e-300))
+        return _within(self.probe_mean, 4.0 * self.probe_se + 1e-300)
 
     @property
     def pairing_pass(self) -> Optional[bool]:
         if self.pairing_mean is None:
             return None
-        return abs(self.pairing_mean) <= 4.0 * self.pairing_se + 1e-300
+        return _within(self.pairing_mean, 4.0 * self.pairing_se + 1e-300)
 
 
 def interpolation_gap_stats(
@@ -398,7 +389,9 @@ def interpolation_gap_stats(
 
     The gap has mean zero at every fine node and is independent of Y, and
     E sup^4 |X~ - Y| is O(delta^2); the report normalizes by delta^2 for
-    direct comparison with that bound.
+    direct comparison with that bound.  One accumulator holds the probe
+    columns, then sup^4, then the pairing; a sample with any non-finite
+    statistic is excluded.
     """
     if not fine.is_refinement_of(grid):
         raise InvalidArgumentError("fine grid must refine the scheme grid")
@@ -418,48 +411,24 @@ def interpolation_gap_stats(
         x_tilde = stochastic_interpolation_batch(model, grid, fine, y, w)
         y_interp = interpolate_values(grid.nodes, y, fine.nodes, PathMode.LINEAR)
         gap = x_tilde - y_interp
-        keep = np.isfinite(gap).all(axis=1)
-        gap, y, y_interp = gap[keep], y[keep], y_interp[keep]
-        probes = gap[:, probe_idx]
-        sup4 = np.abs(gap).max(axis=1) ** 4
-        row = [
-            probes.sum(axis=0),
-            (probes**2).sum(axis=0),
-            float(sup4.sum()),
-            float((sup4**2).sum()),
-            int(gap.shape[0]),
-        ]
+        cols = [gap[:, probe_idx], np.abs(gap).max(axis=1)[:, None] ** 4]
         if functional is not None:
-            pair = _fd1_batch(functional, None, fine, y_interp, gap)
-            row.append(float(pair.sum()))
-            row.append(float((pair**2).sum()))
-        return row
+            cols.append(_fd1_batch(functional, None, fine, y_interp, gap)[:, None])
+        return Moments.of(np.hstack(cols))
 
-    parts = deterministic_batch_map(worker, len(layout), threads)
-    s1 = np.sum([p[0] for p in parts], axis=0)
-    s2 = np.sum([p[1] for p in parts], axis=0)
-    sup_s = sum(p[2] for p in parts)
-    sup_s2 = sum(p[3] for p in parts)
-    kept = sum(p[4] for p in parts)
-    mean = s1 / kept
-    var = np.maximum((s2 - kept * mean**2) / (kept - 1), 0.0)
-    se = np.sqrt(var / kept)
-    sup_mean = sup_s / kept
-    sup_var = max((sup_s2 - kept * sup_mean**2) / (kept - 1), 0.0)
+    mom = reduce(operator.add, deterministic_batch_map(worker, len(layout), threads))
+    mean, se = mom.mean, mom.se
+    k = probe_idx.size
     report = GapStatsReport(
         delta=float(delta),
-        n_samples=int(kept),
+        n_samples=mom.n,
         probe_times=fine.nodes[probe_idx],
-        probe_mean=mean,
-        probe_se=se,
-        sup4_over_delta2=float(sup_mean / delta**2),
-        sup4_se_over_delta2=float(np.sqrt(sup_var / kept) / delta**2),
+        probe_mean=mean[:k],
+        probe_se=se[:k],
+        sup4_over_delta2=float(mean[k] / delta**2),
+        sup4_se_over_delta2=float(se[k] / delta**2),
     )
     if functional is not None:
-        p1 = sum(p[5] for p in parts)
-        p2 = sum(p[6] for p in parts)
-        pmean = p1 / kept
-        pvar = max((p2 - kept * pmean**2) / (kept - 1), 0.0)
-        report.pairing_mean = float(pmean)
-        report.pairing_se = float(np.sqrt(pvar / kept))
+        report.pairing_mean = float(mean[k + 1])
+        report.pairing_se = float(se[k + 1])
     return report

@@ -166,6 +166,53 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "budget-cap"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "theta, code, status",
+        [(5000.0, 1, "ok"), (50000.0, 4, "numeric-failure")],
+        ids=["infinite-tolerance-fails", "overflow-exits-4"],
+    )
+    def test_stiff_kolmogorov_check(self, tmp_path, theta, code, status):
+        # at theta 5000 the residual is finite but its SE overflows, so the
+        # tolerance is inf and must not pass; at 50000 the continuation
+        # itself overflows
+        cfg = write_config(
+            tmp_path,
+            f"command: kolmogorov-check\nmodel: {{name: ou, theta: {theta}}}\n"
+            "grid: {n_steps: 1024}\nbudget: {n_inner: 4, n_outer: 2}\n",
+        )
+        out = tmp_path / "run"
+        assert main(["kolmogorov-check", "--config", cfg, "--out", str(out)]) == code
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == status
+        if code == 1:
+            assert summary["checks"][0]["tolerance"] == float("inf")
+            assert summary["checks"][0]["passed"] is False
+
+    def test_invalid_experiment_writes_summary(self, tmp_path):
+        # the point functional's default t1 = 1 lies beyond the default T = 0.25
+        cfg = write_config(tmp_path, "command: error-representation\nfunctional: {name: point}\n")
+        out = tmp_path / "run"
+        assert main(["error-representation", "--config", cfg, "--out", str(out)]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "invalid-experiment"
+        assert "probe times" in summary["detail"]
+
+    def test_config_hash_covers_the_resolved_experiment(self, tmp_path):
+        base = "command: ito-check\nseed: 7\nbudget:\n  n_samples: 1000\n"
+
+        def config_hash(text, *flags, tag):
+            out = tmp_path / tag
+            assert main(["ito-check", "--config", write_config(tmp_path, text, f"{tag}.yaml"),
+                         "--out", str(out), *flags]) == 0
+            return json.loads((out / "manifest.json").read_text())["config_hash"]
+
+        h = config_hash(base, tag="base")
+        assert config_hash(base + "threads: 2\n", tag="threads") == h
+        assert config_hash(base, "--threads", "3", tag="out-and-threads") == h
+        assert config_hash(base + "grid:\n  T: 1.0\n", tag="default-spelled-out") == h
+        assert config_hash(base, "--seed", "8", tag="seed") != h
+
     def test_mollifier_audit(self, tmp_path):
         cfg = write_config(
             tmp_path,

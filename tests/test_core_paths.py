@@ -156,25 +156,6 @@ class TestVerticalBump:
         assert eval_path(q, 1.0) == eval_path(p, 1.0) + 3.0
 
 
-class TestSerialization:
-    def test_json_round_trip(self):
-        p = path([0.0, 1.5, -2.0], mode=PathMode.CADLAG_STEP)
-        q = DiscretePath.from_json(p.to_json())
-        assert np.array_equal(q.values, p.values)
-        assert np.array_equal(q.grid.nodes, p.grid.nodes)
-        assert q.mode is PathMode.CADLAG_STEP
-
-    def test_csv_round_trip(self):
-        p = path([0.25, 1.0 / 3.0, -2.75])
-        q = DiscretePath.from_csv(p.to_csv())
-        assert np.array_equal(q.values, p.values)
-        assert np.array_equal(q.grid.nodes, p.grid.nodes)
-
-    def test_json_mode_tags(self):
-        assert '"mode": "linear"' in path([0.0, 1.0]).to_json()
-        assert '"mode": "cadlag"' in path([0.0, 1.0], mode=PathMode.CADLAG_STEP).to_json()
-
-
 class TestValidation:
     def test_grid_must_start_at_zero(self):
         with pytest.raises(InvalidArgumentError):

@@ -13,6 +13,9 @@ from weakpathlab.errors import (
     OutOfRangeError,
 )
 from weakpathlab.functional_calculus import (
+    ErrorRepresentationReport,
+    NestedEstimate,
+    ResidualReport,
     error_representation_sides,
     estimate_F,
     horizontal_derivative,
@@ -307,3 +310,12 @@ class TestErrorRepresentation:
                 OU, point_functional(0.25), self.EPS_FINE, self.COARSE, 10_000, 10_000,
                 SeedSpec(37), inner_cap=1_000_000,
             )
+
+
+def test_non_finite_value_or_tolerance_fails():
+    assert ResidualReport.make(0.5, 1.0, {}).passed
+    for value, tol in ((1.0, np.inf), (np.nan, 1.0), (np.inf, np.inf)):
+        assert not ResidualReport.make(value, tol, {}).passed
+    est = NestedEstimate(0.0, 0.0, 0, {})
+    assert ErrorRepresentationReport(est, est, 1.0, 1.0).passed
+    assert not ErrorRepresentationReport(est, est, 1.0, np.inf).passed

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from weakpathlab.core_paths import DiscretePath, PathMode, make_uniform_grid, sup_norm
-from weakpathlab.errors import InvalidArgumentError, NumericalOverflowError
+from weakpathlab.errors import InvalidArgumentError
 from weakpathlab.functionals import (
+    PathFunctional,
     integral_functional,
     point_functional,
     product_functional,
     smooth_max_functional,
 )
+from weakpathlab.models import ou_model
 from weakpathlab.mollifier import MollifierSpec, mollify
 from weakpathlab.randomness import SeedSpec, sample_brownian
+from weakpathlab.weak_error import FineGridReference, RateExperiment, coupled_bias
 
 GRID = make_uniform_grid(1.0, 100)
 
@@ -119,14 +122,35 @@ class TestSmoothMax:
         vals = [smooth_max_functional(b).eval(x) for b in (1.0, 10.0, 100.0)]
         assert vals[0] < vals[1] < vals[2] < 1.0
 
-    def test_overflow_guard(self):
+    def test_shifted_form_stays_finite_for_large_beta_times_sup(self):
+        # beta * sup|x| = 800 lies beyond the exp range unshifted; the
+        # shifted log-mean-exp and weights are exact here
         f = smooth_max_functional(100.0)
-        with pytest.raises(NumericalOverflowError):
-            f.eval(as_path(np.full(101, 8.0)))
+        x = as_path(np.full(101, 8.0))
+        assert f.eval(x) == 8.0
+        assert f.d1(x, as_path(np.ones(101))) == 1.0
+        # OU paths with beta * sup|x| > 700 in some samples: the whole rung
+        # is estimated, nothing excluded
+        exp = RateExperiment(
+            model=ou_model(1.0, 1.0, 1.0), functional=smooth_max_functional(250.0), horizon=1.0,
+            deltas=(0.25, 0.125, 0.0625), n_base=20000, reference=FineGridReference(4),
+            seed=SeedSpec(1),
+        )
+        point = coupled_bias(exp, 0)
+        assert np.isfinite(point.bias) and point.excluded == 0 and point.n_samples == 20000
 
     def test_invalid_beta(self):
         with pytest.raises(InvalidArgumentError):
             smooth_max_functional(0.0)
+
+
+def test_functional_without_batch_hooks_rejected():
+    f = point_functional(0.5)
+    with pytest.raises(InvalidArgumentError):
+        PathFunctional(name="bare", eval=f.eval, d1=f.d1, d2=f.d2, growth_exponent=1.0)
+    with pytest.raises(InvalidArgumentError):  # probe hooks without their times
+        PathFunctional(name="timeless", eval=f.eval, d1=f.d1, d2=f.d2, growth_exponent=1.0,
+                       probe_eval=f.probe_eval, probe_d1=f.probe_d1)
 
 
 class TestDerivativeAudit:

@@ -4,13 +4,14 @@ import pytest
 from weakpathlab.core_paths import PathMode, interpolate_values, make_uniform_grid, refine_grid
 from weakpathlab.errors import InsufficientSignalError, InvalidArgumentError
 from weakpathlab.functionals import point_functional, product_functional
-from weakpathlab.models import constant_model, ou_model, sine_model
+from weakpathlab.models import SdeModel, constant_model, ou_model, sine_model
 from weakpathlab.randomness import SeedSpec
 from weakpathlab.schemes import euler_values_batch
 from weakpathlab.weak_error import (
     ClosedFormReference,
     _at_times,
     FineGridReference,
+    GapStatsReport,
     RateExperiment,
     closed_form_expectation,
     coupled_bias,
@@ -130,6 +131,25 @@ class TestCoupledBias:
             - closed_form_expectation(OU, product_functional(0.5, 1.0))
         )
         assert abs(point.bias - oracle) <= 4 * point.std_error
+
+    def test_non_finite_samples_excluded_and_counted(self):
+        # sigma is NaN above 1.5: paths that get there are dropped from the
+        # mean, and every one of them is counted
+        model = SdeModel(
+            b=lambda x: -x, sigma=lambda x: np.where(x > 1.5, np.nan, 1.0),
+            db=lambda x: -1.0 + 0.0 * x, d2b=lambda x: 0.0 * x,
+            dsigma=lambda x: 0.0 * x, d2sigma=lambda x: 0.0 * x,
+            nondegeneracy_c=1.0, xi0=0.5,
+        )
+        exp = RateExperiment(
+            model=model, functional=point_functional(1.0), horizon=1.0,
+            deltas=(0.25, 0.125, 0.0625), n_base=3000, reference=FineGridReference(4),
+            seed=SeedSpec(21), batch_size=1000,
+        )
+        point = coupled_bias(exp, 1)
+        assert 0 < point.excluded
+        assert point.n_samples + point.excluded == exp.n_samples(1)
+        assert np.isfinite(point.bias) and np.isfinite(point.std_error)
 
     def test_sample_scaling_rule(self):
         exp = make_exp(point_functional(1.0))
@@ -275,6 +295,11 @@ class TestInterpolationGapStats:
         blocks = dw_fine.reshape(3, 4, 8).sum(axis=2)
         manual = np.stack([np.add.reduce(dw_fine[:, 8 * k : 8 * (k + 1)], axis=1) for k in range(4)], axis=1)
         assert np.array_equal(blocks, manual)
+
+    def test_infinite_se_fails_the_checks(self):
+        rep = GapStatsReport(0.1, 10, np.array([0.5]), np.array([1.0]), np.array([np.inf]),
+                             0.0, 0.0, 1.0, np.inf)
+        assert not rep.probes_pass and not rep.pairing_pass
 
     def test_non_nested_rejected(self):
         model = constant_model(0.0, 1.0, 0.0)
