@@ -77,9 +77,9 @@ COMMANDS = (
 
 DEFAULT_DELTAS = [2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6]
 
-# documented defaults, filled in key by key at parse time; a runner with no
-# ``functional`` section falls back to its own whole default functional, so a
-# user's functional never mixes with another functional's parameters
+# documented defaults, filled in key by key at parse time; a config with no
+# ``functional`` section gets the command's whole default functional below, so
+# a user's functional never mixes with another functional's parameters
 _COMMAND_DEFAULTS = {
     "weak-rate": {
         "grid": {"T": 1.0, "deltas": DEFAULT_DELTAS},
@@ -122,6 +122,16 @@ _COMMAND_DEFAULTS = {
         "grid": {"T": 1.0, "n_steps": 256},
         "check": {"n_paths": 1000},
     },
+}
+
+# the functional a command evaluates when the config has none; its parameters
+# take build_functional's defaults relative to the horizon T
+_DEFAULT_FUNCTIONAL = {
+    "weak-rate": {"name": "product"},
+    "covariance-bias": {"name": "product"},
+    "kolmogorov-check": {"name": "point"},
+    "martingale-check": {"name": "point"},
+    "error-representation": {"name": "point"},
 }
 
 _POSITIVE_BUDGET_KEYS = ("n_samples", "n_inner", "n_outer", "inner_cap", "batch_size")
@@ -168,11 +178,18 @@ class ExperimentConfig:
     reference: dict = field(default_factory=dict)
 
     def config_hash(self) -> str:
-        """sha256 of the resolved experiment: the command, the effective seed
-        and every section with its documented defaults filled in.
-        ``threads`` and ``out_dir`` change no number and are left out."""
+        """sha256 of the resolved experiment: the command, the effective seed,
+        every section with its documented defaults filled in, the built
+        model's name and parameters and the built functional's name (so
+        builder and runner defaults count as if spelled out).  ``threads``
+        and ``out_dir`` change no number and are left out."""
         resolved = asdict(self)
         del resolved["threads"], resolved["out_dir"]
+        if self.model:
+            model = build_model(self.model)
+            resolved["model"] = {"name": model.name, "params": model.params}
+        functional = command_functional(self)
+        resolved["functional"] = None if functional is None else functional.name
         canon = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 
@@ -232,11 +249,15 @@ def parse_config(text: str) -> ExperimentConfig:
         if value is not None and (not isinstance(value, int) or value < 1):
             raise ConfigError(f"must be a positive integer, got {value!r}",
                               key_path=f"budget.{key}")
-    # resolve names eagerly so typos fail at parse time
-    if cfg.model:
-        build_model(cfg.model)
-    if cfg.functional:
-        build_functional(cfg.functional)
+    # build eagerly so typos and invalid parameter values fail at parse time
+    try:
+        if cfg.model:
+            build_model(cfg.model)
+        command_functional(cfg)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid model or functional parameter: {exc}") from exc
     ref_kind = cfg.reference.get("kind", "closed-form")
     if ref_kind not in ("closed-form", "fine-grid"):
         raise ConfigError(f"unknown reference kind {ref_kind!r}", key_path="reference.kind")
@@ -259,7 +280,9 @@ def build_model(spec: dict) -> SdeModel:
     return constant_model(spec.get("drift", 0.0), spec.get("diffusion", 1.0), spec.get("xi0", 0.0))
 
 
-def build_functional(spec: dict) -> PathFunctional:
+def build_functional(spec: dict, horizon: float) -> PathFunctional:
+    """The shipped functional ``spec`` names.  Default probe times are
+    relative to the horizon T: point(t1 = T) and product(T/2, T)."""
     name = spec.get("name")
     if name not in _FUNCTIONAL_KEYS:
         raise UnknownNameError(
@@ -270,15 +293,23 @@ def build_functional(spec: dict) -> PathFunctional:
     if extra:
         raise ConfigError(f"parameters {sorted(extra)} do not belong to functional {name!r}",
                           key_path="functional")
+    horizon = float(horizon)
     if name == "product":
-        return product_functional(spec.get("t1", 0.5), spec.get("t2", 1.0))
+        return product_functional(float(spec.get("t1", horizon / 2)), float(spec.get("t2", horizon)))
     if name == "point":
-        return point_functional(spec.get("t1", 1.0))
+        return point_functional(float(spec.get("t1", horizon)))
     if name == "integral-square":
         return integral_functional(
             lambda u: u**2, lambda u: 2.0 * u, lambda u: 2.0 + 0.0 * u, name="integral-square"
         )
-    return smooth_max_functional(spec.get("beta", 2.0))
+    return smooth_max_functional(float(spec.get("beta", 2.0)))
+
+
+def command_functional(cfg: ExperimentConfig) -> PathFunctional | None:
+    """The functional ``cfg``'s command evaluates: its ``functional`` section,
+    else the command's default; None for gap-stats without one."""
+    spec = cfg.functional or _DEFAULT_FUNCTIONAL.get(cfg.command)
+    return None if spec is None else build_functional(spec, cfg.grid["T"])
 
 
 def _epsilon(cfg: ExperimentConfig, mesh: float) -> float:
@@ -312,8 +343,8 @@ def _csv_table(header: list[str], rows: list[list]) -> str:
 
 
 def _run_weak_rate(cfg: ExperimentConfig):
-    model = build_model(cfg.model or {"name": "ou"})
-    functional = build_functional(cfg.functional or {"name": "product", "t1": 0.5, "t2": 1.0})
+    model = build_model(cfg.model)
+    functional = command_functional(cfg)
     deltas = tuple(cfg.grid.get("deltas", DEFAULT_DELTAS))
     horizon = float(cfg.grid.get("T", 1.0))
     if cfg.reference.get("kind", "closed-form") == "fine-grid":
@@ -352,9 +383,14 @@ def _run_weak_rate(cfg: ExperimentConfig):
 
 
 def _run_covariance_bias(cfg: ExperimentConfig):
-    model = build_model(cfg.model or {"name": "ou"})
-    fspec = cfg.functional or {"name": "product", "t1": 0.5, "t2": 1.0}
-    t1, t2 = float(fspec.get("t1", 0.5)), float(fspec.get("t2", 1.0))
+    model = build_model(cfg.model)
+    functional = command_functional(cfg)
+    if cfg.functional.get("name", "product") != "product":
+        raise InvalidArgumentError(
+            f"covariance-bias estimates Cov(Y(t1), Y(t2)): it takes the product functional, "
+            f"not {functional.name}"
+        )
+    t1, t2 = functional.probe_times
     deltas = list(cfg.grid.get("deltas", DEFAULT_DELTAS))
     horizon = float(cfg.grid.get("T", 1.0))
     n_base = int(cfg.budget.get("n_samples", 1_000_000))
@@ -385,8 +421,8 @@ def _run_covariance_bias(cfg: ExperimentConfig):
 
 
 def _run_gap_stats(cfg: ExperimentConfig):
-    model = build_model(cfg.model or {"name": "constant", "drift": 0.0, "diffusion": 1.0, "xi0": 0.0})
-    functional = build_functional(cfg.functional) if cfg.functional else None
+    model = build_model(cfg.model)
+    functional = command_functional(cfg)
     horizon = float(cfg.grid.get("T", 1.0))
     n_steps = int(cfg.grid.get("n_steps", 8))
     factor = int(cfg.grid.get("fine_factor", 64))
@@ -435,8 +471,8 @@ def _run_gap_stats(cfg: ExperimentConfig):
 
 
 def _run_kolmogorov(cfg: ExperimentConfig):
-    model = build_model(cfg.model or {"name": "ou"})
-    functional = build_functional(cfg.functional or {"name": "point", "t1": 1.0})
+    model = build_model(cfg.model)
+    functional = command_functional(cfg)
     horizon = float(cfg.grid.get("T", 1.0))
     n_steps = int(cfg.grid.get("n_steps", 128))
     fine = make_uniform_grid(horizon, n_steps)
@@ -469,8 +505,8 @@ def _run_kolmogorov(cfg: ExperimentConfig):
 
 
 def _run_martingale(cfg: ExperimentConfig):
-    model = build_model(cfg.model or {"name": "ou"})
-    functional = build_functional(cfg.functional or {"name": "point", "t1": 1.0})
+    model = build_model(cfg.model)
+    functional = command_functional(cfg)
     horizon = float(cfg.grid.get("T", 1.0))
     fine = make_uniform_grid(horizon, int(cfg.grid.get("n_steps", 128)))
     times = cfg.check.get("times", [0.25, 0.75])
@@ -514,8 +550,8 @@ def _run_ito(cfg: ExperimentConfig):
 
 
 def _run_error_representation(cfg: ExperimentConfig):
-    model = build_model(cfg.model or {"name": "ou"})
-    functional = build_functional(cfg.functional or {"name": "point", "t1": 0.25})
+    model = build_model(cfg.model)
+    functional = command_functional(cfg)
     horizon = float(cfg.grid.get("T", 0.25))
     n_steps = int(cfg.grid.get("n_steps", 2))
     factor = int(cfg.grid.get("fine_factor", 64))
@@ -634,6 +670,15 @@ def run(config: ExperimentConfig) -> int:
     """
     out_dir = Path(config.out_dir or f"runs/{config.command}-seed{config.seed}")
     out_dir.mkdir(parents=True, exist_ok=True)
+    # written first, so a rerun into a used directory stops before any work
+    manifest = {
+        "config_hash": config.config_hash(),
+        "seed": config.seed,
+        "threads": config.threads,
+        "command": config.command,
+        "version": __version__,
+    }
+    _write_once(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     try:
         checks, csv_text, extra = _RUNNERS[config.command](config)
     except tuple(kind for kind, _, _ in _FAILURES) as exc:
@@ -652,14 +697,6 @@ def run(config: ExperimentConfig) -> int:
     }
     _write_once(out_dir / "report.csv", csv_text)
     _write_once(out_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    manifest = {
-        "config_hash": config.config_hash(),
-        "seed": config.seed,
-        "threads": config.threads,
-        "command": config.command,
-        "version": __version__,
-    }
-    _write_once(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     all_passed = True
     for c in checks:

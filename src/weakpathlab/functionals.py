@@ -28,6 +28,8 @@ __all__ = [
     "point_functional",
     "integral_functional",
     "smooth_max_functional",
+    "trapezoid_weights",
+    "trapezoid",
 ]
 
 
@@ -51,6 +53,21 @@ class PathFunctional:
         probe = self.probe_times is not None and None not in (self.probe_eval, self.probe_d1)
         if not probe and None in (self.batch_eval, self.batch_d1):
             raise InvalidArgumentError(f"functional {self.name!r} has no probe or batch hooks")
+
+
+def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
+    """Weights w with w @ y the trapezoid rule for samples y on ``nodes``:
+    w_0 = d_0/2, w_i = (d_{i-1} + d_i)/2, w_n = d_{n-1}/2 with d = diff(nodes)."""
+    d = np.diff(nodes)
+    return 0.5 * (np.append(d, 0.0) + np.insert(d, 0, 0.0))
+
+
+def trapezoid(y: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Trapezoid rule along the last axis of ``y``, one contraction with
+    ``trapezoid_weights(nodes)``.  Every C-contiguous row is summed by the
+    same loop, so a row's result does not depend on the rows batched with
+    it, and a single path equals its one-row batch bit for bit."""
+    return np.einsum("...j,j->...", y, trapezoid_weights(nodes))
 
 
 def _check_time(t: float):
@@ -113,19 +130,19 @@ def integral_functional(
     """
 
     def _batch_eval(v: np.ndarray, grid: TimeGrid, mode: PathMode) -> np.ndarray:
-        return np.trapezoid(g(v), grid.nodes, axis=-1)
+        return trapezoid(g(v), grid.nodes)
 
     def _batch_d1(v, hv, grid: TimeGrid, mode: PathMode) -> np.ndarray:
-        return np.trapezoid(dg(v) * hv, grid.nodes, axis=-1)
+        return trapezoid(dg(v) * hv, grid.nodes)
 
     def _eval(x: DiscretePath) -> float:
         return float(_batch_eval(x.values, x.grid, x.mode))
 
     def _d1(x: DiscretePath, h: DiscretePath) -> float:
-        return float(np.trapezoid(dg(x.values) * h.values, x.grid.nodes))
+        return float(_batch_d1(x.values, h.values, x.grid, x.mode))
 
     def _d2(x: DiscretePath, h1: DiscretePath, h2: DiscretePath) -> float:
-        return float(np.trapezoid(d2g(x.values) * h1.values * h2.values, x.grid.nodes))
+        return float(trapezoid(d2g(x.values) * h1.values * h2.values, x.grid.nodes))
 
     return PathFunctional(
         name=name,
@@ -154,15 +171,15 @@ def smooth_max_functional(beta: float) -> PathFunctional:
     def _batch_eval(v: np.ndarray, grid: TimeGrid, mode: PathMode) -> np.ndarray:
         m = v.max(axis=-1, keepdims=True)
         t_span = grid.horizon
-        integral = np.trapezoid(np.exp(bf * (v - m)), grid.nodes, axis=-1)
+        integral = trapezoid(np.exp(bf * (v - m)), grid.nodes)
         return m[..., 0] + np.log(integral / t_span) / bf
 
     def _weighted(v: np.ndarray, payload: np.ndarray, grid: TimeGrid, mode=None) -> np.ndarray:
         # weighted trapezoid mean of payload, weights exp(beta x): f's batch_d1
         m = v.max(axis=-1, keepdims=True)
         w = np.exp(bf * (v - m))
-        num = np.trapezoid(w * payload, grid.nodes, axis=-1)
-        den = np.trapezoid(w, grid.nodes, axis=-1)
+        num = trapezoid(w * payload, grid.nodes)
+        den = trapezoid(w, grid.nodes)
         return num / den
 
     def _eval(x: DiscretePath) -> float:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from weakpathlab import cli
 from weakpathlab.cli import COMMANDS, build_functional, build_model, main, parse_config, run
 from weakpathlab.errors import ConfigError, UnknownNameError
 
@@ -86,10 +87,26 @@ class TestBuilders:
         assert m.name == "ou" and m.params["theta"] == 2.0
 
     def test_build_functionals(self):
-        assert build_functional({"name": "product", "t1": 0.2, "t2": 0.6}).probe_times == (0.2, 0.6)
-        assert build_functional({"name": "point", "t1": 0.9}).probe_times == (0.9,)
-        assert build_functional({"name": "integral-square"}).batch_eval is not None
-        assert build_functional({"name": "smooth-max", "beta": 3.0}).growth_exponent == 1.0
+        assert build_functional({"name": "product", "t1": 0.2, "t2": 0.6}, 1.0).probe_times == (0.2, 0.6)
+        assert build_functional({"name": "point", "t1": 0.9}, 1.0).probe_times == (0.9,)
+        assert build_functional({"name": "integral-square"}, 1.0).batch_eval is not None
+        assert build_functional({"name": "smooth-max", "beta": 3.0}, 1.0).growth_exponent == 1.0
+
+    @pytest.mark.parametrize("horizon", [0.25, 1.0, 2.0])
+    def test_probe_defaults_follow_the_horizon(self, horizon):
+        assert build_functional({"name": "point"}, horizon).probe_times == (horizon,)
+        assert build_functional({"name": "product"}, horizon).probe_times == (horizon / 2, horizon)
+        assert build_functional({"name": "product", "t1": 0.1}, horizon).probe_times == (0.1, horizon)
+
+    @pytest.mark.parametrize(
+        "section", ["model: {name: ou, sigma: -1}", "model: {name: ou, theta: abc}",
+                    "functional: {name: smooth-max, beta: -1}"],
+    )
+    def test_invalid_parameter_value_is_a_config_error(self, tmp_path, section):
+        with pytest.raises(ConfigError):
+            parse_config(f"command: weak-rate\n{section}\n")
+        cfg = write_config(tmp_path, f"command: weak-rate\n{section}\n")
+        assert main(["weak-rate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
 
 
 def write_config(tmp_path, text, name="cfg.yaml"):
@@ -121,6 +138,16 @@ class TestRun:
         out = tmp_path / "run"
         assert main(["ito-check", "--config", cfg, "--out", str(out)]) == 0
         assert main(["ito-check", "--config", cfg, "--out", str(out)]) == 2
+
+    def test_used_directory_stops_before_the_runner(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, "command: ito-check\nseed: 7\nbudget:\n  n_samples: 1000\n")
+        out = tmp_path / "run"
+        assert main(["ito-check", "--config", cfg, "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        monkeypatch.setitem(cli._RUNNERS, "ito-check",
+                            lambda config: pytest.fail("runner called for a used directory"))
+        assert main(["ito-check", "--config", cfg, "--out", str(out)]) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_command_mismatch(self, tmp_path):
         cfg = write_config(tmp_path, "command: ito-check\nseed: 7\n")
@@ -190,8 +217,9 @@ class TestRun:
             assert summary["checks"][0]["passed"] is False
 
     def test_invalid_experiment_writes_summary(self, tmp_path):
-        # the point functional's default t1 = 1 lies beyond the default T = 0.25
-        cfg = write_config(tmp_path, "command: error-representation\nfunctional: {name: point}\n")
+        # t1 = 1 lies beyond the default T = 0.25
+        cfg = write_config(tmp_path,
+                           "command: error-representation\nfunctional: {name: point, t1: 1.0}\n")
         out = tmp_path / "run"
         assert main(["error-representation", "--config", cfg, "--out", str(out)]) == 2
         summary = json.loads((out / "summary.json").read_text())
@@ -212,6 +240,40 @@ class TestRun:
         assert config_hash(base, "--threads", "3", tag="out-and-threads") == h
         assert config_hash(base + "grid:\n  T: 1.0\n", tag="default-spelled-out") == h
         assert config_hash(base, "--seed", "8", tag="seed") != h
+
+    @pytest.mark.parametrize(
+        "command, implicit, spelled_out, different",
+        [
+            ("weak-rate", "model: {name: ou}", "model: {name: ou, theta: 1.0}",
+             "model: {name: ou, theta: 2.0}"),
+            ("weak-rate", "", "functional: {name: product, t1: 0.5, t2: 1.0}",
+             "functional: {name: product, t1: 0.25}"),
+            ("kolmogorov-check", "functional: {name: point}", "functional: {name: point, t1: 1}",
+             "functional: {name: point, t1: 0.5}"),
+            ("error-representation", "", "functional: {name: point, t1: 0.25}",
+             "grid: {T: 0.5}"),
+            ("gap-stats", "", "model: {name: constant, drift: 0.0, diffusion: 1.0, xi0: 0.0}",
+             "functional: {name: smooth-max}"),
+        ],
+        ids=["model-params", "runner-functional", "point-t1", "horizon-relative", "gap-stats"],
+    )
+    def test_config_hash_covers_builder_defaults(self, command, implicit, spelled_out, different):
+        def config_hash(section):
+            return parse_config(f"command: {command}\n{section}\n").config_hash()
+
+        assert config_hash(implicit) == config_hash(spelled_out)
+        assert config_hash(implicit) != config_hash(different)
+
+    def test_covariance_bias_rejects_other_functionals(self, tmp_path):
+        cfg = write_config(
+            tmp_path, "command: covariance-bias\nfunctional: {name: integral-square}\n"
+            "grid: {deltas: [0.5, 0.25, 0.125]}\nbudget: {n_samples: 20}\n",
+        )
+        out = tmp_path / "run"
+        assert main(["covariance-bias", "--config", cfg, "--out", str(out)]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "invalid-experiment"
+        assert "product" in summary["detail"]
 
     def test_mollifier_audit(self, tmp_path):
         cfg = write_config(
@@ -258,6 +320,52 @@ class TestRun:
         )
         out = tmp_path / "run"
         assert main(["gap-stats", "--config", cfg, "--out", str(out)]) == 0
+
+
+# tiny budgets for every command that takes a model and a functional
+_MATRIX_BASE = {
+    "weak-rate": "grid: {deltas: [0.5, 0.25, 0.125]}\nbudget: {n_samples: 20}\n"
+                 "reference: {kind: fine-grid, factor: 2}\n",
+    "covariance-bias": "grid: {deltas: [0.5, 0.25, 0.125]}\nbudget: {n_samples: 20}\n",
+    "gap-stats": "grid: {n_steps: 2, fine_factor: 4}\nbudget: {n_samples: 50}\n",
+    "kolmogorov-check": "grid: {n_steps: 8}\nbudget: {n_inner: 4, n_outer: 2}\n",
+    "martingale-check": "grid: {n_steps: 8}\nbudget: {n_samples: 4, n_inner: 4}\n",
+    "error-representation": "grid: {fine_factor: 8}\nbudget: {n_outer: 2, n_inner: 2}\n",
+}
+_MATRIX = [
+    pytest.param(
+        command,
+        f"command: {command}\nseed: 1\nmodel: {{name: {model}}}\n" + base
+        + (f"functional: {{name: {name}}}\n" if name else ""),
+        command == "covariance-bias" and (model != "ou" or name not in (None, "product")),
+        id=f"{command}-{name or 'default'}-{model}",
+    )
+    for command, base in _MATRIX_BASE.items()
+    for name in (None, "product", "point", "integral-square", "smooth-max")
+    for model in ("ou", "sine", "constant")
+] + [
+    pytest.param("ito-check", "command: ito-check\nseed: 1\nbudget: {n_samples: 20}\n"
+                 "check: {meshes: [4, 8, 16]}\n", False, id="ito-check"),
+    pytest.param("mollifier-audit", "command: mollifier-audit\nseed: 1\ngrid: {n_steps: 16}\n"
+                 "check: {n_paths: 4}\n", False, id="mollifier-audit"),
+]
+
+
+class TestRobustnessMatrix:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command, text, invalid", _MATRIX)
+    def test_runs_or_fails_cleanly(self, tmp_path, command, text, invalid):
+        # every shipped command x functional x model either runs (0, 1, 3, 4)
+        # or, only where the experiment is undefined, exits 2; each writes a
+        # summary with its status
+        out = tmp_path / "run"
+        code = main([command, "--config", write_config(tmp_path, text), "--out", str(out)])
+        assert code in ((2,) if invalid else (0, 1, 3, 4))
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] in (
+            ("invalid-experiment",) if invalid
+            else ("ok", "insufficient-signal", "budget-cap", "numeric-failure")
+        )
 
 
 class TestThreadInvariance:

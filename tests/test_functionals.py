@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weakpathlab.core_paths import DiscretePath, PathMode, make_uniform_grid, sup_norm
+from weakpathlab.core_paths import DiscretePath, PathMode, TimeGrid, make_uniform_grid, sup_norm
 from weakpathlab.errors import InvalidArgumentError
 from weakpathlab.functionals import (
     PathFunctional,
@@ -9,6 +9,8 @@ from weakpathlab.functionals import (
     point_functional,
     product_functional,
     smooth_max_functional,
+    trapezoid,
+    trapezoid_weights,
 )
 from weakpathlab.models import ou_model
 from weakpathlab.mollifier import MollifierSpec, mollify
@@ -228,3 +230,66 @@ class TestBatchHooks:
             batch = f.batch_d1(xs, hs, GRID, PathMode.LINEAR)
         scalar = [f.d1(as_path(x), as_path(h)) for x, h in zip(xs, hs)]
         assert np.allclose(batch, scalar, rtol=1e-12)
+
+
+# the trapezoid kernel is checked on a uniform and a non-uniform grid
+KERNEL_GRIDS = [
+    make_uniform_grid(1.0, 128),
+    TimeGrid(np.concatenate([[0.0], np.sort(np.random.default_rng(5).uniform(0.0, 2.0, 96)), [2.0]])),
+]
+
+
+def kernel_batch(grid, rows=7, seed=0):
+    return np.random.default_rng(seed).standard_normal((rows, grid.nodes.size)).cumsum(axis=1)
+
+
+class TestTrapezoidKernel:
+    def test_weights(self):
+        nodes = np.array([0.0, 0.5, 1.25, 2.0])
+        assert np.array_equal(trapezoid_weights(nodes), [0.25, 0.625, 0.75, 0.375])
+        assert trapezoid_weights(np.array([0.0])).tolist() == [0.0]
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=["uniform", "non-uniform"])
+    def test_batches_match_numpy_trapezoid(self, grid):
+        # tolerance fixed before measuring: (n + 4) unit roundoffs of the
+        # absolute integrand, n the number of intervals
+        w = trapezoid_weights(grid.nodes)
+        v, h = kernel_batch(grid), kernel_batch(grid, seed=1)
+        f = square_integral()
+        for got, integrand in (
+            (f.batch_eval(v, grid, PathMode.LINEAR), v**2),
+            (f.batch_d1(v, h, grid, PathMode.LINEAR), 2.0 * v * h),
+            (trapezoid(np.exp(v), grid.nodes), np.exp(v)),
+        ):
+            want = np.trapezoid(integrand, grid.nodes, axis=-1)
+            tol = (grid.n_intervals + 4) * 2.0**-52 * (np.abs(integrand) @ w)
+            assert np.all(np.abs(got - want) <= tol)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("f", [square_integral(), smooth_max_functional(3.0)],
+                             ids=lambda f: f.name)
+    def test_non_finite_row_changes_only_its_own_output(self, f):
+        grid = KERNEL_GRIDS[1]
+        v, h = kernel_batch(grid), kernel_batch(grid, seed=1)
+        clean = f.batch_eval(v, grid, PathMode.LINEAR), f.batch_d1(v, h, grid, PathMode.LINEAR)
+        for bad in (np.nan, np.inf):
+            dirty = v.copy()
+            dirty[3, 17] = bad
+            out = f.batch_eval(dirty, grid, PathMode.LINEAR), f.batch_d1(dirty, h, grid, PathMode.LINEAR)
+            for got, want in zip(out, clean):
+                assert not np.isfinite(got[3])
+                assert np.array_equal(np.delete(got, 3), np.delete(want, 3))
+
+    @pytest.mark.parametrize("f", [square_integral(), smooth_max_functional(3.0)],
+                             ids=lambda f: f.name)
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=["uniform", "non-uniform"])
+    def test_path_and_batch_forms_agree_bitwise(self, f, grid):
+        v, h = kernel_batch(grid), kernel_batch(grid, seed=1)
+        batch = f.batch_eval(v, grid, PathMode.LINEAR)
+        batch_d1 = f.batch_d1(v, h, grid, PathMode.LINEAR)
+        for i in range(v.shape[0]):
+            x, dx = DiscretePath(grid, v[i], PathMode.LINEAR), DiscretePath(grid, h[i], PathMode.LINEAR)
+            one_row = f.batch_eval(v[i : i + 1], grid, PathMode.LINEAR)[0]
+            assert f.eval(x) == one_row == batch[i]
+            assert f.d1(x, dx) == f.batch_d1(v[i : i + 1], h[i : i + 1], grid, PathMode.LINEAR)[0]
+            assert f.d1(x, dx) == batch_d1[i]
