@@ -387,8 +387,7 @@ def _run_covariance_bias(cfg: ExperimentConfig):
     functional = command_functional(cfg)
     if cfg.functional.get("name", "product") != "product":
         raise InvalidArgumentError(
-            f"covariance-bias estimates Cov(Y(t1), Y(t2)): it takes the product functional, "
-            f"not {functional.name}"
+            f"covariance-bias takes the product functional, not {functional.name}"
         )
     t1, t2 = functional.probe_times
     deltas = list(cfg.grid.get("deltas", DEFAULT_DELTAS))

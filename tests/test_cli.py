@@ -322,7 +322,8 @@ class TestRun:
         assert main(["gap-stats", "--config", cfg, "--out", str(out)]) == 0
 
 
-# tiny budgets for every command that takes a model and a functional
+# tiny budgets for every command that takes a model and a functional; weak-rate
+# uses the fine-grid reference, since the closed form covers only OU point/product
 _MATRIX_BASE = {
     "weak-rate": "grid: {deltas: [0.5, 0.25, 0.125]}\nbudget: {n_samples: 20}\n"
                  "reference: {kind: fine-grid, factor: 2}\n",
