@@ -570,7 +570,7 @@ def _run_error_representation(cfg: ExperimentConfig):
     checks = [
         _check_entry(
             "error-representation", report.diff, report.diff_std_error,
-            4.0 * report.diff_std_error, report.passed,
+            report.tolerance, report.passed,
             {"n_outer": int(cfg.budget.get("n_outer", 256)),
              "n_inner": int(cfg.budget.get("n_inner", 256))},
             cfg.seed,

@@ -236,12 +236,20 @@ def coupled_bias(exp: RateExperiment, rung: int) -> BiasPoint:
         rng = exp.seed.rng(_TAG_RATE, rung, bi)
         if fine_ref:
             # one fine Brownian path per sample: coarse increments are exact
-            # block sums of the fine ones (common random numbers)
-            dw_fine = rng.standard_normal((fine.n_intervals, m))
-            dw_fine *= np.sqrt(np.diff(fine.nodes))[:, None]
-            dw_coarse = dw_fine.reshape(grid.n_intervals, factor, m).sum(axis=1)
-            g = _f_on_scheme(f, spec, grid, exp.model, m, dw_coarse.__getitem__)
-            g = g - _f_on_scheme(f, spec, fine, exp.model, m, dw_fine.__getitem__)
+            # block sums of the fine ones (common random numbers), summed
+            # from zero while the fine scan draws them, so no (n_fine, m)
+            # increment array is held; the draws and sums are those of
+            # standard_normal((n_fine, m)) and reshape(...).sum(axis=1)
+            dw_coarse = np.zeros((grid.n_intervals, m))
+            fine_rows = _gaussian_rows(rng, fine, m)
+
+            def fine_row(k: int) -> np.ndarray:
+                z = fine_rows(k)
+                dw_coarse[k // factor] += z
+                return z
+
+            g_fine = _f_on_scheme(f, spec, fine, exp.model, m, fine_row)
+            g = _f_on_scheme(f, spec, grid, exp.model, m, dw_coarse.__getitem__) - g_fine
         else:
             g = _f_on_scheme(f, None, grid, exp.model, m, _gaussian_rows(rng, grid, m)) - ref_value
         return Moments.of(g)

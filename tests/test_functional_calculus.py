@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+
+import weakpathlab.functional_calculus as fc
 
 from weakpathlab.core_paths import (
     DiscretePath,
@@ -26,9 +30,14 @@ from weakpathlab.functional_calculus import (
     second_vertical_derivative,
     vertical_derivative,
 )
-from weakpathlab.functionals import point_functional, product_functional
-from weakpathlab.models import SdeModel, ou_model, sine_model
-from weakpathlab.mollifier import MollifierSpec, mollify
+from weakpathlab.functionals import (
+    integral_functional,
+    point_functional,
+    product_functional,
+    smooth_max_functional,
+)
+from weakpathlab.models import SdeModel, constant_model, ou_model, sine_model
+from weakpathlab.mollifier import MollifierSpec, mollify, mollify_operator
 from weakpathlab.randomness import BrownianPath, SeedSpec, sample_brownian
 
 FINE = make_uniform_grid(1.0, 128)
@@ -54,6 +63,66 @@ def frozen_model(xi0):
 def constant_prefix(t, value, fine=FINE):
     i = fine.index_of(t)
     return DiscretePath(TimeGrid(fine.nodes[: i + 1]), np.full(i + 1, value), PathMode.LINEAR)
+
+
+class TestMollifiedBlocks:
+    """f o M_eps on inputs larger than one block: row blocks are mollified
+    and evaluated one at a time, with every bit of the one-shot product."""
+
+    GRID = make_uniform_grid(1.0, 1024)
+    SPEC = MollifierSpec(0.25)
+    ROWS = 350
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        # at most 100 rows of 1025 nodes per block: blocks of 88, 88, 87, 87
+        monkeypatch.setattr(fc, "_BLOCK_BYTES", 100 * 1025 * 8)
+
+    def paths(self, seed):
+        rng = np.random.default_rng(seed)
+        return np.cumsum(rng.standard_normal((self.ROWS, 1025)), axis=1) * 0.03
+
+    @staticmethod
+    def recording(f, name, sizes):
+        hook = getattr(f, name)
+
+        def wrapped(*args):
+            sizes.append(len(args[0]))
+            return hook(*args)
+
+        return dataclasses.replace(f, **{name: wrapped})
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            integral_functional(lambda u: u**2, lambda u: 2.0 * u, lambda u: 2.0 + 0.0 * u),
+            smooth_max_functional(5.0),
+        ],
+    )
+    def test_blocked_equals_one_shot(self, small_blocks, f):
+        op = mollify_operator(self.SPEC, self.GRID, PathMode.LINEAR).T
+        x, h = self.paths(50), self.paths(51)
+        sizes = []
+        got = fc._feps_batch(self.recording(f, "batch_eval", sizes), self.SPEC, self.GRID, x)
+        assert sizes == [88, 88, 87, 87]
+        assert np.array_equal(got, f.batch_eval(x @ op, self.GRID, PathMode.LINEAR))
+        sizes = []
+        got = fc._fd1_batch(self.recording(f, "batch_d1", sizes), self.SPEC, self.GRID, x, h)
+        assert sizes == [88, 88, 87, 87]
+        assert np.array_equal(got, f.batch_d1(x @ op, h @ op, self.GRID, PathMode.LINEAR))
+
+    def test_nan_row_changes_only_its_own_output(self, small_blocks):
+        f = smooth_max_functional(5.0)
+        x, h = self.paths(52), self.paths(53)
+        clean = fc._feps_batch(f, self.SPEC, self.GRID, x)
+        clean_d1 = fc._fd1_batch(f, self.SPEC, self.GRID, x, h)
+        x[200, 600] = np.nan
+        got = fc._feps_batch(f, self.SPEC, self.GRID, x)
+        got_d1 = fc._fd1_batch(f, self.SPEC, self.GRID, x, h)
+        others = np.arange(self.ROWS) != 200
+        assert np.isnan(got[200]) and np.isnan(got_d1[200])
+        assert np.array_equal(got[others], clean[others])
+        assert np.array_equal(got_d1[others], clean_d1[others])
 
 
 class TestEstimateF:
@@ -295,6 +364,24 @@ class TestErrorRepresentation:
             SINE, point_functional(0.25), self.EPS_FINE, self.COARSE, 128, 128, SeedSpec(34)
         )
         assert rep.passed
+
+    def test_rounding_floor_for_vanishing_sides(self):
+        # both sides of the constant model are 0: diff is rounding noise
+        # (1.0e-16) whose 4 SE (8.0e-17) alone would fail the check
+        rep = error_representation_sides(
+            constant_model(0.5, 1.0, 0.2), point_functional(0.25), None, self.COARSE, 8, 16,
+            SeedSpec(19), fine_factor=8, quad_per_interval=2,
+        )
+        assert rep.rhs.value == 0.0 and rep.diff != 0.0
+        assert abs(rep.diff) > 4 * rep.diff_std_error
+        assert 0 < rep.rounding_floor < 1e-14
+        assert rep.tolerance == 4 * rep.diff_std_error + rep.rounding_floor
+        assert rep.passed
+
+    def test_rounding_floor_excuses_only_rounding(self):
+        est = NestedEstimate(0.0, 0.0, 0, {})
+        assert ErrorRepresentationReport(est, est, 1e-16, 0.0, rounding_floor=4e-16).passed
+        assert not ErrorRepresentationReport(est, est, 1e-9, 0.0, rounding_floor=4e-16).passed
 
     def test_instance_size_guard(self):
         big = make_uniform_grid(1.0, 2)

@@ -1,12 +1,18 @@
+import operator
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from weakpathlab.core_paths import PathMode, interpolate_values, make_uniform_grid, refine_grid
 from weakpathlab.errors import InsufficientSignalError, InvalidArgumentError
-from weakpathlab.functionals import point_functional, product_functional
+from weakpathlab.functionals import integral_functional, point_functional, product_functional
 from weakpathlab.models import SdeModel, constant_model, ou_model, sine_model
+from weakpathlab.mollifier import MollifierSpec, mollify_operator
+from weakpathlab.parallel import Moments, batch_layout
 from weakpathlab.randomness import SeedSpec
-from weakpathlab.schemes import euler_values_batch
+from weakpathlab.schemes import euler_scan, euler_values_batch
 from weakpathlab.weak_error import (
     ClosedFormReference,
     _at_times,
@@ -246,6 +252,100 @@ class TestWeakRateExperiment:
         point = coupled_bias(exp, 0)
         assert np.isfinite(point.bias) and point.n_samples == 2000
         assert coupled_bias(exp, 0).bias == point.bias
+
+
+def integral_square():
+    return integral_functional(lambda u: u**2, lambda u: 2.0 * u, lambda u: 2.0 + 0.0 * u)
+
+
+def materialised_bias(exp, rung):
+    """coupled_bias with a fine reference, holding every array: all fine
+    increments drawn at once, coarse ones as block sums, two full scans,
+    and f (mollified by one product with the operator) on whole paths."""
+    grid = exp.grid(rung)
+    factor = exp.reference.factor
+    fine = refine_grid(grid, factor)
+    f = exp.functional
+
+    def f_on(g, values):
+        if exp.eps is not None:
+            op = mollify_operator(MollifierSpec(exp.eps), g, PathMode.LINEAR)
+            return f.batch_eval(values @ op.T, g, PathMode.LINEAR)
+        if f.probe_times is not None:
+            return f.probe_eval(interpolate_values(g.nodes, values, f.probe_times, PathMode.LINEAR))
+        return f.batch_eval(values, g, PathMode.LINEAR)
+
+    batch = max(1, min(exp.batch_size, (1 << 23) // fine.n_intervals))
+    parts = []
+    for bi, (_, m) in enumerate(batch_layout(exp.n_samples(rung), batch)):
+        dw_fine = exp.seed.rng(11, rung, bi).standard_normal((fine.n_intervals, m))
+        dw_fine *= np.sqrt(np.diff(fine.nodes))[:, None]
+        dw_coarse = dw_fine.reshape(grid.n_intervals, factor, m).sum(axis=1)
+        y = euler_scan(exp.model, grid, exp.model.xi0, dw_coarse.T)
+        x = euler_scan(exp.model, fine, exp.model.xi0, dw_fine.T)
+        parts.append(Moments.of(f_on(grid, y) - f_on(fine, x)))
+    return reduce(operator.add, parts)
+
+
+# b overflows to inf once a path passes 1.5, so those rows end non-finite
+EXPLODING = SdeModel(
+    b=lambda x: np.where(x > 1.5, np.exp(1e3 * x), -x), sigma=lambda x: 1.0 + 0.0 * x,
+    db=lambda x: 0.0 * x, d2b=lambda x: 0.0 * x,
+    dsigma=lambda x: 0.0 * x, d2sigma=lambda x: 0.0 * x,
+    nondegeneracy_c=1.0, xi0=0.5,
+)
+
+
+class TestStreamedCoupling:
+    """The fine increments are drawn one step at a time and summed into the
+    coarse ones as the fine scan runs; every bit equals the materialised
+    coupling."""
+
+    @pytest.mark.parametrize("factor", [4, 16])
+    @pytest.mark.parametrize(
+        "model, functional, eps",
+        [
+            (sine_model(0.5, 1.0, 0.5), integral_square(), 0.25),
+            (sine_model(0.5, 1.0, 0.5), point_functional(1.0), None),
+            (OU, product_functional(0.5, 1.0), None),
+            (OU, integral_square(), 0.25),
+            (EXPLODING, point_functional(1.0), None),
+        ],
+    )
+    def test_bitwise_equal_to_materialised(self, model, functional, eps, factor):
+        exp = RateExperiment(
+            model=model, functional=functional, horizon=1.0, deltas=(0.125, 0.0625, 0.03125),
+            n_base=700, reference=FineGridReference(factor), seed=SeedSpec(41), eps=eps,
+            batch_size=300,
+        )
+        point = coupled_bias(exp, 0)
+        ref = materialised_bias(exp, 0)
+        assert (point.n_samples, point.excluded) == (ref.n, ref.excluded)
+        assert point.bias == float(ref.mean) and point.std_error == float(ref.se)
+        if model is EXPLODING:
+            assert 0 < point.excluded < 700
+
+    def test_peak_memory_below_twice_the_fine_path(self):
+        # one rung of one 8192 x 1025 batch: the fine path is the only
+        # full-size array; mollification runs in row blocks
+        exp = RateExperiment(
+            model=sine_model(0.5, 1.0, 0.5), functional=integral_square(), horizon=1.0,
+            deltas=(1 / 16, 1 / 32, 1 / 64), n_base=8192, reference=FineGridReference(64),
+            seed=SeedSpec(42), eps=0.25,
+        )
+        grid = exp.grid(0)
+        fine = refine_grid(grid, 64)
+        for g in (grid, fine):  # warm the operator cache
+            mollify_operator(MollifierSpec(0.25), g, PathMode.LINEAR)
+        path_bytes = 8192 * fine.nodes.size * 8
+        tracemalloc.start()
+        try:
+            point = coupled_bias(exp, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert point.n_samples == 8192
+        assert peak < 2 * path_bytes, f"peak {peak / path_bytes:.2f}x the fine path"
 
 
 class TestCovarianceBias:
