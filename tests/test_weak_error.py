@@ -15,6 +15,7 @@ from weakpathlab.randomness import SeedSpec
 from weakpathlab.schemes import euler_scan, euler_values_batch
 from weakpathlab.weak_error import (
     ClosedFormReference,
+    _TAG_RATE,
     _at_times,
     FineGridReference,
     GapStatsReport,
@@ -278,7 +279,7 @@ def materialised_bias(exp, rung):
     batch = max(1, min(exp.batch_size, (1 << 23) // fine.n_intervals))
     parts = []
     for bi, (_, m) in enumerate(batch_layout(exp.n_samples(rung), batch)):
-        dw_fine = exp.seed.rng(11, rung, bi).standard_normal((fine.n_intervals, m))
+        dw_fine = exp.seed.rng(_TAG_RATE, rung, bi).standard_normal((fine.n_intervals, m))
         dw_fine *= np.sqrt(np.diff(fine.nodes))[:, None]
         dw_coarse = dw_fine.reshape(grid.n_intervals, factor, m).sum(axis=1)
         y = euler_scan(exp.model, grid, exp.model.xi0, dw_coarse.T)
