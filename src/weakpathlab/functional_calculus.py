@@ -61,8 +61,8 @@ __all__ = [
 ]
 
 _PROBE_ROW_CACHE: dict = {}
-# bytes of each argument array per mollified row block; 4096 x 2049 gemm
-# rows run fastest in blocks of 1024-2048 rows
+# bytes of raw rows per mollified row block in _feps_batch; 4096 x 2049
+# gemm rows run fastest in blocks of 1024-2048 rows
 _BLOCK_BYTES = 1 << 24
 
 # purpose tags for stream derivation
@@ -167,7 +167,7 @@ def _feps_batch(
     if spec is not None:
         op = mollify_operator(spec, grid, mode).T
         if values.nbytes > _BLOCK_BYTES:
-            return _mollified_blocks(f.batch_eval, op, grid, values)
+            return _mollified_blocks(f, op, grid, values)
         values = values @ op
         mode = PathMode.LINEAR
     return f.batch_eval(values, grid, mode)
@@ -189,30 +189,22 @@ def _fd1_batch(
         )
     if spec is not None:
         op = mollify_operator(spec, grid, mode).T
-        if values.nbytes > _BLOCK_BYTES:
-            return _mollified_blocks(f.batch_d1, op, grid, values, directions)
         values = values @ op
         directions = directions @ op
         mode = PathMode.LINEAR
     return f.batch_d1(values, directions, grid, mode)
 
 
-def _mollified_blocks(hook, op: np.ndarray, grid: TimeGrid, *arrays: np.ndarray) -> np.ndarray:
-    """``hook(a_1 @ op, ..., grid, Linear)`` over near-equal row blocks of the
-    (m, n) ``arrays``, concatenated.
-
-    A block holds at most ``_BLOCK_BYTES`` of each array, so no full-size
-    mollified copy or hook temporary is alive.  The callers keep the single
-    product for an input that fits in one block, which lets them release the
-    raw rows before the hook runs.  The hooks are row-wise, so only the
-    product's rounding could depend on the split: OpenBLAS gives each row the
-    same bits for 1025- and 2049-node paths in blocks of more than one row,
-    not for every shape.
-    """
-    rows = max(1, _BLOCK_BYTES // (arrays[0].itemsize * arrays[0].shape[-1]))
-    blocks = zip(*(np.array_split(a, -(-len(a) // rows)) for a in arrays))
+def _mollified_blocks(f: PathFunctional, op: np.ndarray, grid: TimeGrid, values: np.ndarray):
+    """``f.batch_eval(values @ op, grid, LINEAR)`` over near-equal row blocks
+    of at most ``_BLOCK_BYTES``, concatenated; valid because the hook is
+    row-wise.  No full-size mollified copy or hook temporary is alive."""
+    rows = max(1, _BLOCK_BYTES // (values.itemsize * values.shape[-1]))
     return np.concatenate(
-        [hook(*(b @ op for b in block), grid, PathMode.LINEAR) for block in blocks]
+        [
+            f.batch_eval(block @ op, grid, PathMode.LINEAR)
+            for block in np.array_split(values, -(-len(values) // rows))
+        ]
     )
 
 
