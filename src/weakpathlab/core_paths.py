@@ -179,7 +179,9 @@ def interpolate_values(
     left = nodes[idx]
     gap = nodes[idx + 1] - left
     lam = np.where(gap > 0, (t - left) / np.where(gap > 0, gap, 1.0), 0.0)
-    return (1.0 - lam) * values[..., idx] + lam * values[..., idx + 1]
+    # a row that is infinite at a bracketing node gets NaN from 0 * inf
+    with np.errstate(invalid="ignore"):
+        return (1.0 - lam) * values[..., idx] + lam * values[..., idx + 1]
 
 
 def eval_path(p: DiscretePath, t):

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .functionals import PathFunctional
 from .models import SdeModel
-from .mollifier import MollifierSpec, mollify_operator
+from .mollifier import BandRows, LruCache, MollifierSpec, band_tiles, mollify_operator
 from .parallel import Moments, batch_layout
 from .randomness import BrownianPath, SeedSpec
 from .schemes import (
@@ -60,7 +60,7 @@ __all__ = [
     "default_bump",
 ]
 
-_PROBE_ROW_CACHE: dict = {}
+_PROBE_ROW_CACHE = LruCache()
 # bytes of raw rows per mollified row block in _feps_batch; 4096 x 2049
 # gemm rows run fastest in blocks of 1024-2048 rows
 _BLOCK_BYTES = 1 << 24
@@ -133,14 +133,15 @@ def _probe_rows(
     The mollified path is continuous, so probe times between nodes combine
     the two bracketing rows of the mollifier matrix affinely.
     """
-    key = (grid.nodes.tobytes(), spec.epsilon, spec.kernel_samples, mode, probes)
-    rows = _PROBE_ROW_CACHE.get(key)
-    if rows is None:
+
+    def build():
         a = mollify_operator(spec, grid, mode)
         rows = np.ascontiguousarray(interpolate_values(grid.nodes, a.T, probes, PathMode.LINEAR).T)
         rows.flags.writeable = False
-        _PROBE_ROW_CACHE[key] = rows
-    return rows
+        return rows
+
+    key = (grid.nodes.tobytes(), spec.epsilon, spec.kernel_samples, mode, probes)
+    return _PROBE_ROW_CACHE.get(key, build)
 
 
 def _at_probes(
@@ -165,10 +166,10 @@ def _feps_batch(
     if f.probe_times is not None and f.probe_eval is not None:
         return f.probe_eval(_at_probes(f, spec, grid, mode, values))
     if spec is not None:
-        op = mollify_operator(spec, grid, mode).T
+        mollified = _mollifier(spec, grid, mode)
         if values.nbytes > _BLOCK_BYTES:
-            return _mollified_blocks(f, op, grid, values)
-        values = values @ op
+            return _mollified_blocks(f, mollified, grid, values)
+        values = mollified(values)
         mode = PathMode.LINEAR
     return f.batch_eval(values, grid, mode)
 
@@ -188,21 +189,29 @@ def _fd1_batch(
             _at_probes(f, spec, grid, mode, values), _at_probes(f, spec, grid, mode, directions)
         )
     if spec is not None:
-        op = mollify_operator(spec, grid, mode).T
-        values = values @ op
-        directions = directions @ op
+        mollified = _mollifier(spec, grid, mode)
+        values = mollified(values)
+        directions = mollified(directions)
         mode = PathMode.LINEAR
     return f.batch_d1(values, directions, grid, mode)
 
 
-def _mollified_blocks(f: PathFunctional, op: np.ndarray, grid: TimeGrid, values: np.ndarray):
-    """``f.batch_eval(values @ op, grid, LINEAR)`` over near-equal row blocks
-    of at most ``_BLOCK_BYTES``, concatenated; valid because the hook is
-    row-wise.  No full-size mollified copy or hook temporary is alive."""
+def _mollifier(spec: MollifierSpec, grid: TimeGrid, mode: PathMode):
+    """The map from rows of node values to rows of M_eps values on ``grid``:
+    the operator, looked up once, applied by band tiles."""
+    at = mollify_operator(spec, grid, mode).T
+    tiles = band_tiles(spec, grid, mode)
+    return lambda values: BandRows(values, tiles) @ at
+
+
+def _mollified_blocks(f: PathFunctional, mollified, grid: TimeGrid, values: np.ndarray):
+    """``f.batch_eval(mollified(values), grid, LINEAR)`` over near-equal row
+    blocks of at most ``_BLOCK_BYTES``, concatenated; valid because the hook
+    is row-wise.  No full-size mollified copy or hook temporary is alive."""
     rows = max(1, _BLOCK_BYTES // (values.itemsize * values.shape[-1]))
     return np.concatenate(
         [
-            f.batch_eval(block @ op, grid, PathMode.LINEAR)
+            f.batch_eval(mollified(block), grid, PathMode.LINEAR)
             for block in np.array_split(values, -(-len(values) // rows))
         ]
     )

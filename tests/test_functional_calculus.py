@@ -129,9 +129,9 @@ class TestMollifiedBlocks:
         x = self.paths(51, 513)
         sizes = []
         got = fc._feps_batch(self.recording(SQUARE_INTEGRAL, sizes), self.SPEC, grid, x)
-        op = mollify_operator(self.SPEC, grid, PathMode.LINEAR).T
+        mollified = fc._mollifier(self.SPEC, grid, PathMode.LINEAR)(x)
         assert sizes == [self.ROWS]
-        assert np.array_equal(got, SQUARE_INTEGRAL.batch_eval(x @ op, grid, PathMode.LINEAR))
+        assert np.array_equal(got, SQUARE_INTEGRAL.batch_eval(mollified, grid, PathMode.LINEAR))
 
     def test_nan_row_changes_only_its_own_output(self, small_blocks):
         f = smooth_max_functional(5.0)
@@ -143,6 +143,29 @@ class TestMollifiedBlocks:
         others = np.arange(self.ROWS) != 200
         assert np.isnan(got[200])
         assert np.array_equal(got[others], clean[others])
+
+
+class TestNonFiniteRows:
+    """A row with a non-finite value gives a non-finite f_eps, as the dense
+    product's 0 * inf terms do, although band tiles skip those terms."""
+
+    @pytest.mark.parametrize("nodes, eps", [(129, 2.0 / 128), (129, 0.25), (513, 0.25)])
+    @pytest.mark.parametrize("mode", list(PathMode))
+    @pytest.mark.parametrize(
+        "f", [smooth_max_functional(4.0), SQUARE_INTEGRAL], ids=["smooth-max", "integral-square"]
+    )
+    def test_same_rows_non_finite_as_dense(self, nodes, eps, mode, f):
+        spec, grid = MollifierSpec(eps), make_uniform_grid(1.0, nodes - 1)
+        rng = np.random.default_rng(53)
+        x = np.cumsum(rng.standard_normal((nodes + 3, nodes)), axis=1) * 0.1
+        # row k is -inf or +inf at node k alone (the last node included);
+        # the last three rows stay finite
+        x[np.arange(nodes), np.arange(nodes)] = np.where(np.arange(nodes) % 2, np.inf, -np.inf)
+        with np.errstate(invalid="ignore"):
+            got = fc._feps_batch(f, spec, grid, x, mode)
+            dense = f.batch_eval(x @ mollify_operator(spec, grid, mode).T, grid, PathMode.LINEAR)
+        assert np.array_equal(np.isfinite(got), np.arange(nodes + 3) >= nodes)
+        assert np.array_equal(np.isfinite(got), np.isfinite(dense))
 
 
 class TestEstimateF:

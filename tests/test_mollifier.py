@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
-from weakpathlab.core_paths import DiscretePath, PathMode, make_uniform_grid, sup_norm
+import weakpathlab.functional_calculus as fc
+import weakpathlab.mollifier as mol
+
+from weakpathlab.core_paths import DiscretePath, PathMode, TimeGrid, make_uniform_grid, sup_norm
 from weakpathlab.errors import InvalidArgumentError, ResolutionTooCoarseError
-from weakpathlab.mollifier import MollifierSpec, kernel_weights, mollify, mollify_operator
+from weakpathlab.mollifier import (
+    BandRows,
+    MollifierSpec,
+    band_tiles,
+    kernel_weights,
+    mollify,
+    mollify_operator,
+)
 from weakpathlab.randomness import SeedSpec, sample_brownian
 
 GRID = make_uniform_grid(1.0, 200)
@@ -110,3 +120,102 @@ class TestMollify:
         p = DiscretePath(coarse, np.zeros(5), PathMode.LINEAR)
         with pytest.raises(ResolutionTooCoarseError):
             mollify(MollifierSpec(0.3), p)
+
+
+def band_product(spec, grid, mode, x):
+    return BandRows(x, band_tiles(spec, grid, mode)) @ mollify_operator(spec, grid, mode).T
+
+
+class TestBandTiles:
+    """Rows multiplied by the operator's band tiles against the dense
+    product.  Both sum the same nonzero terms in possibly different orders,
+    so they differ by at most 2 n u (|x| @ |A.T|) per entry."""
+
+    @staticmethod
+    def paths(seed, rows, nodes):
+        rng = np.random.default_rng(seed)
+        return np.cumsum(rng.standard_normal((rows, nodes)), axis=1) * 0.03
+
+    @staticmethod
+    def assert_within_rounding(got, x, a):
+        u = np.finfo(np.float64).eps / 2
+        tol = 2 * a.shape[0] * u * (np.abs(x) @ np.abs(a.T))
+        assert np.all(np.abs(got - x @ a.T) <= tol)
+
+    @staticmethod
+    def assert_tiles_cover_the_band(a, tiles):
+        assert tiles[0][0] == 0 and tiles[-1][1] == a.shape[0]
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(tiles, tiles[1:]))
+        assert all(not a[j0:j1, :c0].any() for j0, j1, c0 in tiles)
+
+    @pytest.mark.parametrize(
+        "nodes, eps, rows", [(129, 2.0 / 128, 200), (513, 0.25, 64), (1025, 0.25, 32), (2049, 0.25, 16)]
+    )
+    def test_matches_dense_to_rounding(self, nodes, eps, rows):
+        spec, grid = MollifierSpec(eps), make_uniform_grid(1.0, nodes - 1)
+        a, tiles = mollify_operator(spec, grid, PathMode.LINEAR), band_tiles(spec, grid, PathMode.LINEAR)
+        assert len(tiles) > 1
+        self.assert_tiles_cover_the_band(a, tiles)
+        x = self.paths(nodes, rows, nodes)
+        self.assert_within_rounding(band_product(spec, grid, PathMode.LINEAR, x), x, a)
+
+    def test_non_uniform_grid(self):
+        rng = np.random.default_rng(61)
+        nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 599)), [1.0]])
+        grid = TimeGrid(nodes)
+        spec = MollifierSpec(4 * grid.mesh)
+        a, tiles = mollify_operator(spec, grid, PathMode.LINEAR), band_tiles(spec, grid, PathMode.LINEAR)
+        assert len(tiles) > 1
+        self.assert_tiles_cover_the_band(a, tiles)
+        x = self.paths(62, 50, nodes.size)
+        self.assert_within_rounding(band_product(spec, grid, PathMode.LINEAR, x), x, a)
+
+    def test_cadlag_step_mode(self):
+        spec, grid = MollifierSpec(0.25), make_uniform_grid(1.0, 512)
+        a = mollify_operator(spec, grid, PathMode.CADLAG_STEP)
+        tiles = band_tiles(spec, grid, PathMode.CADLAG_STEP)
+        self.assert_tiles_cover_the_band(a, tiles)
+        x = self.paths(63, 50, 513)
+        self.assert_within_rounding(band_product(spec, grid, PathMode.CADLAG_STEP, x), x, a)
+
+    def test_one_tile_is_the_dense_product(self):
+        spec, grid = MollifierSpec(0.25), make_uniform_grid(1.0, 32)
+        assert band_tiles(spec, grid, PathMode.LINEAR) == ((0, 33, 0),)
+        x = self.paths(64, 1000, 33)
+        a = mollify_operator(spec, grid, PathMode.LINEAR)
+        assert np.array_equal(band_product(spec, grid, PathMode.LINEAR, x), x @ a.T)
+
+
+class TestCaches:
+    """Both caches are LRU caches of CACHE_CAPACITY entries."""
+
+    @staticmethod
+    def spec(i):
+        return MollifierSpec(0.1 * (1.0 + 1e-9 * i))
+
+    def test_operator_cache_stays_within_capacity(self):
+        for i in range(mol.CACHE_CAPACITY + 3):
+            mollify_operator(self.spec(i), GRID, PathMode.LINEAR)
+            assert len(mol._OPERATOR_CACHE) <= mol.CACHE_CAPACITY
+
+    def test_probe_row_cache_stays_within_capacity(self):
+        for i in range(mol.CACHE_CAPACITY + 3):
+            fc._probe_rows(SPEC, GRID, PathMode.LINEAR, (0.5 + 0.01 * i,))
+            assert len(fc._PROBE_ROW_CACHE) <= mol.CACHE_CAPACITY
+
+    def test_evicted_operator_rebuilds_bit_for_bit(self):
+        first = mollify_operator(self.spec(100), GRID, PathMode.LINEAR)
+        tiles = band_tiles(self.spec(100), GRID, PathMode.LINEAR)
+        for i in range(101, 101 + mol.CACHE_CAPACITY):
+            mollify_operator(self.spec(i), GRID, PathMode.LINEAR)
+        again = mollify_operator(self.spec(100), GRID, PathMode.LINEAR)
+        assert again is not first
+        assert np.array_equal(again, first)
+        assert band_tiles(self.spec(100), GRID, PathMode.LINEAR) == tiles
+
+    def test_recent_use_keeps_an_operator(self):
+        kept = mollify_operator(self.spec(200), GRID, PathMode.LINEAR)
+        for i in range(201, 201 + 2 * mol.CACHE_CAPACITY):
+            mollify_operator(self.spec(200), GRID, PathMode.LINEAR)
+            mollify_operator(self.spec(i), GRID, PathMode.LINEAR)
+        assert mollify_operator(self.spec(200), GRID, PathMode.LINEAR) is kept

@@ -1,5 +1,6 @@
 import operator
 import tracemalloc
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -7,7 +8,13 @@ import pytest
 
 from weakpathlab.core_paths import PathMode, interpolate_values, make_uniform_grid, refine_grid
 from weakpathlab.errors import InsufficientSignalError, InvalidArgumentError
-from weakpathlab.functionals import integral_functional, point_functional, product_functional
+from weakpathlab.functional_calculus import _mollifier
+from weakpathlab.functionals import (
+    integral_functional,
+    point_functional,
+    product_functional,
+    smooth_max_functional,
+)
 from weakpathlab.models import SdeModel, constant_model, ou_model, sine_model
 from weakpathlab.mollifier import MollifierSpec, mollify_operator
 from weakpathlab.parallel import Moments, batch_layout
@@ -259,10 +266,18 @@ def integral_square():
     return integral_functional(lambda u: u**2, lambda u: 2.0 * u, lambda u: 2.0 + 0.0 * u)
 
 
-def materialised_bias(exp, rung):
+def band_tiled(spec, g, values):
+    return _mollifier(spec, g, PathMode.LINEAR)(values)
+
+
+def dense(spec, g, values):
+    return values @ mollify_operator(spec, g, PathMode.LINEAR).T
+
+
+def materialised_bias(exp, rung, mollified=band_tiled):
     """coupled_bias with a fine reference, holding every array: all fine
     increments drawn at once, coarse ones as block sums, two full scans,
-    and f (mollified by one product with the operator) on whole paths."""
+    and f (mollified on whole paths in one call) on whole paths."""
     grid = exp.grid(rung)
     factor = exp.reference.factor
     fine = refine_grid(grid, factor)
@@ -270,8 +285,7 @@ def materialised_bias(exp, rung):
 
     def f_on(g, values):
         if exp.eps is not None:
-            op = mollify_operator(MollifierSpec(exp.eps), g, PathMode.LINEAR)
-            return f.batch_eval(values @ op.T, g, PathMode.LINEAR)
+            return f.batch_eval(mollified(MollifierSpec(exp.eps), g, values), g, PathMode.LINEAR)
         if f.probe_times is not None:
             return f.probe_eval(interpolate_values(g.nodes, values, f.probe_times, PathMode.LINEAR))
         return f.batch_eval(values, g, PathMode.LINEAR)
@@ -294,6 +308,16 @@ EXPLODING = SdeModel(
     db=lambda x: 0.0 * x, d2b=lambda x: 0.0 * x,
     dsigma=lambda x: 0.0 * x, d2sigma=lambda x: 0.0 * x,
     nondegeneracy_c=1.0, xi0=0.5,
+)
+
+# b overflows to +inf above 1.5 and to -inf below -1.5; some rows cross only
+# in their last step, so they are non-finite at the last node alone
+EXPLODING_BOTH = SdeModel(
+    b=lambda x: np.where(np.abs(x) > 1.5, np.sign(x) * np.exp(1e3 * np.abs(x)), -x),
+    sigma=lambda x: 1.0 + 0.0 * x,
+    db=lambda x: 0.0 * x, d2b=lambda x: 0.0 * x,
+    dsigma=lambda x: 0.0 * x, d2sigma=lambda x: 0.0 * x,
+    nondegeneracy_c=1.0, xi0=0.0,
 )
 
 
@@ -325,6 +349,33 @@ class TestStreamedCoupling:
         assert point.bias == float(ref.mean) and point.std_error == float(ref.se)
         if model is EXPLODING:
             assert 0 < point.excluded < 700
+
+    @pytest.mark.parametrize(
+        "functional", [integral_square(), smooth_max_functional(4.0)],
+        ids=["integral-square", "smooth-max"],
+    )
+    def test_band_tiles_exclude_the_rows_the_dense_product_excludes(self, functional):
+        exp = RateExperiment(
+            model=EXPLODING_BOTH, functional=functional, horizon=1.0,
+            deltas=(0.125, 0.0625, 0.03125), n_base=700, reference=FineGridReference(64),
+            seed=SeedSpec(43), eps=0.25, batch_size=300,
+        )
+        with np.errstate(all="ignore"):
+            point = coupled_bias(exp, 0)
+            ref = materialised_bias(exp, 0, mollified=dense)
+        assert (point.n_samples, point.excluded) == (ref.n, ref.excluded)
+        assert 0 < point.excluded < 700
+
+    @pytest.mark.parametrize("functional", [point_functional(1.0), product_functional(0.5, 1.0)])
+    def test_overflowing_rows_raise_no_warning(self, functional):
+        exp = RateExperiment(
+            model=EXPLODING, functional=functional, horizon=1.0, deltas=(0.125, 0.0625, 0.03125),
+            n_base=700, reference=FineGridReference(4), seed=SeedSpec(41), batch_size=300,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            point = coupled_bias(exp, 0)
+        assert 0 < point.excluded < 700
 
     def test_peak_memory_below_twice_the_fine_path(self):
         # one rung of one 8192 x 1025 batch: the fine path is the only
