@@ -137,8 +137,8 @@ def band_tiles(spec: MollifierSpec, grid: TimeGrid, mode: PathMode) -> tuple:
     are zero left of column c0.
 
     The tiles are near-equal and at least max(32, band / 2) columns wide,
-    where band is the widest row span: per output column a tile then
-    multiplies at most 1.5 band values instead of n.
+    where band is the widest row span, so a tile of width w reads at most
+    w + band - 1 columns of each row instead of n.
     """
     return _cached(spec, grid, mode)[1]
 
