@@ -175,13 +175,12 @@ def _build(spec: MollifierSpec, grid: TimeGrid, mode: PathMode) -> tuple:
                 np.add.at(a[j], k, wi * (1.0 - lam))
                 np.add.at(a[j], k + 1, wi * lam)
     a.flags.writeable = False
-    # the smallest first column of rows j..n-1 bounds every row of a tile
-    # starting at j, even where the band edge is not monotone
-    start = np.minimum.accumulate(first[::-1])[::-1]
+    # first is nondecreasing (the window slides right with tau_j), so
+    # first[j0] bounds every row of a tile starting at j0
     band = int((np.arange(n) - first).max()) + 1
     count = max(1, n // max(_MIN_TILE, band // 2))
     edges = [i * n // count for i in range(count + 1)]
-    tiles = tuple((j0, j1, int(start[j0])) for j0, j1 in zip(edges[:-1], edges[1:]))
+    tiles = tuple((j0, j1, int(first[j0])) for j0, j1 in zip(edges[:-1], edges[1:]))
     return a, tiles
 
 
