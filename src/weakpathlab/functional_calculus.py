@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_paths import DiscretePath, PathMode, TimeGrid, interpolate_values, refine_grid
+from .blas import one_thread
 from .errors import (
     BudgetExceededError,
     InvalidArgumentError,
@@ -295,6 +296,7 @@ def _spec(eps) -> MollifierSpec | None:
 # the conditional-expectation functional and its derivatives
 
 
+@one_thread()
 def estimate_F(
     model: SdeModel,
     prefix: DiscretePath,
@@ -322,6 +324,7 @@ def estimate_F(
     return NestedEstimate(mean, se, int(n_inner), cfg)
 
 
+@one_thread()
 def vertical_derivative(
     model: SdeModel,
     prefix: DiscretePath,
@@ -383,6 +386,7 @@ def vertical_derivative(
     return VerticalDerivative(central, pairing)
 
 
+@one_thread()
 def second_vertical_derivative(
     model: SdeModel,
     prefix: DiscretePath,
@@ -418,6 +422,7 @@ def second_vertical_derivative(
     return NestedEstimate(mean, se, int(n_inner), cfg)
 
 
+@one_thread()
 def horizontal_derivative(
     model: SdeModel,
     prefix: DiscretePath,
@@ -469,6 +474,7 @@ def horizontal_derivative(
 # consistency checks built on the estimators
 
 
+@one_thread()
 def kolmogorov_residual(
     model: SdeModel,
     prefix: DiscretePath,
@@ -542,6 +548,7 @@ def kolmogorov_residual(
     )
 
 
+@one_thread()
 def martingale_gap(
     model: SdeModel,
     f: PathFunctional,
@@ -668,6 +675,7 @@ class ErrorRepresentationReport:
         return _within(self.diff, self.tolerance)
 
 
+@one_thread()
 def error_representation_sides(
     model: SdeModel,
     f: PathFunctional,
