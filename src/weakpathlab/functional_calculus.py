@@ -70,6 +70,7 @@ _BLOCK_BYTES = 1 << 24
 _TAG_CONTINUATION = 3
 _TAG_OUTER = 4
 _TAG_INNER = 5
+_TAG_QUAD = 6
 
 
 @dataclass(frozen=True)
@@ -656,8 +657,10 @@ def ito_rms_study(
 
 @dataclass(frozen=True)
 class ErrorRepresentationReport:
-    """The two sides and their difference.  The check is |diff| <= 4 SE
-    plus ``rounding_floor``, 4 ulps of the mean of |f_eps(X~)| + |f_eps(X)|:
+    """The two sides and their difference.  The RHS is the one-step
+    randomised quadrature of :func:`error_representation_sides`, so its SE
+    holds the quadrature noise too.  The check is |diff| <= 4 SE plus
+    ``rounding_floor``, 4 ulps of the mean of |f_eps(X~)| + |f_eps(X)|:
     where both sides vanish, diff is rounding noise whose SE can be 0."""
 
     lhs: NestedEstimate
@@ -698,10 +701,16 @@ def error_representation_sides(
 
         grad F_t(X~ on [0,t]) (b~ - b)  +  (1/2) grad^2 F_t(X~ on [0,t]) (sigma~^2 - sigma^2)
 
-    by the trapezoid rule on a fixed sub-grid, the derivative factors
-    estimated by nested bump differences along each outer path.  The
-    integrand vanishes at each interval's left endpoint where the frozen and
-    true coefficients coincide.
+    in the fine Euler chain's one-step form (see :func:`_one_step`), with the
+    derivative factors estimated by nested bump differences along each outer
+    path.  Each coarse interval is cut into ``quad_per_interval`` blocks of
+    fine steps; one step per block is drawn uniformly from its own stream
+    and weighted by the block's length, so the RHS is in expectation the sum
+    over every fine step.  For OU with a point or product functional that
+    sum equals the LHS exactly, so the check carries no quadrature bias; for
+    nonlinear models an O(dt_f) Taylor remainder is left.  The integrand
+    vanishes at each interval's left endpoint, where the frozen and true
+    coefficients coincide.
 
     ``freeze=False`` is the degenerate control: the tilde coefficients are
     the instantaneous ones, so the scheme path coincides with the reference
@@ -718,7 +727,7 @@ def error_representation_sides(
     spec = _spec(eps)
     fine = refine_grid(coarse, fine_factor)
     coarse_idx = fine.indices_of_subgrid(coarse)
-    quad_stride = fine_factor // quad_per_interval
+    block = fine_factor // quad_per_interval
 
     configs_per_point = 2 if model.constant_sigma else 3
     projected = n_outer * n_coarse * quad_per_interval * n_inner * configs_per_point
@@ -747,28 +756,27 @@ def error_representation_sides(
         lhs_scale[oi] = abs(f_tilde) + abs(f_ref)
 
         rhs = 0.0
+        picks = seed.rng(_TAG_QUAD, oi).integers(block, size=(n_coarse, quad_per_interval))
         for n in range(n_coarse if freeze else 0):
             y_n = float(y[0, n])
             b_frozen = float(model.b(y_n))
             s2_frozen = float(model.sigma(y_n)) ** 2
-            # trapezoid over the interval's quadrature nodes; the integrand is
-            # zero at the left endpoint by construction
             for j in range(1, quad_per_interval + 1):
-                idx = int(coarse_idx[n]) + j * quad_stride
-                t_q = float(fine.nodes[idx])
-                xi = float(x_tilde[0, idx])
-                delta_b = b_frozen - float(model.b(xi))
-                delta_s2 = s2_frozen - float(model.sigma(xi)) ** 2
-                weight = (fine.nodes[idx] - fine.nodes[idx - quad_stride]) * (
-                    0.5 if j == quad_per_interval else 1.0
+                first = int(coarse_idx[n]) + (j - 1) * block
+                k = first + int(picks[n, j - 1])
+                end, delta_b, delta_s2 = (
+                    float(v) for v in _one_step(model, x_tilde[0], k, b_frozen, s2_frozen, fine)
                 )
                 if delta_b == 0.0 and delta_s2 == 0.0:
                     continue
-                h = default_bump(xi) if bump is None else float(bump)
+                prefix = x_tilde[0, : k + 2].copy()
+                prefix[-1] = end
+                h = default_bump(end) if bump is None else float(bump)
                 grad, second = _grad_pair_at(
-                    model, f, spec, fine, x_tilde[0, : idx + 1], n_inner,
+                    model, f, spec, fine, prefix, n_inner,
                     seed.rng(_TAG_INNER, oi, n, j), h, need_second=delta_s2 != 0.0,
                 )
+                weight = fine.nodes[first + block] - fine.nodes[first]
                 rhs += weight * (grad * delta_b + 0.5 * second * delta_s2)
         rhs_samples[oi] = rhs
 
@@ -783,6 +791,25 @@ def error_representation_sides(
         diff_std_error=diff_se,
         rounding_floor=4 * np.finfo(np.float64).eps * float(np.mean(lhs_scale)),
     )
+
+
+def _one_step(model: SdeModel, x_tilde: np.ndarray, k: int, b_frozen, s2_frozen, fine: TimeGrid):
+    """Fine step k -> k+1 of X~ (rows of ``x_tilde``) against the reference
+    Euler step from X~_k over the same increment: ``(end, db, ds2)``.
+
+    ``db`` and ``ds2`` are b~ - b and sigma~^2 - sigma^2 at node k.  ``end``
+    is the endpoint at node k+1 at which grad F and grad^2 F are taken:
+    X~_{k+1} - db dt / 2, the step taken with the mean of the frozen and the
+    true drift.  Where F_{k+1} is quadratic in its endpoint (OU with a
+    point or product functional), E[grad F(end) db dt + grad^2 F ds2 dt / 2]
+    equals E[F_{k+1}(X~ step) - F_{k+1}(reference step)] exactly; taken at
+    X~_{k+1} itself, the grad F term misses grad^2 F db^2 dt^2 / 2.
+    """
+    dt = fine.nodes[k + 1] - fine.nodes[k]
+    xk = x_tilde[..., k]
+    delta_b = b_frozen - model.b(xk)
+    delta_s2 = s2_frozen - model.sigma(xk) ** 2
+    return x_tilde[..., k + 1] - 0.5 * delta_b * dt, delta_b, delta_s2
 
 
 def _grad_pair_at(

@@ -10,6 +10,7 @@ from weakpathlab.core_paths import (
     PathMode,
     TimeGrid,
     make_uniform_grid,
+    refine_grid,
 )
 from weakpathlab.errors import (
     BudgetExceededError,
@@ -39,6 +40,7 @@ from weakpathlab.functionals import (
 from weakpathlab.models import SdeModel, constant_model, ou_model, sine_model
 from weakpathlab.mollifier import MollifierSpec, mollify, mollify_operator
 from weakpathlab.randomness import BrownianPath, SeedSpec, sample_brownian
+from weakpathlab.schemes import euler_values_batch, stochastic_interpolation_batch
 
 FINE = make_uniform_grid(1.0, 128)
 EPS = 2.0 / 128
@@ -385,6 +387,62 @@ class TestItoResidual:
             assert 1.2 <= ratio <= 1.7
 
 
+def ou_expected_diff(f, coarse, eps, rule, theta=1.0, factor=64, q=4):
+    """Exact E LHS - E RHS of ``error_representation_sides`` for OU(theta, 1, 1).
+
+    Every quantity is affine in the fine increments W: X and X~ (linear
+    Euler chains), the drift gaps, and E[(M x)(t) | prefix, endpoint u] =
+    P + beta u, where beta(i) = sum_{m >= i} r_m (1 - theta dt)^(m - i) for
+    the probe row r.  The inner bump differences of a functional at most
+    quadratic in u average to grad F(u) = Df(P + beta u)[beta] exactly.
+    Evaluating on W = 0 and on each unit vector gives every affine map, and
+    E[A B] = A(0) B(0) + dt sum_j dA_j dB_j.  ``rule`` is the estimator's
+    one-step rule in expectation (every fine step, weight dt) or the former
+    trapezoid on q nodes per coarse interval.
+    """
+    model = ou_model(theta, 1.0, 1.0)
+    fine = refine_grid(coarse, factor)
+    n_fine, dt = fine.n_intervals, fine.nodes[1] - fine.nodes[0]
+    cidx = fine.indices_of_subgrid(coarse)
+    dw = np.vstack([np.zeros(n_fine), np.eye(n_fine)])
+    x_ref = euler_values_batch(model, fine, dw)
+    y = euler_values_batch(model, coarse, dw.reshape(n_fine + 1, coarse.n_intervals, -1).sum(2))
+    w = np.hstack([np.zeros((n_fine + 1, 1)), np.cumsum(dw, axis=1)])
+    x_tilde = stochastic_interpolation_batch(model, coarse, fine, y, w)
+    rows = fc._probe_rows(MollifierSpec(eps), fine, PathMode.LINEAR, f.probe_times)
+    beta = np.zeros((n_fine + 2, rows.shape[0]))
+    for i in range(n_fine, -1, -1):
+        beta[i] = rows[:, i] + (1.0 - theta * dt) * beta[i + 1]
+
+    def expect(a, b):
+        return a[0] * b[0] + dt * np.dot(a[1:] - a[0], b[1:] - b[0])
+
+    def expect_f(x):  # f at most quadratic: E f(c + V Z) = f(c) + dt/2 sum_j D2f[V_j, V_j]
+        v = x @ rows.T
+        c, ev = f.probe_eval(v[0]), f.probe_eval(v[1:])
+        return c + 0.5 * dt * np.sum(ev + f.probe_eval(2 * v[0] - v[1:]) - 2 * c)
+
+    def grad(i, u):  # grad F_i at endpoint u, per basis row
+        mean = x_tilde[:, :i] @ rows[:, :i].T + u[:, None] * beta[i]
+        return f.probe_d1(mean, np.broadcast_to(beta[i], mean.shape))
+
+    lhs = expect_f(x_tilde) - expect_f(x_ref)
+    rhs = 0.0
+    for n in range(coarse.n_intervals):
+        b_frozen = model.b(y[:, n])
+        if rule == "one-step":
+            for k in range(cidx[n], cidx[n + 1]):
+                end, delta_b, _ = fc._one_step(model, x_tilde, k, b_frozen, 0.0, fine)
+                rhs += dt * expect(grad(k + 1, end), delta_b)
+        else:
+            stride = factor // q
+            for j in range(1, q + 1):
+                idx = cidx[n] + j * stride
+                weight = stride * dt * (0.5 if j == q else 1.0)
+                rhs += weight * expect(grad(idx, x_tilde[:, idx]), b_frozen - model.b(x_tilde[:, idx]))
+    return lhs - rhs
+
+
 class TestErrorRepresentation:
     COARSE = make_uniform_grid(0.25, 2)
     EPS_FINE = 2 * 0.25 / 128
@@ -395,6 +453,16 @@ class TestErrorRepresentation:
         )
         assert rep.passed
         assert abs(rep.lhs.value) > 4 * rep.lhs.std_error  # the bias itself is resolved
+
+    @pytest.mark.parametrize(
+        "f", [point_functional(0.25), product_functional(0.125, 0.25)], ids=["point", "product"]
+    )
+    def test_quadrature_rule_is_exact_for_ou(self, f):
+        # the randomised one-step rule has E diff = 0 to rounding; the former
+        # trapezoid over 4 nodes per interval missed the boundary layer of
+        # grad F before the probe time by about 1e-3
+        assert abs(ou_expected_diff(f, self.COARSE, self.EPS_FINE, "one-step")) <= 1e-12
+        assert ou_expected_diff(f, self.COARSE, self.EPS_FINE, "trapezoid") < -5e-4
 
     def test_degenerate_coefficients_vanish(self):
         rep = error_representation_sides(
