@@ -11,7 +11,7 @@ one reference count under a lock.  The large fine-grid products of
 multiply them faster.
 
 Where no OpenBLAS or no thread-count symbol is found, nothing is changed and
-:func:`nested_threads` reports ``"unmanaged"``.
+:func:`describe` reports ``"unmanaged"``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["one_thread", "nested_threads", "describe"]
+__all__ = ["one_thread", "describe"]
 
 # (set, get) symbol pairs: the numpy wheel's bundled scipy-openblas, then a
 # system OpenBLAS
@@ -100,13 +100,9 @@ def one_thread():
                 setter(_PIN.saved)
 
 
-def nested_threads() -> int | str:
-    """The OpenBLAS thread count inside :func:`one_thread`: 1, or ``"unmanaged"``."""
-    return 1 if _controls() is not None else "unmanaged"
-
-
 def describe() -> dict:
-    """Name and version of numpy's BLAS and the nested-estimator thread count."""
+    """Name and version of numpy's BLAS, and ``nested_threads``: the
+    OpenBLAS thread count inside :func:`one_thread`, 1 or ``"unmanaged"``."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {"name": blas.get("name"), "version": blas.get("version"),
-            "nested_threads": nested_threads()}
+            "nested_threads": 1 if _controls() is not None else "unmanaged"}

@@ -6,8 +6,9 @@ The config is a single YAML document validated strictly: unknown keys are
 errors, every referenced model or functional must be shipped, and all
 randomness flows from the single seed.  ``--threads`` never changes any
 numeric output.  Each run writes ``report.csv``, ``summary.json`` and a
-``manifest.json`` with the config hash into its output directory; files are
-never overwritten.
+``manifest.json`` with the config hash and the environment (Python, numpy,
+platform, CPU count, BLAS and the nested estimators' BLAS thread count)
+into its output directory; files are never overwritten.
 
 Exit status: 0 when every embedded check passed, 1 when a check failed,
 2 for usage or config errors, 3 for insufficient signal or a budget cap,
@@ -23,6 +24,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import platform
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -30,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import __version__
+from . import __version__, blas
 from .core_paths import DiscretePath, PathMode, TimeGrid, make_uniform_grid, refine_grid, sup_norm
 from .errors import (
     BudgetExceededError,
@@ -657,6 +660,17 @@ _FAILURES = (
 )
 
 
+def _environment() -> dict:
+    """What the run's numbers may depend on besides the config."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "blas": blas.describe(),
+    }
+
+
 def _write_once(path: Path, text: str):
     with path.open("x") as fh:
         fh.write(text)
@@ -676,6 +690,7 @@ def run(config: ExperimentConfig) -> int:
         "threads": config.threads,
         "command": config.command,
         "version": __version__,
+        "environment": _environment(),
     }
     _write_once(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     try:

@@ -104,7 +104,6 @@ class TestOneThread:
         monkeypatch.setattr(blas, "_SYMBOLS", (("no_such_set", "no_such_get"),))
         blas._controls.cache_clear()
         try:
-            assert blas.nested_threads() == "unmanaged"
             assert blas.describe()["nested_threads"] == "unmanaged"
             seen = []
             with blas.one_thread():
@@ -113,7 +112,7 @@ class TestOneThread:
         finally:
             monkeypatch.undo()
             blas._controls.cache_clear()
-        assert blas.nested_threads() == 1
+        assert blas.describe()["nested_threads"] == 1
 
 
 def test_pin_is_threading_safe_under_contention(controls):

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import weakpathlab
 from weakpathlab import cli
 from weakpathlab.cli import COMMANDS, build_functional, build_model, main, parse_config, run
 from weakpathlab.errors import ConfigError, UnknownNameError
@@ -132,6 +138,18 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 7 and len(manifest["config_hash"]) == 64
         assert "PASS" in capsys.readouterr().out
+
+    def test_manifest_records_the_environment(self, tmp_path):
+        cfg = write_config(tmp_path, "command: ito-check\nseed: 7\nbudget:\n  n_samples: 100\n")
+        out = tmp_path / "run"
+        assert main(["ito-check", "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "platform", "cpu_count", "blas"}
+        assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
+        assert set(env["blas"]) == {"name", "version", "nested_threads"}
+        assert env["blas"]["nested_threads"] in (1, "unmanaged")
+        assert manifest["config_hash"] == parse_config(Path(cfg).read_text()).config_hash()
 
     def test_refuses_to_overwrite(self, tmp_path):
         cfg = write_config(tmp_path, "command: ito-check\nseed: 7\nbudget:\n  n_samples: 1000\n")
@@ -390,4 +408,36 @@ class TestThreadInvariance:
             code = main([cmd, "--config", cfg, "--out", str(out), "--threads", str(threads)])
             assert code in (0, 1)
             outs.append((out / "report.csv").read_bytes())
+        assert outs[0] == outs[1]
+
+
+class TestBlasThreadInvariance:
+    """The nested commands give the same bytes whatever OpenBLAS thread count
+    the process starts with.  Not claimed for weak-rate with ``eps``: its
+    fine-grid mollified products run at OpenBLAS's own thread count."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "command: kolmogorov-check\nseed: 5\nfunctional: {name: integral-square}\n"
+            "budget: {n_inner: 300, n_outer: 4}\n",
+            "command: error-representation\nseed: 5\nbudget: {n_outer: 6, n_inner: 32}\n",
+        ],
+        ids=["kolmogorov-check", "error-representation"],
+    )
+    def test_outputs_byte_identical_across_blas_threads(self, tmp_path, text):
+        cfg = write_config(tmp_path, text)
+        cmd = text.split("\n")[0].split(": ")[1]
+        src = str(Path(weakpathlab.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "weakpathlab.cli", cmd, "--config", cfg, "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode in (0, 1), proc.stderr
+            outs.append([(out / name).read_bytes() for name in ("report.csv", "summary.json")])
         assert outs[0] == outs[1]
