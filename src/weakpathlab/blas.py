@@ -44,9 +44,10 @@ def _candidates() -> list[str]:
         return sorted(bundled)
     try:
         with open("/proc/self/maps") as fh:
-            return sorted({line.split()[-1] for line in fh if "openblas" in os.path.basename(line.strip())})
+            mapped = {line.split()[-1] for line in fh}
     except OSError:
         return []
+    return sorted(p for p in mapped if "openblas" in os.path.basename(p))
 
 
 @functools.lru_cache(maxsize=1)
@@ -66,16 +67,9 @@ def _controls():
     return None
 
 
-class _Pin:
-    """Reference count of open :func:`one_thread` blocks and the count to restore."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.depth = 0
-        self.saved = 0
-
-
-_PIN = _Pin()
+# open one_thread blocks and the caller's count to restore after the last
+_LOCK = threading.Lock()
+_PIN = {"depth": 0, "saved": 0}
 
 
 @contextlib.contextmanager
@@ -86,18 +80,18 @@ def one_thread():
         yield
         return
     setter, getter = controls
-    with _PIN.lock:
-        if _PIN.depth == 0:
-            _PIN.saved = getter()
+    with _LOCK:
+        if _PIN["depth"] == 0:
+            _PIN["saved"] = getter()
             setter(1)
-        _PIN.depth += 1
+        _PIN["depth"] += 1
     try:
         yield
     finally:
-        with _PIN.lock:
-            _PIN.depth -= 1
-            if _PIN.depth == 0:
-                setter(_PIN.saved)
+        with _LOCK:
+            _PIN["depth"] -= 1
+            if _PIN["depth"] == 0:
+                setter(_PIN["saved"])
 
 
 def describe() -> dict:
