@@ -154,7 +154,7 @@ def _at_probes(
     t = _probe_times(grid, f.probe_times)
     if spec is None:
         return interpolate_values(grid.nodes, values, t, mode)
-    return values @ _probe_rows(spec, grid, mode, f.probe_times).T
+    return np.ascontiguousarray(values) @ _probe_rows(spec, grid, mode, f.probe_times).T
 
 
 def _feps_batch(
@@ -164,16 +164,21 @@ def _feps_batch(
     values: np.ndarray,
     mode: PathMode = PathMode.LINEAR,
 ) -> np.ndarray:
-    """f(M x) for every row of ``values``; f(x) when spec is None."""
+    """f(M x) for every row of ``values``; f(x) when spec is None.
+
+    The result does not depend on the layout of ``values``: step-major rows
+    from ``euler_scan`` give the same bits as C-ordered ones.  The probe
+    product and unmollified hooks read C-ordered rows, and ``BandRows``
+    fixes the layout of the mollified rows it returns.
+    """
     if f.probe_times is not None and f.probe_eval is not None:
         return f.probe_eval(_at_probes(f, spec, grid, mode, values))
-    if spec is not None:
-        mollified = _mollifier(spec, grid, mode)
-        if values.nbytes > _BLOCK_BYTES:
-            return _mollified_blocks(f, mollified, grid, values)
-        values = mollified(values)
-        mode = PathMode.LINEAR
-    return f.batch_eval(values, grid, mode)
+    if spec is None:
+        return f.batch_eval(np.ascontiguousarray(values), grid, mode)
+    mollified = _mollifier(spec, grid, mode)
+    if values.nbytes > _BLOCK_BYTES:
+        return _mollified_blocks(f, mollified, grid, values)
+    return f.batch_eval(mollified(values), grid, PathMode.LINEAR)
 
 
 def _fd1_batch(
@@ -190,12 +195,10 @@ def _fd1_batch(
         return f.probe_d1(
             _at_probes(f, spec, grid, mode, values), _at_probes(f, spec, grid, mode, directions)
         )
-    if spec is not None:
-        mollified = _mollifier(spec, grid, mode)
-        values = mollified(values)
-        directions = mollified(directions)
-        mode = PathMode.LINEAR
-    return f.batch_d1(values, directions, grid, mode)
+    if spec is None:
+        return f.batch_d1(np.ascontiguousarray(values), np.ascontiguousarray(directions), grid, mode)
+    mollified = _mollifier(spec, grid, mode)
+    return f.batch_d1(mollified(values), mollified(directions), grid, PathMode.LINEAR)
 
 
 def _mollifier(spec: MollifierSpec, grid: TimeGrid, mode: PathMode):

@@ -66,7 +66,11 @@ def trapezoid(y: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Trapezoid rule along the last axis of ``y``, one contraction with
     ``trapezoid_weights(nodes)``.  Every C-contiguous row is summed by the
     same loop, so a row's result does not depend on the rows batched with
-    it, and a single path equals its one-row batch bit for bit."""
+    it, and a single path equals its one-row batch bit for bit.  Step-major
+    rows (the transpose of a C-contiguous array, which class-tiled
+    mollifiers return) are summed in node order by another loop, the same
+    for every batch of two or more rows; they agree with C-ordered rows to
+    rounding."""
     return np.einsum("...j,j->...", y, trapezoid_weights(nodes))
 
 

@@ -14,9 +14,15 @@ For a fixed (grid, mode, eps) the map from node values to smoothed node
 values is linear; it is materialized once as a lower-triangular matrix and
 reused, which is what makes the nested Monte-Carlo estimators affordable.
 Row j is nonzero only on the band of nodes in [tau_j - eps, tau_j], so
-batches of rows are multiplied by column tiles of that band (``BandRows``),
-which skips the zeros outside it; the dense matrix stays the reference.
-The last ``CACHE_CAPACITY`` operators are kept with their tiles.
+batches of rows are multiplied by tiles of that band (``BandRows``), which
+skips the zeros outside it; the dense matrix stays the reference.  When
+the kernel samples fall on nodes (on a uniform grid, when
+eps N / kernel_samples is an even integer g and rounding keeps every sample
+on its node), output j reads only the columns c > 0 in one residue class
+mod g, so the band splits into g classes and the tiles skip the zeros
+inside it too (``BandTiles``).  g is read off the nonzeros of the built
+operator, never assumed.  The last ``CACHE_CAPACITY`` operators are kept
+with their tile plans.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .errors import InvalidArgumentError, ResolutionTooCoarseError
 
 __all__ = [
     "BandRows",
+    "BandTiles",
     "MollifierSpec",
     "band_tiles",
     "kernel_weights",
@@ -132,15 +139,39 @@ def mollify_operator(spec: MollifierSpec, grid: TimeGrid, mode: PathMode) -> np.
     return _cached(spec, grid, mode)[0]
 
 
-def band_tiles(spec: MollifierSpec, grid: TimeGrid, mode: PathMode) -> tuple:
-    """Column tiles (j0, j1, c0) of ``mollify_operator``'s A: rows j0..j1-1
-    are zero left of column c0.
-
-    The tiles are near-equal and at least max(32, band / 2) columns wide,
-    where band is the widest row span, so a tile of width w reads at most
-    w + band - 1 columns of each row instead of n.
-    """
+def band_tiles(spec: MollifierSpec, grid: TimeGrid, mode: PathMode) -> "BandTiles":
+    """The tile plan of ``mollify_operator``'s A for ``BandRows``: band
+    tiles within the residue classes mod g of its nonzeros (``BandTiles``)."""
     return _cached(spec, grid, mode)[1]
+
+
+@dataclass(frozen=True, eq=False)
+class BandTiles:
+    """How ``BandRows`` multiplies rows by A.T: every nonzero A[j, c] lies in
+    exactly one tile, or in the rank-one column term.
+
+    ``step`` is g, the largest step for which every nonzero A[j, c] with
+    c > 0 has the same (j - c) mod g (1 when no step above 1 does).  Output
+    j then reads only the columns of one residue class, so the rows and
+    columns of each class form a band matrix of their own.
+
+    Each tile is a pair (rows, cols) of slices of step g: the outputs
+    ``rows`` read the inputs ``cols`` and no other column above 0.  The
+    tiles of a class are near-equal and at least max(32, band / 2) rows
+    long, band being the widest row span in class units, so a tile of w
+    rows reads at most w + band - 1 columns instead of n / g.
+    - g = 1: one class; column 0 is inside the tiles, and the products read
+      the dense A.T, as the plain contiguous band tiles always did.
+    - g > 1: ``blocks`` holds each tile's A[rows, cols].T, C-contiguous, and
+      column 0, which carries the constant extension of x(0) to the left
+      of 0 and breaks the classes, is the rank-one term
+      ``column0[:, None] * x[:, 0]`` on the first ``column0.size`` outputs.
+    """
+
+    step: int
+    tiles: tuple
+    blocks: tuple
+    column0: np.ndarray
 
 
 def _cached(spec: MollifierSpec, grid: TimeGrid, mode: PathMode) -> tuple:
@@ -156,7 +187,6 @@ def _build(spec: MollifierSpec, grid: TimeGrid, mode: PathMode) -> tuple:
     u = spec.offsets()
     w = spec.weights()
     a = np.zeros((n, n))
-    first = np.zeros(n, dtype=np.intp)  # leftmost column row j touches
     for j in range(n):
         s = nodes[j] - u  # sample times, all < tau_j
         below = s <= 0.0
@@ -166,8 +196,6 @@ def _build(spec: MollifierSpec, grid: TimeGrid, mode: PathMode) -> tuple:
             si = s[inside]
             wi = w[inside]
             k = np.searchsorted(nodes, si, side="right") - 1
-            if not np.any(below):
-                first[j] = k.min()
             if mode is PathMode.CADLAG_STEP:
                 np.add.at(a[j], k, wi)
             else:
@@ -175,13 +203,37 @@ def _build(spec: MollifierSpec, grid: TimeGrid, mode: PathMode) -> tuple:
                 np.add.at(a[j], k, wi * (1.0 - lam))
                 np.add.at(a[j], k + 1, wi * lam)
     a.flags.writeable = False
-    # first is nondecreasing (the window slides right with tau_j), so
-    # first[j0] bounds every row of a tile starting at j0
-    band = int((np.arange(n) - first).max()) + 1
-    count = max(1, n // max(_MIN_TILE, band // 2))
-    edges = [i * n // count for i in range(count + 1)]
-    tiles = tuple((j0, j1, int(first[j0])) for j0, j1 in zip(edges[:-1], edges[1:]))
-    return a, tiles
+    return a, _plan(a)
+
+
+def _plan(a: np.ndarray) -> BandTiles:
+    n = a.shape[0]
+    rows, cols = np.nonzero(a)
+    shift = (rows - cols)[cols > 0]
+    g = int(np.gcd.reduce(shift - shift[0])) if shift.size else 0
+    g = g or 1  # 0 when every shift is equal: classes would gain nothing
+    lo = 0 if g == 1 else 1  # column 0 is the rank-one term when g > 1
+    first = np.full(n, n)  # leftmost column >= lo that row j touches
+    np.minimum.at(first, rows[cols >= lo], cols[cols >= lo])
+    touched = first < n
+    band = int(((np.arange(n) - first)[touched] // g).max(initial=0)) + 1
+    width = max(_MIN_TILE, band // 2)
+    tiles = []
+    for r in range(min(g, n)):
+        js = np.arange(r, n, g)
+        count = max(1, js.size // width)
+        edges = [i * js.size // count for i in range(count + 1)]
+        for e0, e1 in zip(edges[:-1], edges[1:]):
+            end = int(js[e1 - 1]) + 1
+            # a tile whose rows touch no column >= lo gets an empty column
+            # slice, so its product is 0
+            c0 = min(int(first[js[e0:e1]].min()), end)
+            tiles.append((slice(int(js[e0]), end, g), slice(c0, end, g)))
+    if g == 1:
+        return BandTiles(1, tuple(tiles), (), np.zeros(0))
+    blocks = tuple(np.ascontiguousarray(a[rs, cs].T) for rs, cs in tiles)
+    column0 = a[: np.flatnonzero(a[:, 0])[-1] + 1, 0].copy()
+    return BandTiles(g, tuple(tiles), blocks, column0)
 
 
 class BandRows:
@@ -189,8 +241,15 @@ class BandRows:
     @ A.T``, with A a mollifier operator and ``tiles`` its ``band_tiles``.
 
     The product is computed one band tile at a time and equals
-    ``values @ A.T`` up to rounding; one tile is exactly that product.  A
-    row holding a non-finite value gives a NaN row, as the dense product's
+    ``values @ A.T`` up to rounding; one tile is exactly that product.  It
+    does not depend on the layout of ``values``:
+    - g = 1: C-ordered rows (a copy of any other layout) are multiplied by
+      contiguous tiles of A.T, and the result is C-ordered.
+    - g > 1: the tiles read step-major rows (the transpose of a C-contiguous
+      (n, m) array, as ``euler_scan`` returns them; a copy of any other
+      layout), where each class slice is a BLAS-strided row block, and
+      write step-major rows, which are returned as they are.
+    A row holding a non-finite value gives a NaN row, as the dense product's
     0 * inf terms would.  It is spelled as one ``@`` with the dense
     operator on the right so that a wrapper of the operator that observes
     ``x @ A.T`` (as the benchmark's tracer does) sees one product of m rows.
@@ -198,7 +257,7 @@ class BandRows:
 
     __slots__ = ("values", "tiles")
 
-    def __init__(self, values: np.ndarray, tiles: tuple):
+    def __init__(self, values: np.ndarray, tiles: BandTiles):
         self.values = values
         self.tiles = tiles
 
@@ -208,11 +267,22 @@ class BandRows:
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is not np.matmul or method != "__call__" or kwargs or inputs[0] is not self:
             return NotImplemented
-        values, at = self.values, np.asarray(inputs[1])
-        out = np.empty(values.shape[:-1] + at.shape[-1:])
-        for j0, j1, c0 in self.tiles:
-            np.matmul(values[..., c0:j1], at[c0:j1, j0:j1], out=out[..., j0:j1])
-        if len(self.tiles) > 1:
+        plan, values, at = self.tiles, self.values, np.asarray(inputs[1])
+        if plan.step == 1:
+            x = np.ascontiguousarray(values)
+            out = np.empty(x.shape[:-1] + at.shape[-1:])
+            for rows, cols in plan.tiles:
+                np.matmul(x[..., cols], at[cols, rows], out=out[..., rows])
+        else:
+            x = values.reshape(-1, values.shape[-1])
+            if x.strides[0] != x.itemsize or x.strides[1] < x.shape[0] * x.itemsize:
+                x = np.ascontiguousarray(x.T).T
+            by_step = np.empty((at.shape[-1], x.shape[0]))
+            for (rows, cols), block in zip(plan.tiles, plan.blocks):
+                np.matmul(x[:, cols], block, out=by_step[rows].T)
+            by_step[: plan.column0.size] += np.multiply.outer(plan.column0, x[:, 0])
+            out = by_step.T.reshape(values.shape[:-1] + at.shape[-1:])
+        if len(plan.tiles) > 1:
             out[~np.isfinite(values).all(axis=-1)] = np.nan
         return out
 

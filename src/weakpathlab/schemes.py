@@ -16,7 +16,8 @@ nested grid driven by the same Brownian path.
 
 :func:`euler_scan` is the one implementation of the recursion: every scheme
 path, fine-grid reference and nested continuation in the package is computed
-by it, step-major over an (n_samples,) row of values.  The first-variation
+by it, step-major over an (n_samples,) row of values, and it stores the
+paths step-major too (one contiguous row per kept node).  The first-variation
 recursion of :func:`variation_values_batch` is multiplicative and kept apart.
 """
 
@@ -71,29 +72,50 @@ def euler_scan(
     ``start``..N-1, either as an (m, N - start) array or as a callable
     returning the contiguous (m,) row of step k, which lets multi-million-row
     batches draw one row per step instead of holding every increment.
-    ``keep`` lists the node columns to return in increasing order (default
-    ``start``..N), so the result is (m, len(keep)).  Non-finite values
-    propagate; nothing is checked here.
+    ``keep`` lists the node columns to return (default ``start``..N); it must
+    be a strictly increasing sequence of integers in [start, N].
+
+    The result is (m, len(keep)), stored step-major: it is the transpose of
+    a C-contiguous (len(keep), m) buffer that receives one contiguous row
+    per kept node, so its columns, not its rows, are contiguous.  Row
+    reductions that must not depend on memory layout take a C-ordered copy
+    (``_feps_batch`` does).  Non-finite values propagate; nothing is checked
+    here.
     """
     dt = np.diff(grid.nodes)
+    keep = _checked_keep(range(start, dt.size + 1) if keep is None else keep, start, dt.size)
     increments = map(dw, range(start, dt.size)) if callable(dw) else iter(dw.T)
-    slot = {int(c): j for j, c in enumerate(range(start, dt.size + 1) if keep is None else keep)}
-    out = np.empty((np.shape(x0)[0] if np.ndim(x0) else dw.shape[0], len(slot)))
-    x = np.empty(out.shape[0])
-    x[...] = x0
+    slot = {c: j for j, c in enumerate(keep)}
+    out = np.empty((len(slot), np.shape(x0)[0] if np.ndim(x0) else dw.shape[0]))
+    scratch = np.empty(out.shape[1])  # the current row while its node is not kept
+    scratch[...] = x0
+    x = scratch
     if start in slot:
-        out[:, slot[start]] = x
+        out[slot[start]] = x
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(start, dt.size):
             # fetch the increment row last: a drawn row lives only for this product
             drift = model.b(x) * dt[k]
             diffusion = model.sigma(x) * next(increments)
-            x += drift
-            x += diffusion
             j = slot.get(k + 1)
-            if j is not None:
-                out[:, j] = x
-    return out
+            step = scratch if j is None else out[j]
+            np.add(x, drift, out=step)
+            step += diffusion
+            x = step
+    return out.T
+
+
+def _checked_keep(keep, start: int, last: int) -> list:
+    """``keep`` as a list of ints, which must increase strictly within
+    [start, last]."""
+    cols = np.asarray(keep)
+    if cols.ndim != 1 or (cols.size and cols.dtype.kind not in "iu"):
+        raise InvalidArgumentError(f"keep must be a 1-D sequence of integers, got {keep!r}")
+    if cols.size and (cols[0] < start or cols[-1] > last or np.any(np.diff(cols) <= 0)):
+        raise InvalidArgumentError(
+            f"keep must increase strictly within [{start}, {last}], got {keep!r}"
+        )
+    return cols.tolist()
 
 
 def euler_nodes(model: SdeModel, w: BrownianPath) -> SchemeOutput:

@@ -2,9 +2,10 @@
 
 Budgets are pinned here; every tolerance comes from the criterion itself.
 The heavy ladder criteria dominate the runtime.  Criteria 1 and 3 run their
-``RateExperiment`` on every core (``THREADS``): the batch layout and streams
-do not depend on the thread count, so their numbers are those of a
-one-thread run (criterion 11 checks that contract).  Run with
+``RateExperiment``, and criterion 2 its ``covariance_bias`` calls, on every
+core (``THREADS``): the batch layout and streams do not depend on the thread
+count, so their numbers are those of a one-thread run (criterion 11 checks
+that contract).  Run with
 ``pytest tests/test_acceptance.py -s`` to watch the per-criterion lines.
 """
 
@@ -83,7 +84,7 @@ def test_criterion_02_covariance_bias_linear_in_delta():
     for k, delta in enumerate(LADDER):
         grid = wpl.make_uniform_grid(1.0, round(1.0 / delta))
         n = int(np.ceil(250_000 * (LADDER[0] / delta) ** 2))
-        point = wpl.covariance_bias(OU, 0.5, 1.0, grid, n, SeedSpec(202402, k))
+        point = wpl.covariance_bias(OU, 0.5, 1.0, grid, n, SeedSpec(202402, k), threads=THREADS)
         if abs(point.bias) > 4.0 * point.std_error:
             signal += 1
             ratios.append(abs(point.bias) / delta)

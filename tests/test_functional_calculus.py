@@ -38,7 +38,7 @@ from weakpathlab.functionals import (
     smooth_max_functional,
 )
 from weakpathlab.models import SdeModel, constant_model, ou_model, sine_model
-from weakpathlab.mollifier import MollifierSpec, mollify, mollify_operator
+from weakpathlab.mollifier import MollifierSpec, band_tiles, mollify, mollify_operator
 from weakpathlab.randomness import BrownianPath, SeedSpec, sample_brownian
 from weakpathlab.schemes import euler_values_batch, stochastic_interpolation_batch
 
@@ -149,25 +149,32 @@ class TestMollifiedBlocks:
 
 class TestNonFiniteRows:
     """A row with a non-finite value gives a non-finite f_eps, as the dense
-    product's 0 * inf terms do, although band tiles skip those terms."""
+    product's 0 * inf terms do, although band tiles skip those terms.  The
+    513- and 1025-node operators have residue-class tiles (g = 2 and 4),
+    where row 0's inf sits in column 0, the rank-one term."""
 
-    @pytest.mark.parametrize("nodes, eps", [(129, 2.0 / 128), (129, 0.25), (513, 0.25)])
+    @pytest.mark.parametrize(
+        "nodes, eps, step", [(129, 2.0 / 128, 1), (129, 0.25, 1), (513, 0.25, 2), (1025, 0.25, 4)]
+    )
     @pytest.mark.parametrize("mode", list(PathMode))
     @pytest.mark.parametrize(
         "f", [smooth_max_functional(4.0), SQUARE_INTEGRAL], ids=["smooth-max", "integral-square"]
     )
-    def test_same_rows_non_finite_as_dense(self, nodes, eps, mode, f):
+    def test_same_rows_non_finite_as_dense(self, nodes, eps, step, mode, f):
         spec, grid = MollifierSpec(eps), make_uniform_grid(1.0, nodes - 1)
+        assert band_tiles(spec, grid, mode).step == step
         rng = np.random.default_rng(53)
         x = np.cumsum(rng.standard_normal((nodes + 3, nodes)), axis=1) * 0.1
-        # row k is -inf or +inf at node k alone (the last node included);
-        # the last three rows stay finite
+        # row k is -inf or +inf at node k alone (the first and last nodes
+        # included); the last three rows stay finite
         x[np.arange(nodes), np.arange(nodes)] = np.where(np.arange(nodes) % 2, np.inf, -np.inf)
         with np.errstate(invalid="ignore"):
             got = fc._feps_batch(f, spec, grid, x, mode)
+            by_step = fc._feps_batch(f, spec, grid, np.ascontiguousarray(x.T).T, mode)
             dense = f.batch_eval(x @ mollify_operator(spec, grid, mode).T, grid, PathMode.LINEAR)
         assert np.array_equal(np.isfinite(got), np.arange(nodes + 3) >= nodes)
         assert np.array_equal(np.isfinite(got), np.isfinite(dense))
+        assert np.array_equal(got, by_step, equal_nan=True)
 
 
 class TestEstimateF:

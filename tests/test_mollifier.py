@@ -126,8 +126,30 @@ def band_product(spec, grid, mode, x):
     return BandRows(x, band_tiles(spec, grid, mode)) @ mollify_operator(spec, grid, mode).T
 
 
+def step_major(x):
+    """``x`` with the layout ``euler_scan`` returns: the transpose of a
+    C-contiguous (n, m) array."""
+    return np.ascontiguousarray(x.T).T
+
+
+def contiguous_tiles_product(x, a):
+    """The plain band-tile product: near-equal row tiles of A, each at least
+    max(32, band / 2) rows long, reading the columns from the leftmost
+    nonzero of its first row, column 0 included."""
+    n = a.shape[0]
+    first = np.argmax(a != 0, axis=1)
+    band = int((np.arange(n) - first).max()) + 1
+    count = max(1, n // max(32, band // 2))
+    edges = [i * n // count for i in range(count + 1)]
+    out = np.empty((x.shape[0], n))
+    for j0, j1 in zip(edges[:-1], edges[1:]):
+        c0 = first[j0]
+        np.matmul(x[:, c0:j1], a.T[c0:j1, j0:j1], out=out[:, j0:j1])
+    return out
+
+
 class TestBandTiles:
-    """Rows multiplied by the operator's band tiles against the dense
+    """Rows multiplied by the operator's tile plan against the dense
     product.  Both sum the same nonzero terms in possibly different orders,
     so they differ by at most 2 n u (|x| @ |A.T|) per entry."""
 
@@ -143,44 +165,66 @@ class TestBandTiles:
         assert np.all(np.abs(got - x @ a.T) <= tol)
 
     @staticmethod
-    def assert_tiles_cover_the_band(a, tiles):
-        assert tiles[0][0] == 0 and tiles[-1][1] == a.shape[0]
-        assert all(prev[1] == nxt[0] for prev, nxt in zip(tiles, tiles[1:]))
-        assert all(not a[j0:j1, :c0].any() for j0, j1, c0 in tiles)
+    def assert_plan_covers_every_nonzero_once(a, plan):
+        count = np.zeros(a.shape, dtype=int)
+        for rows, cols in plan.tiles:
+            assert rows.step == cols.step == plan.step
+            count[rows, cols] += 1
+        count[: plan.column0.size, 0] += 1
+        assert np.all(count[a != 0] == 1)
+        assert np.array_equal(count.sum(axis=1) > 0, np.ones(a.shape[0], dtype=bool))
+        if plan.step > 1:
+            assert np.array_equal(plan.column0, a[: plan.column0.size, 0])
+            assert not a[plan.column0.size :, 0].any()
+            for (rows, cols), block in zip(plan.tiles, plan.blocks):
+                assert block.flags.c_contiguous and np.array_equal(block, a[rows, cols].T)
+
+    def check(self, spec, grid, mode, rows, seed):
+        a, plan = mollify_operator(spec, grid, mode), band_tiles(spec, grid, mode)
+        self.assert_plan_covers_every_nonzero_once(a, plan)
+        x = self.paths(seed, rows, grid.nodes.size)
+        got = band_product(spec, grid, mode, x)
+        self.assert_within_rounding(got, x, a)
+        # step-major rows give the same bits; class tiles return step-major rows
+        assert np.array_equal(band_product(spec, grid, mode, step_major(x)), got)
+        assert (got.T if plan.step > 1 else got).flags.c_contiguous
+        return plan
 
     @pytest.mark.parametrize(
-        "nodes, eps, rows", [(129, 2.0 / 128, 200), (513, 0.25, 64), (1025, 0.25, 32), (2049, 0.25, 16)]
+        "nodes, eps, rows, step",
+        [(129, 2.0 / 128, 200, 1), (513, 0.25, 64, 2), (1025, 0.25, 32, 4), (2049, 0.25, 16, 8)],
     )
-    def test_matches_dense_to_rounding(self, nodes, eps, rows):
+    def test_matches_dense_to_rounding(self, nodes, eps, rows, step):
+        # eps N / kernel_samples = 0.25 N / 64 puts every kernel sample on a
+        # node at N = 512, 1024 and 2048: g = 2, 4 and 8
         spec, grid = MollifierSpec(eps), make_uniform_grid(1.0, nodes - 1)
-        a, tiles = mollify_operator(spec, grid, PathMode.LINEAR), band_tiles(spec, grid, PathMode.LINEAR)
-        assert len(tiles) > 1
-        self.assert_tiles_cover_the_band(a, tiles)
-        x = self.paths(nodes, rows, nodes)
-        self.assert_within_rounding(band_product(spec, grid, PathMode.LINEAR, x), x, a)
+        plan = self.check(spec, grid, PathMode.LINEAR, rows, nodes)
+        assert plan.step == step and len(plan.tiles) > 1
 
     def test_non_uniform_grid(self):
         rng = np.random.default_rng(61)
         nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 599)), [1.0]])
         grid = TimeGrid(nodes)
-        spec = MollifierSpec(4 * grid.mesh)
-        a, tiles = mollify_operator(spec, grid, PathMode.LINEAR), band_tiles(spec, grid, PathMode.LINEAR)
-        assert len(tiles) > 1
-        self.assert_tiles_cover_the_band(a, tiles)
-        x = self.paths(62, 50, nodes.size)
-        self.assert_within_rounding(band_product(spec, grid, PathMode.LINEAR, x), x, a)
+        plan = self.check(MollifierSpec(4 * grid.mesh), grid, PathMode.LINEAR, 50, 62)
+        assert plan.step == 1 and len(plan.tiles) > 1
 
     def test_cadlag_step_mode(self):
         spec, grid = MollifierSpec(0.25), make_uniform_grid(1.0, 512)
-        a = mollify_operator(spec, grid, PathMode.CADLAG_STEP)
-        tiles = band_tiles(spec, grid, PathMode.CADLAG_STEP)
-        self.assert_tiles_cover_the_band(a, tiles)
-        x = self.paths(63, 50, 513)
-        self.assert_within_rounding(band_product(spec, grid, PathMode.CADLAG_STEP, x), x, a)
+        assert self.check(spec, grid, PathMode.CADLAG_STEP, 50, 63).step == 2
+        assert self.check(spec, make_uniform_grid(1.0, 128), PathMode.CADLAG_STEP, 50, 65).step == 1
+
+    @pytest.mark.parametrize("nodes, eps", [(129, 2.0 / 128), (129, 0.25), (201, 0.1)])
+    def test_step_one_is_the_contiguous_band_tiles(self, nodes, eps):
+        spec, grid = MollifierSpec(eps), make_uniform_grid(1.0, nodes - 1)
+        a = mollify_operator(spec, grid, PathMode.LINEAR)
+        assert band_tiles(spec, grid, PathMode.LINEAR).step == 1
+        x = self.paths(66, 300, nodes)
+        assert np.array_equal(band_product(spec, grid, PathMode.LINEAR, x), contiguous_tiles_product(x, a))
 
     def test_one_tile_is_the_dense_product(self):
         spec, grid = MollifierSpec(0.25), make_uniform_grid(1.0, 32)
-        assert band_tiles(spec, grid, PathMode.LINEAR) == ((0, 33, 0),)
+        plan = band_tiles(spec, grid, PathMode.LINEAR)
+        assert plan.step == 1 and plan.tiles == ((slice(0, 33, 1), slice(0, 33, 1)),)
         x = self.paths(64, 1000, 33)
         a = mollify_operator(spec, grid, PathMode.LINEAR)
         assert np.array_equal(band_product(spec, grid, PathMode.LINEAR, x), x @ a.T)
@@ -211,7 +255,8 @@ class TestCaches:
         again = mollify_operator(self.spec(100), GRID, PathMode.LINEAR)
         assert again is not first
         assert np.array_equal(again, first)
-        assert band_tiles(self.spec(100), GRID, PathMode.LINEAR) == tiles
+        rebuilt = band_tiles(self.spec(100), GRID, PathMode.LINEAR)
+        assert (rebuilt.step, rebuilt.tiles) == (tiles.step, tiles.tiles)
 
     def test_recent_use_keeps_an_operator(self):
         kept = mollify_operator(self.spec(200), GRID, PathMode.LINEAR)

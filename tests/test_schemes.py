@@ -76,7 +76,7 @@ class TestEulerScan:
         per_row = 0.2 + np.linspace(-1.0, 1.0, rows)
         for x0 in (0.7, per_row):
             want = reference_euler(model, self.GRID, x0, dw, start)
-            assert np.array_equal(euler_scan(model, self.GRID, x0, dw, start=start), want)
+            got = euler_scan(model, self.GRID, x0, dw, start=start)
             # the same steps from a callable source of step rows, which needs
             # one start value per row
             by_step = np.ascontiguousarray(dw.T)
@@ -84,10 +84,29 @@ class TestEulerScan:
                 model, self.GRID, np.broadcast_to(x0, (rows,)), lambda k: by_step[k - start],
                 start=start,
             )
-            assert np.array_equal(lazy, want)
             keep = [start, (start + 64) // 2, 64] if start < 63 else [64]
             subset = euler_scan(model, self.GRID, x0, dw, start=start, keep=keep)
-            assert np.array_equal(subset, want[:, np.asarray(keep) - start])
+            for result, columns in ((got, slice(None)), (lazy, slice(None)), (subset, np.asarray(keep) - start)):
+                assert np.array_equal(result, want[:, columns])
+                # step-major: one contiguous row per kept node
+                assert result.T.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "keep", [[0, 10, 10, 99], [5, 10, 10], [4, 10], [5, 17], [10, 5], [5.0, 10.0], [[5, 10]]]
+    )
+    def test_rejects_a_bad_keep(self, keep):
+        # keep must be a strictly increasing sequence of integers in [start, N]
+        grid = make_uniform_grid(1.0, 16)
+        with pytest.raises(InvalidArgumentError):
+            euler_scan(ou_model(1.0, 1.0, 1.0), grid, 0.5, np.zeros((3, 11)), start=5, keep=keep)
+
+    def test_accepts_every_valid_keep(self):
+        grid = make_uniform_grid(1.0, 16)
+        dw = self.increments(3, 5, 9)[:, :11]
+        full = euler_scan(ou_model(1.0, 1.0, 1.0), grid, 0.5, dw, start=5)
+        for keep in ([5, 16], np.array([6, 7, 15]), range(5, 17), []):
+            got = euler_scan(ou_model(1.0, 1.0, 1.0), grid, 0.5, dw, start=5, keep=keep)
+            assert np.array_equal(got, full[:, np.asarray(keep, dtype=int) - 5])
 
     def test_values_batch_matches_reference_loop(self):
         for model in self.MODELS.values():
@@ -224,14 +243,19 @@ class TestStochasticInterpolation:
 class TestFineReference:
     def test_ou_terminal_mean(self):
         # closed-form oracle: E X(1) = e^{-1}; fine Euler within 4 SE + O(mesh)
+        # one batch over the increments of 20,000 sampled Brownian paths
         model = ou_model(1.0, 1.0, 1.0)
         fine = make_uniform_grid(1.0, 256)
         seed = SeedSpec(10)
         n = 20_000
-        vals = np.empty(n)
-        for i in range(n):
-            w = sample_brownian(fine, seed.with_stream(i))
-            vals[i] = fine_reference(model, w, coarse_mesh=0.25, min_refinement=64).values[-1]
+        paths = [sample_brownian(fine, seed.with_stream(i)) for i in range(n)]
+        dw = np.diff([w.values for w in paths], axis=1)
+        batch = euler_values_batch(model, fine, dw)
+        # the batch's rows are fine_reference's paths bit for bit
+        for i in (0, 1, 9_999, n - 1):
+            ref = fine_reference(model, paths[i], coarse_mesh=0.25, min_refinement=64)
+            assert np.array_equal(ref.values, batch[i])
+        vals = batch[:, -1]
         se = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - np.exp(-1.0)) <= 4 * se + 2.0 / 256
 
