@@ -178,7 +178,8 @@ def _feps_batch(
     mollified = _mollifier(spec, grid, mode)
     if values.nbytes > _BLOCK_BYTES:
         return _mollified_blocks(f, mollified, grid, values)
-    return f.batch_eval(mollified(values), grid, PathMode.LINEAR)
+    values = mollified(values)  # frees the raw rows before the hook runs
+    return f.batch_eval(values, grid, PathMode.LINEAR)
 
 
 def _fd1_batch(
@@ -196,9 +197,11 @@ def _fd1_batch(
             _at_probes(f, spec, grid, mode, values), _at_probes(f, spec, grid, mode, directions)
         )
     if spec is None:
-        return f.batch_d1(np.ascontiguousarray(values), np.ascontiguousarray(directions), grid, mode)
-    mollified = _mollifier(spec, grid, mode)
-    return f.batch_d1(mollified(values), mollified(directions), grid, PathMode.LINEAR)
+        values, directions = np.ascontiguousarray(values), np.ascontiguousarray(directions)
+    else:
+        mollified = _mollifier(spec, grid, mode)
+        values, directions, mode = mollified(values), mollified(directions), PathMode.LINEAR
+    return f.batch_d1(values, directions, grid, mode)
 
 
 def _mollifier(spec: MollifierSpec, grid: TimeGrid, mode: PathMode):

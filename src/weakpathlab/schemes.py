@@ -83,9 +83,9 @@ def euler_scan(
     here.
     """
     dt = np.diff(grid.nodes)
-    keep = _checked_keep(range(start, dt.size + 1) if keep is None else keep, start, dt.size)
+    cols = range(start, dt.size + 1) if keep is None else _checked_keep(keep, start, dt.size)
     increments = map(dw, range(start, dt.size)) if callable(dw) else iter(dw.T)
-    slot = {c: j for j, c in enumerate(keep)}
+    slot = {c: j for j, c in enumerate(cols)}
     out = np.empty((len(slot), np.shape(x0)[0] if np.ndim(x0) else dw.shape[0]))
     scratch = np.empty(out.shape[1])  # the current row while its node is not kept
     scratch[...] = x0
