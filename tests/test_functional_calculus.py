@@ -177,6 +177,28 @@ class TestNonFiniteRows:
         assert np.array_equal(got, by_step, equal_nan=True)
 
 
+class TestLayout:
+    """f_eps and its derivative give the same bits for the step-major rows
+    euler_scan returns as for C-ordered rows."""
+
+    @pytest.mark.parametrize("nodes, eps", [(129, None), (129, 2.0 / 128), (513, 0.25)])
+    @pytest.mark.parametrize(
+        "f",
+        [point_functional(0.7), product_functional(0.3, 1.0), SQUARE_INTEGRAL],
+        ids=["point", "product", "integral-square"],
+    )
+    def test_step_major_rows_give_the_same_bits(self, nodes, eps, f):
+        spec = None if eps is None else MollifierSpec(eps)
+        grid = make_uniform_grid(1.0, nodes - 1)
+        rng = np.random.default_rng(54)
+        x = np.cumsum(rng.standard_normal((300, nodes)), axis=1) * 0.1
+        h = rng.standard_normal((300, nodes))
+        by_step = [np.ascontiguousarray(v.T).T for v in (x, h)]
+        want = fc._feps_batch(f, spec, grid, x), fc._fd1_batch(f, spec, grid, x, h)
+        got = fc._feps_batch(f, spec, grid, by_step[0]), fc._fd1_batch(f, spec, grid, *by_step)
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+
+
 class TestEstimateF:
     def test_full_horizon_is_deterministic(self):
         w = sample_brownian(FINE, SeedSpec(1)).path

@@ -102,7 +102,7 @@ class TestEulerScan:
 
     def test_accepts_every_valid_keep(self):
         grid = make_uniform_grid(1.0, 16)
-        dw = self.increments(3, 5, 9)[:, :11]
+        dw = 0.25 * SeedSpec(9).rng().standard_normal((3, 11))
         full = euler_scan(ou_model(1.0, 1.0, 1.0), grid, 0.5, dw, start=5)
         for keep in ([5, 16], np.array([6, 7, 15]), range(5, 17), []):
             got = euler_scan(ou_model(1.0, 1.0, 1.0), grid, 0.5, dw, start=5, keep=keep)
