@@ -56,7 +56,6 @@ from .functionals import (
 )
 from .models import (
     SdeModel,
-    check_assumptions,
     constant_model,
     ou_exact_moments,
     ou_model,
@@ -67,16 +66,12 @@ from .randomness import (
     BrownianPath,
     SeedSpec,
     haar_coefficients,
-    refine_brownian,
     sample_brownian,
     schauder_reconstruct,
 )
 from .schemes import (
     SchemeOutput,
-    VariationPath,
     euler_nodes,
-    fine_reference,
-    first_variation,
     stochastic_interpolation,
 )
 from .weak_error import (

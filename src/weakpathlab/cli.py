@@ -34,7 +34,7 @@ import numpy as np
 import yaml
 
 from . import __version__, blas
-from .core_paths import DiscretePath, PathMode, TimeGrid, make_uniform_grid, refine_grid, sup_norm
+from .core_paths import DiscretePath, PathMode, TimeGrid, make_uniform_grid, refine_grid
 from .errors import (
     BudgetExceededError,
     ConfigError,
@@ -43,6 +43,7 @@ from .errors import (
     UnknownNameError,
 )
 from .functional_calculus import (
+    ResidualReport,
     error_representation_sides,
     ito_rms_study,
     kolmogorov_residual,
@@ -56,8 +57,8 @@ from .functionals import (
     smooth_max_functional,
 )
 from .models import SdeModel, constant_model, ou_model, sine_model
-from .mollifier import MollifierSpec, mollify
-from .randomness import SeedSpec, sample_brownian
+from .mollifier import MollifierSpec, audit
+from .randomness import SeedSpec
 from .weak_error import (
     ClosedFormReference,
     FineGridReference,
@@ -80,52 +81,70 @@ COMMANDS = (
 
 DEFAULT_DELTAS = [2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6]
 
-# documented defaults, filled in key by key at parse time; a config with no
-# ``functional`` section gets the command's whole default functional below, so
-# a user's functional never mixes with another functional's parameters
+# eps itself, else epsilon_mesh_multiple times the command's mesh
+_MESH_EPSILON = {"epsilon": None, "epsilon_mesh_multiple": 2.0}
+
+# every key of grid, mollifier, budget, check and reference that a command
+# reads, with its default (None: off), and its default model; parse_config
+# fills them in key by key and rejects every other key of those sections.  A
+# config with no ``functional`` section gets the command's whole default
+# functional below, so a user's functional never mixes with another
+# functional's parameters
 _COMMAND_DEFAULTS = {
     "weak-rate": {
         "grid": {"T": 1.0, "deltas": DEFAULT_DELTAS},
-        "budget": {"n_samples": 1_000_000},
+        "mollifier": {"epsilon": None},
+        "budget": {"n_samples": 1_000_000, "batch_size": 1 << 17},
+        "check": {"rate_range": [0.7, 1.3]},
+        "reference": {"kind": "closed-form", "factor": 64},
         "model": {"name": "ou"},
     },
     "covariance-bias": {
         "grid": {"T": 1.0, "deltas": DEFAULT_DELTAS},
-        "budget": {"n_samples": 1_000_000},
+        "budget": {"n_samples": 1_000_000, "batch_size": 1 << 17},
+        "check": {"ratio_max": 3.0},
         "model": {"name": "ou"},
     },
     "gap-stats": {
         "grid": {"T": 1.0, "n_steps": 8, "fine_factor": 64},
         "budget": {"n_samples": 20_000},
+        # no sup4_bound: the pure-noise bound for constant(0, sigma), else no check
+        "check": {"n_probes": 16, "sup4_bound": None},
         "model": {"name": "constant"},
     },
     "kolmogorov-check": {
         "grid": {"T": 1.0, "n_steps": 128},
+        "mollifier": _MESH_EPSILON,
         "budget": {"n_inner": 1000, "n_outer": 1000},
+        "check": {"t": 0.5, "bump": None, "allowance_rel": 0.1},
         "model": {"name": "ou"},
-        "check": {"t": 0.5},
     },
     "martingale-check": {
         "grid": {"T": 1.0, "n_steps": 128},
+        "mollifier": _MESH_EPSILON,
         "budget": {"n_samples": 256, "n_inner": 256},
-        "model": {"name": "ou"},
         "check": {"times": [0.25, 0.75]},
+        "model": {"name": "ou"},
     },
     "ito-check": {
         "grid": {"T": 1.0},
         "budget": {"n_samples": 10_000},
-        "check": {"meshes": [16, 32, 64, 128, 256]},
+        "check": {"meshes": [16, 32, 64, 128, 256], "ratio_range": [1.2, 1.7]},
     },
     "error-representation": {
         "grid": {"T": 0.25, "n_steps": 2, "fine_factor": 64},
+        "mollifier": _MESH_EPSILON,
         "budget": {"n_outer": 256, "n_inner": 256, "inner_cap": 200_000_000},
+        "check": {"quad_per_interval": 4, "bump": None, "freeze": True},
         "model": {"name": "ou"},
     },
     "mollifier-audit": {
         "grid": {"T": 1.0, "n_steps": 256},
+        "mollifier": {**_MESH_EPSILON, "kernel_samples": 64},
         "check": {"n_paths": 1000},
     },
 }
+_SCALAR_SECTIONS = ("grid", "mollifier", "budget", "check", "reference")
 
 # the functional a command evaluates when the config has none; its parameters
 # take build_functional's defaults relative to the horizon T
@@ -137,26 +156,13 @@ _DEFAULT_FUNCTIONAL = {
     "error-representation": {"name": "point"},
 }
 
-_POSITIVE_BUDGET_KEYS = ("n_samples", "n_inner", "n_outer", "inner_cap", "batch_size")
+_TOP_LEVEL = {"command", "seed", "out_dir", "threads", "model", "functional", *_SCALAR_SECTIONS}
 
-_ALLOWED = {
-    "": {"command", "seed", "out_dir", "threads", "model", "functional", "grid",
-         "mollifier", "budget", "check", "reference"},
-    "model": {"name", "theta", "sigma", "xi0", "a", "c", "drift", "diffusion"},
-    "functional": {"name", "t1", "t2", "beta"},
-    "grid": {"T", "deltas", "n_steps", "fine_factor"},
-    "mollifier": {"epsilon", "epsilon_mesh_multiple", "kernel_samples"},
-    "budget": {"n_samples", "n_inner", "n_outer", "inner_cap", "batch_size"},
-    "check": {"t", "times", "meshes", "rate_range", "ratio_max", "ratio_range",
-              "quad_per_interval", "sup4_bound", "n_paths", "allowance_rel",
-              "bump", "freeze", "n_probes"},
-    "reference": {"kind", "factor"},
-}
-
-_MODEL_KEYS = {
-    "ou": {"theta", "sigma", "xi0"},
-    "sine": {"a", "c", "xi0"},
-    "constant": {"drift", "diffusion", "xi0"},
+# each shipped model's constructor and its parameter defaults
+_MODELS = {
+    "ou": (ou_model, {"theta": 1.0, "sigma": 1.0, "xi0": 1.0}),
+    "sine": (sine_model, {"a": 0.5, "c": 1.0, "xi0": 0.5}),
+    "constant": (constant_model, {"drift": 0.0, "diffusion": 1.0, "xi0": 0.0}),
 }
 _FUNCTIONAL_KEYS = {
     "product": {"t1", "t2"},
@@ -197,12 +203,11 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _reject_unknown(section: str, obj: dict):
-    allowed = _ALLOWED[section]
-    for key in obj:
-        if key not in allowed:
-            prefix = f"{section}." if section else ""
-            raise ConfigError("unknown key", key_path=f"{prefix}{key}")
+def _integer(value, key_path: str, least: int) -> int:
+    """``value`` if it is an integer (not a bool) of at least ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ConfigError(f"must be an integer >= {least}, got {value!r}", key_path=key_path)
+    return value
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -213,45 +218,33 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"not valid YAML: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a mapping")
-    _reject_unknown("", doc)
-    for section in ("model", "functional", "grid", "mollifier", "budget", "check", "reference"):
-        sub = doc.get(section, {})
-        if not isinstance(sub, dict):
-            raise ConfigError("must be a mapping", key_path=section)
-        _reject_unknown(section, sub)
-
+    for key in doc:
+        if key not in _TOP_LEVEL:
+            raise ConfigError("unknown key", key_path=key)
     command = doc.get("command")
     if command not in COMMANDS:
         raise ConfigError(f"command must be one of {COMMANDS}, got {command!r}", key_path="command")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}", key_path="seed")
-    threads = doc.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigError(f"threads must be a positive integer, got {threads!r}", key_path="threads")
 
     cfg = ExperimentConfig(
         command=command,
-        seed=seed,
-        threads=threads,
+        seed=_integer(doc.get("seed", 0), "seed", 0),
+        threads=_integer(doc.get("threads", 1), "threads", 1),
         out_dir=doc.get("out_dir"),
-        model=dict(doc.get("model", {})),
-        functional=dict(doc.get("functional", {})),
-        grid=dict(doc.get("grid", {})),
-        mollifier=dict(doc.get("mollifier", {})),
-        budget=dict(doc.get("budget", {})),
-        check=dict(doc.get("check", {})),
-        reference=dict(doc.get("reference", {})),
     )
-    for section, defaults in _COMMAND_DEFAULTS.get(command, {}).items():
+    for section in ("model", "functional", *_SCALAR_SECTIONS):
+        sub = doc.get(section, {})
+        if not isinstance(sub, dict):
+            raise ConfigError("must be a mapping", key_path=section)
+        defaults = _COMMAND_DEFAULTS[command].get(section, {})
+        for key in sub:
+            if section in _SCALAR_SECTIONS and key not in defaults:
+                raise ConfigError(f"{command} reads no such key", key_path=f"{section}.{key}")
         target = getattr(cfg, section)
+        target.update(sub)
         for key, value in defaults.items():
             target.setdefault(key, list(value) if isinstance(value, list) else value)
-    for key in _POSITIVE_BUDGET_KEYS:
-        value = cfg.budget.get(key)
-        if value is not None and (not isinstance(value, int) or value < 1):
-            raise ConfigError(f"must be a positive integer, got {value!r}",
-                              key_path=f"budget.{key}")
+    for key, value in cfg.budget.items():
+        _integer(value, f"budget.{key}", 1)
     # build eagerly so typos and invalid parameter values fail at parse time
     try:
         if cfg.model:
@@ -261,26 +254,24 @@ def parse_config(text: str) -> ExperimentConfig:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid model or functional parameter: {exc}") from exc
-    ref_kind = cfg.reference.get("kind", "closed-form")
-    if ref_kind not in ("closed-form", "fine-grid"):
-        raise ConfigError(f"unknown reference kind {ref_kind!r}", key_path="reference.kind")
+    if cfg.reference and cfg.reference["kind"] not in ("closed-form", "fine-grid"):
+        raise ConfigError(f"unknown reference kind {cfg.reference['kind']!r}",
+                          key_path="reference.kind")
     return cfg
 
 
 def build_model(spec: dict) -> SdeModel:
-    name = spec.get("name")
-    if name not in _MODEL_KEYS:
-        raise UnknownNameError(f"unknown model {name!r}; shipped: {sorted(_MODEL_KEYS)}",
+    params = dict(spec)
+    name = params.pop("name", None)
+    if name not in _MODELS:
+        raise UnknownNameError(f"unknown model {name!r}; shipped: {sorted(_MODELS)}",
                                key_path="model.name")
-    extra = set(spec) - {"name"} - _MODEL_KEYS[name]
+    make, defaults = _MODELS[name]
+    extra = set(params) - set(defaults)
     if extra:
         raise ConfigError(f"parameters {sorted(extra)} do not belong to model {name!r}",
                           key_path="model")
-    if name == "ou":
-        return ou_model(spec.get("theta", 1.0), spec.get("sigma", 1.0), spec.get("xi0", 1.0))
-    if name == "sine":
-        return sine_model(spec.get("a", 0.5), spec.get("c", 1.0), spec.get("xi0", 0.5))
-    return constant_model(spec.get("drift", 0.0), spec.get("diffusion", 1.0), spec.get("xi0", 0.0))
+    return make(**{**defaults, **params})
 
 
 def build_functional(spec: dict, horizon: float) -> PathFunctional:
@@ -316,10 +307,8 @@ def command_functional(cfg: ExperimentConfig) -> PathFunctional | None:
 
 
 def _epsilon(cfg: ExperimentConfig, mesh: float) -> float:
-    if "epsilon" in cfg.mollifier:
-        return float(cfg.mollifier["epsilon"])
-    mult = cfg.mollifier.get("epsilon_mesh_multiple", 2.0)
-    return float(mult) * mesh
+    eps = cfg.mollifier["epsilon"]
+    return float(cfg.mollifier["epsilon_mesh_multiple"]) * mesh if eps is None else float(eps)
 
 
 def _check_entry(name, value, std_error, tolerance, passed, budget, seed) -> dict:
@@ -341,29 +330,39 @@ def _csv_table(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _residual_result(name: str, column: str, report: ResidualReport, budget_keys, seed):
+    """The check, CSV and extras of a ``ResidualReport``."""
+    components = report.components
+    checks = [
+        _check_entry(
+            name, report.residual, components.get("std_error"), report.tolerance, report.passed,
+            {key: components.get(key) for key in budget_keys}, seed,
+        )
+    ]
+    rows = [[report.residual, report.tolerance, int(report.passed)]]
+    return checks, _csv_table([column, "tolerance", "passed"], rows), dict(components)
+
+
 # ---------------------------------------------------------------------------
 # command implementations: each returns (checks, csv_text, extra_summary)
 
 
 def _run_weak_rate(cfg: ExperimentConfig):
-    model = build_model(cfg.model)
-    functional = command_functional(cfg)
-    deltas = tuple(cfg.grid.get("deltas", DEFAULT_DELTAS))
-    horizon = float(cfg.grid.get("T", 1.0))
-    if cfg.reference.get("kind", "closed-form") == "fine-grid":
-        reference = FineGridReference(int(cfg.reference.get("factor", 64)))
+    deltas = tuple(cfg.grid["deltas"])
+    if cfg.reference["kind"] == "fine-grid":
+        reference = FineGridReference(int(cfg.reference["factor"]))
     else:
         reference = ClosedFormReference()
     exp = RateExperiment(
-        model=model,
-        functional=functional,
-        horizon=horizon,
+        model=build_model(cfg.model),
+        functional=command_functional(cfg),
+        horizon=float(cfg.grid["T"]),
         deltas=deltas,
-        n_base=int(cfg.budget.get("n_samples", 1_000_000)),
+        n_base=int(cfg.budget["n_samples"]),
         reference=reference,
         seed=SeedSpec(cfg.seed),
-        eps=cfg.mollifier.get("epsilon"),
-        batch_size=int(cfg.budget.get("batch_size", 1 << 17)),
+        eps=cfg.mollifier["epsilon"],
+        batch_size=int(cfg.budget["batch_size"]),
         threads=cfg.threads,
     )
     report = weak_rate_experiment(exp)
@@ -371,7 +370,7 @@ def _run_weak_rate(cfg: ExperimentConfig):
         raise InsufficientSignalError(
             f"only {report.signal_rungs} signal rungs; need 3 for a rate fit"
         )
-    lo, hi = cfg.check.get("rate_range", [0.7, 1.3])
+    lo, hi = cfg.check["rate_range"]
     passed = lo <= report.fitted_rate <= hi
     checks = [
         _check_entry(
@@ -388,21 +387,21 @@ def _run_weak_rate(cfg: ExperimentConfig):
 def _run_covariance_bias(cfg: ExperimentConfig):
     model = build_model(cfg.model)
     functional = command_functional(cfg)
-    if cfg.functional.get("name", "product") != "product":
+    if cfg.functional and cfg.functional["name"] != "product":
         raise InvalidArgumentError(
             f"covariance-bias takes the product functional, not {functional.name}"
         )
     t1, t2 = functional.probe_times
-    deltas = list(cfg.grid.get("deltas", DEFAULT_DELTAS))
-    horizon = float(cfg.grid.get("T", 1.0))
-    n_base = int(cfg.budget.get("n_samples", 1_000_000))
+    deltas = list(cfg.grid["deltas"])
+    horizon = float(cfg.grid["T"])
+    n_base = int(cfg.budget["n_samples"])
     rows, signal = [], []
     for k, delta in enumerate(deltas):
         grid = make_uniform_grid(horizon, round(horizon / delta))
         n = int(np.ceil(n_base * (deltas[0] / delta) ** 2))
         point = covariance_bias(
             model, t1, t2, grid, n, SeedSpec(cfg.seed, k),
-            batch_size=int(cfg.budget.get("batch_size", 1 << 17)), threads=cfg.threads,
+            batch_size=int(cfg.budget["batch_size"]), threads=cfg.threads,
         )
         rows.append([point.delta, point.n_samples, point.bias, point.std_error, point.excluded])
         if abs(point.bias) > 4.0 * point.std_error:
@@ -411,7 +410,7 @@ def _run_covariance_bias(cfg: ExperimentConfig):
         raise InsufficientSignalError("fewer than 2 signal rungs in the covariance ladder")
     ratios = [abs(p.bias) / p.delta for p in signal]
     spread = max(ratios) / min(ratios)
-    ratio_max = float(cfg.check.get("ratio_max", 3.0))
+    ratio_max = float(cfg.check["ratio_max"])
     checks = [
         _check_entry(
             "covariance-bias-linearity", spread, None, ratio_max, spread <= ratio_max,
@@ -425,17 +424,14 @@ def _run_covariance_bias(cfg: ExperimentConfig):
 def _run_gap_stats(cfg: ExperimentConfig):
     model = build_model(cfg.model)
     functional = command_functional(cfg)
-    horizon = float(cfg.grid.get("T", 1.0))
-    n_steps = int(cfg.grid.get("n_steps", 8))
-    factor = int(cfg.grid.get("fine_factor", 64))
-    grid = make_uniform_grid(horizon, n_steps)
-    fine = refine_grid(grid, factor)
+    grid = make_uniform_grid(float(cfg.grid["T"]), int(cfg.grid["n_steps"]))
+    fine = refine_grid(grid, int(cfg.grid["fine_factor"]))
     report = interpolation_gap_stats(
         model, grid, fine,
-        int(cfg.budget.get("n_samples", 20_000)),
+        int(cfg.budget["n_samples"]),
         SeedSpec(cfg.seed),
         functional=functional,
-        n_probes=int(cfg.check.get("n_probes", 16)),
+        n_probes=int(cfg.check["n_probes"]),
         threads=cfg.threads,
     )
     checks = [
@@ -445,8 +441,9 @@ def _run_gap_stats(cfg: ExperimentConfig):
             {"n_samples": report.n_samples, "n_probes": int(report.probe_times.size)}, cfg.seed,
         )
     ]
-    pure_noise = model.name == "constant" and model.params.get("drift") == 0.0
-    sup4_bound = cfg.check.get("sup4_bound", 1.25 * 48.0 * (4.0 / 3.0) ** 4 if pure_noise else None)
+    sup4_bound = cfg.check["sup4_bound"]
+    if sup4_bound is None and model.name == "constant" and model.params["drift"] == 0.0:
+        sup4_bound = 1.25 * 48.0 * (4.0 / 3.0) ** 4  # the pure-noise bound
     if sup4_bound is not None:
         checks.append(
             _check_entry(
@@ -474,72 +471,45 @@ def _run_gap_stats(cfg: ExperimentConfig):
 
 def _run_kolmogorov(cfg: ExperimentConfig):
     model = build_model(cfg.model)
-    functional = command_functional(cfg)
-    horizon = float(cfg.grid.get("T", 1.0))
-    n_steps = int(cfg.grid.get("n_steps", 128))
-    fine = make_uniform_grid(horizon, n_steps)
-    t = float(cfg.check.get("t", 0.5))
-    i_t = fine.index_near(t)
+    fine = make_uniform_grid(float(cfg.grid["T"]), int(cfg.grid["n_steps"]))
+    i_t = fine.index_near(float(cfg.check["t"]))
     prefix = DiscretePath(
         TimeGrid(fine.nodes[: i_t + 1]),
         np.full(i_t + 1, model.xi0),
         PathMode.LINEAR,
     )
-    eps = _epsilon(cfg, fine.mesh)
     report = kolmogorov_residual(
-        model, prefix, functional, eps,
-        int(cfg.budget.get("n_inner", 1000)),
+        model, prefix, command_functional(cfg), _epsilon(cfg, fine.mesh),
+        int(cfg.budget["n_inner"]),
         SeedSpec(cfg.seed), fine,
-        n_outer=int(cfg.budget.get("n_outer", 1000)),
-        bump=cfg.check.get("bump"),
-        allowance_rel=float(cfg.check.get("allowance_rel", 0.1)),
+        n_outer=int(cfg.budget["n_outer"]),
+        bump=cfg.check["bump"],
+        allowance_rel=float(cfg.check["allowance_rel"]),
     )
-    checks = [
-        _check_entry(
-            "kolmogorov-residual", report.residual, report.components["std_error"],
-            report.tolerance, report.passed,
-            {"n_outer": report.components["n_outer"], "n_inner": report.components["n_inner"]},
-            cfg.seed,
-        )
-    ]
-    rows = [[report.residual, report.tolerance, int(report.passed)]]
-    return checks, _csv_table(["residual", "tolerance", "passed"], rows), dict(report.components)
+    return _residual_result("kolmogorov-residual", "residual", report,
+                            ("n_outer", "n_inner"), cfg.seed)
 
 
 def _run_martingale(cfg: ExperimentConfig):
-    model = build_model(cfg.model)
-    functional = command_functional(cfg)
-    horizon = float(cfg.grid.get("T", 1.0))
-    fine = make_uniform_grid(horizon, int(cfg.grid.get("n_steps", 128)))
-    times = cfg.check.get("times", [0.25, 0.75])
+    fine = make_uniform_grid(float(cfg.grid["T"]), int(cfg.grid["n_steps"]))
+    s, t = cfg.check["times"]
     report = martingale_gap(
-        model, functional, _epsilon(cfg, fine.mesh),
-        (float(times[0]), float(times[1])),
-        int(cfg.budget.get("n_samples", 256)),
+        build_model(cfg.model), command_functional(cfg), _epsilon(cfg, fine.mesh),
+        (float(s), float(t)),
+        int(cfg.budget["n_samples"]),
         SeedSpec(cfg.seed), fine,
-        n_inner=int(cfg.budget.get("n_inner", 256)),
+        n_inner=int(cfg.budget["n_inner"]),
     )
-    checks = [
-        _check_entry(
-            "martingale-gap", report.residual, report.components.get("std_error"),
-            report.tolerance, report.passed,
-            {"n_samples": report.components.get("n_samples"),
-             "n_inner": report.components.get("n_inner")},
-            cfg.seed,
-        )
-    ]
-    rows = [[report.residual, report.tolerance, int(report.passed)]]
-    return checks, _csv_table(["gap", "tolerance", "passed"], rows), dict(report.components)
+    return _residual_result("martingale-gap", "gap", report, ("n_samples", "n_inner"), cfg.seed)
 
 
 def _run_ito(cfg: ExperimentConfig):
-    horizon = float(cfg.grid.get("T", 1.0))
-    meshes = cfg.check.get("meshes", [16, 32, 64, 128, 256])
+    meshes = cfg.check["meshes"]
     study = ito_rms_study(
-        horizon, [int(m) for m in meshes], int(cfg.budget.get("n_samples", 10_000)),
+        float(cfg.grid["T"]), [int(m) for m in meshes], int(cfg.budget["n_samples"]),
         SeedSpec(cfg.seed),
     )
-    lo, hi = cfg.check.get("ratio_range", [1.2, 1.7])
+    lo, hi = cfg.check["ratio_range"]
     passed = all(lo <= r <= hi for r in study["ratios"])
     checks = [
         _check_entry(
@@ -552,30 +522,27 @@ def _run_ito(cfg: ExperimentConfig):
 
 
 def _run_error_representation(cfg: ExperimentConfig):
-    model = build_model(cfg.model)
-    functional = command_functional(cfg)
-    horizon = float(cfg.grid.get("T", 0.25))
-    n_steps = int(cfg.grid.get("n_steps", 2))
-    factor = int(cfg.grid.get("fine_factor", 64))
-    coarse = make_uniform_grid(horizon, n_steps)
-    eps = _epsilon(cfg, horizon / (n_steps * factor))
+    horizon = float(cfg.grid["T"])
+    n_steps = int(cfg.grid["n_steps"])
+    factor = int(cfg.grid["fine_factor"])
+    n_outer, n_inner = int(cfg.budget["n_outer"]), int(cfg.budget["n_inner"])
     report = error_representation_sides(
-        model, functional, eps, coarse,
-        int(cfg.budget.get("n_outer", 256)),
-        int(cfg.budget.get("n_inner", 256)),
+        build_model(cfg.model), command_functional(cfg),
+        _epsilon(cfg, horizon / (n_steps * factor)),
+        make_uniform_grid(horizon, n_steps),
+        n_outer, n_inner,
         SeedSpec(cfg.seed),
         fine_factor=factor,
-        quad_per_interval=int(cfg.check.get("quad_per_interval", 4)),
-        bump=cfg.check.get("bump"),
-        inner_cap=int(cfg.budget.get("inner_cap", 200_000_000)),
-        freeze=bool(cfg.check.get("freeze", True)),
+        quad_per_interval=int(cfg.check["quad_per_interval"]),
+        bump=cfg.check["bump"],
+        inner_cap=int(cfg.budget["inner_cap"]),
+        freeze=bool(cfg.check["freeze"]),
     )
     checks = [
         _check_entry(
             "error-representation", report.diff, report.diff_std_error,
             report.tolerance, report.passed,
-            {"n_outer": int(cfg.budget.get("n_outer", 256)),
-             "n_inner": int(cfg.budget.get("n_inner", 256))},
+            {"n_outer": n_outer, "n_inner": n_inner},
             cfg.seed,
         )
     ]
@@ -587,52 +554,20 @@ def _run_error_representation(cfg: ExperimentConfig):
 
 
 def _run_mollifier_audit(cfg: ExperimentConfig):
-    horizon = float(cfg.grid.get("T", 1.0))
-    n_steps = int(cfg.grid.get("n_steps", 256))
-    grid = make_uniform_grid(horizon, n_steps)
+    grid = make_uniform_grid(float(cfg.grid["T"]), int(cfg.grid["n_steps"]))
     eps = _epsilon(cfg, grid.mesh * 8)
-    spec = MollifierSpec(eps, int(cfg.mollifier.get("kernel_samples", 64)))
-    n_paths = int(cfg.check.get("n_paths", 1000))
-    seed = SeedSpec(cfg.seed)
-
-    contraction_ok = True
-    linearity_err = 0.0
-    for i in range(n_paths):
-        w = sample_brownian(grid, seed.with_stream(i))
-        p = w.path
-        mp = mollify(spec, p)
-        if sup_norm(mp) > sup_norm(p):
-            contraction_ok = False
-        if i < 32:
-            q = sample_brownian(grid, seed.with_stream(n_paths + i)).path
-            lin = mollify(
-                spec, DiscretePath(grid, 2.0 * p.values - 3.0 * q.values, PathMode.LINEAR)
-            )
-            combo = 2.0 * mp.values - 3.0 * mollify(spec, q).values
-            linearity_err = max(linearity_err, float(np.abs(lin.values - combo).max()))
-
-    # non-anticipativity: edit the path after time t, values at <= t frozen
-    w = sample_brownian(grid, seed.with_stream(2 * n_paths)).path
-    edited = w.values.copy()
-    cut = n_steps // 2
-    edited[cut + 1 :] += 7.0
-    before = mollify(spec, w).values[: cut + 1]
-    after = mollify(spec, DiscretePath(grid, edited, PathMode.LINEAR)).values[: cut + 1]
-    nonanticipative_exact = bool(np.array_equal(before, after))
-
-    ramp = DiscretePath(grid, grid.nodes.copy(), PathMode.LINEAR)
-    mr = mollify(spec, ramp).values
-    inside = grid.nodes >= eps
-    ramp_err = float(np.abs(mr[inside] - (grid.nodes[inside] - eps / 2.0)).max())
-
+    n_paths = int(cfg.check["n_paths"])
+    report = audit(MollifierSpec(eps, int(cfg.mollifier["kernel_samples"])), grid,
+                   SeedSpec(cfg.seed), n_paths)
     checks = [
-        _check_entry("mollifier-contraction", None, None, None, contraction_ok,
+        _check_entry("mollifier-contraction", None, None, None, report.contraction,
                      {"n_paths": n_paths}, cfg.seed),
-        _check_entry("mollifier-linearity", linearity_err, None, 1e-10,
-                     linearity_err <= 1e-10, {"n_paths": 32}, cfg.seed),
+        _check_entry("mollifier-linearity", report.linearity, None, 1e-10,
+                     report.linearity <= 1e-10, {"n_paths": report.pairs}, cfg.seed),
         _check_entry("mollifier-non-anticipativity", None, None, None,
-                     nonanticipative_exact, {}, cfg.seed),
-        _check_entry("mollifier-ramp", ramp_err, None, 1e-6, ramp_err <= 1e-6, {}, cfg.seed),
+                     report.non_anticipative, {}, cfg.seed),
+        _check_entry("mollifier-ramp", report.ramp, None, 1e-6, report.ramp <= 1e-6, {},
+                     cfg.seed),
     ]
     rows = [[c["check"], c["value"] if c["value"] is not None else "", int(c["passed"])]
             for c in checks]
@@ -739,13 +674,11 @@ def main(argv=None) -> int:
                 f"config file is for {config.command!r}, not {args.command!r}", key_path="command"
             )
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be nonnegative", key_path="--seed")
-            config.seed = args.seed
+            config.seed = _integer(args.seed, "--seed", 0)
         if args.out is not None:
             config.out_dir = args.out
         if args.threads is not None:
-            config.threads = max(1, args.threads)
+            config.threads = _integer(args.threads, "--threads", 1)
         return run(config)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

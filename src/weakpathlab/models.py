@@ -16,12 +16,10 @@ from .errors import InvalidArgumentError
 __all__ = [
     "SdeModel",
     "OuMoments",
-    "AssumptionReport",
     "ou_model",
     "sine_model",
     "constant_model",
     "ou_exact_moments",
-    "check_assumptions",
 ]
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
@@ -29,21 +27,17 @@ Evaluator = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class SdeModel:
-    """Drift, diffusion and their first two derivatives.
+    """Drift, diffusion and their first derivatives.
 
-    ``nondegeneracy_c`` is the constant c > 0 with |sigma(x)| >= c; it is
-    spot-checked by :func:`check_assumptions`, not proven.  Constructing the
-    dataclass directly performs no validation, which the tests use for
-    deliberately degenerate dynamics (b = sigma = 0 and the like).
+    Constructing the dataclass directly performs no validation, which the
+    tests use for deliberately degenerate dynamics (b = sigma = 0 and the
+    like).
     """
 
     b: Evaluator
     sigma: Evaluator
     db: Evaluator
-    d2b: Evaluator
     dsigma: Evaluator
-    d2sigma: Evaluator
-    nondegeneracy_c: float
     xi0: float
     name: str = "custom"
     constant_sigma: bool = False  # lets harnesses skip vanishing terms
@@ -64,10 +58,7 @@ def ou_model(theta: float, sigma: float, xi0: float) -> SdeModel:
         b=lambda x: -th * x,
         sigma=lambda x: sg + 0.0 * x,
         db=lambda x: -th + 0.0 * x,
-        d2b=lambda x: 0.0 * x,
         dsigma=lambda x: 0.0 * x,
-        d2sigma=lambda x: 0.0 * x,
-        nondegeneracy_c=sg,
         xi0=float(xi0),
         name="ou",
         constant_sigma=True,
@@ -88,10 +79,7 @@ def sine_model(a: float, c: float, xi0: float) -> SdeModel:
         b=lambda x: -np.sin(x),
         sigma=lambda x: cf + af * np.sin(x),
         db=lambda x: -np.cos(x),
-        d2b=lambda x: np.sin(x),
         dsigma=lambda x: af * np.cos(x),
-        d2sigma=lambda x: -af * np.sin(x),
-        nondegeneracy_c=cf - abs(af),
         xi0=float(xi0),
         name="sine",
         params={"a": af, "c": cf, "xi0": float(xi0)},
@@ -107,10 +95,7 @@ def constant_model(drift: float, diffusion: float, xi0: float) -> SdeModel:
         b=lambda x: bf + 0.0 * x,
         sigma=lambda x: sf + 0.0 * x,
         db=lambda x: 0.0 * x,
-        d2b=lambda x: 0.0 * x,
         dsigma=lambda x: 0.0 * x,
-        d2sigma=lambda x: 0.0 * x,
-        nondegeneracy_c=abs(sf),
         xi0=float(xi0),
         name="constant",
         constant_sigma=True,
@@ -143,52 +128,3 @@ def ou_exact_moments(
     mean2 = xi0 * np.exp(-theta * t2)
     cov = sigma**2 / (2 * theta) * np.exp(-theta * (t2 - t1)) * (1 - np.exp(-2 * theta * t1))
     return OuMoments(float(mean1), float(mean2), float(cov))
-
-
-@dataclass
-class AssumptionReport:
-    probes: np.ndarray
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_assumptions(
-    model: SdeModel, probe_points, rel_tol: float = 1e-5
-) -> AssumptionReport:
-    """Spot-check nondegeneracy and derivative consistency at probe points.
-
-    Derivative evaluators are compared against central finite differences of
-    the level below them.  Violations are recorded, not raised.
-    """
-    probes = np.atleast_1d(np.asarray(probe_points, dtype=np.float64))
-    if probes.size == 0:
-        raise InvalidArgumentError("probe set must be non-empty")
-    report = AssumptionReport(probes=probes)
-
-    sig = np.abs(np.atleast_1d(model.sigma(probes)))
-    for x, s in zip(probes, sig):
-        if s < model.nondegeneracy_c:
-            report.violations.append(
-                ("nondegeneracy", float(x), f"|sigma({x})|={s} < c={model.nondegeneracy_c}")
-            )
-
-    pairs = [
-        ("db", model.b, model.db),
-        ("d2b", model.db, model.d2b),
-        ("dsigma", model.sigma, model.dsigma),
-        ("d2sigma", model.dsigma, model.d2sigma),
-    ]
-    tau = np.cbrt(np.finfo(float).eps) * (1.0 + np.abs(probes))
-    for label, f, df in pairs:
-        fd = (np.atleast_1d(f(probes + tau)) - np.atleast_1d(f(probes - tau))) / (2 * tau)
-        claimed = np.atleast_1d(df(probes)) + 0.0 * probes
-        err = np.abs(claimed - fd) / (1.0 + np.abs(fd))
-        for x, e, got, want in zip(probes, err, claimed, fd):
-            if e > rel_tol:
-                report.violations.append(
-                    (f"derivative:{label}", float(x), f"evaluator {got} vs fd {want}")
-                )
-    return report

@@ -36,11 +36,14 @@ import numpy as np
 
 from .core_paths import DiscretePath, PathMode, TimeGrid
 from .errors import InvalidArgumentError, ResolutionTooCoarseError
+from .randomness import SeedSpec, sample_brownian
 
 __all__ = [
     "BandRows",
     "BandTiles",
+    "MollifierAudit",
     "MollifierSpec",
+    "audit",
     "band_tiles",
     "kernel_weights",
     "mollify",
@@ -293,3 +296,50 @@ def mollify(spec: MollifierSpec, p: DiscretePath) -> DiscretePath:
         return DiscretePath(p.grid, p.values, PathMode.LINEAR)
     a = mollify_operator(spec, p.grid, p.mode)
     return DiscretePath(p.grid, a @ p.values, PathMode.LINEAR)
+
+
+@dataclass(frozen=True)
+class MollifierAudit:
+    """The mollifier properties that :func:`audit` measures."""
+
+    contraction: bool  # sup |M p| <= sup |p| on every path
+    linearity: float  # largest |M(2p - 3q) - (2 M p - 3 M q)|
+    pairs: int  # (p, q) pairs behind ``linearity``
+    non_anticipative: bool  # M p on [0, t] unchanged by edits of p after t
+    ramp: float  # largest |M r(t) - (t - eps / 2)| over t >= eps, r(t) = t
+
+
+def audit(spec: MollifierSpec, grid: TimeGrid, seed: SeedSpec, n_paths: int) -> MollifierAudit:
+    """Measure contraction, linearity, non-anticipativity and the ramp shift
+    of the Linear-mode mollifier on ``grid``.
+
+    The paths p_i are ``sample_brownian`` on streams i < ``n_paths``;
+    linearity pairs the first min(32, n_paths) of them with q_i on streams
+    ``n_paths`` + i.  All of them, and the combinations 2 p_i - 3 q_i, are
+    mollified by one product.  Non-anticipativity raises the path of stream
+    2 ``n_paths`` by 7 after the middle node and compares the two mollified
+    paths up to that node bit for bit; each is its own one-path product, so
+    both are summed the same way.
+    """
+    if n_paths < 1:
+        raise InvalidArgumentError(f"need at least one path, got {n_paths!r}")
+    a = mollify_operator(spec, grid, PathMode.LINEAR)
+    pairs = min(32, n_paths)
+    paths = np.array([sample_brownian(grid, seed.with_stream(i)).values
+                      for i in range(n_paths + pairs)])
+    p, q = paths[:n_paths], paths[n_paths:]
+    mp, mq, combined = np.split(np.vstack([paths, 2.0 * p[:pairs] - 3.0 * q]) @ a.T,
+                                [n_paths, n_paths + pairs])
+    contraction = bool(np.all(np.abs(mp).max(axis=1) <= np.abs(p).max(axis=1)))
+    linearity = float(np.abs(combined - (2.0 * mp[:pairs] - 3.0 * mq)).max())
+
+    w = sample_brownian(grid, seed.with_stream(2 * n_paths)).values
+    cut = grid.n_intervals // 2
+    edited = w.copy()
+    edited[cut + 1 :] += 7.0
+    non_anticipative = bool(np.array_equal((a @ w)[: cut + 1], (a @ edited)[: cut + 1]))
+
+    inside = grid.nodes >= spec.epsilon
+    shifted = (a @ grid.nodes)[inside] - (grid.nodes[inside] - spec.epsilon / 2.0)
+    return MollifierAudit(contraction, linearity, pairs, non_anticipative,
+                          float(np.abs(shifted).max()))

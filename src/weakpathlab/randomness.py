@@ -8,7 +8,6 @@ given key never depends on worker count or execution order.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ __all__ = [
     "SeedSpec",
     "BrownianPath",
     "sample_brownian",
-    "refine_brownian",
     "haar_coefficients",
     "schauder_reconstruct",
 ]
@@ -80,47 +78,6 @@ def sample_brownian(grid: TimeGrid, seed: SeedSpec) -> BrownianPath:
     values[0] = 0.0
     np.cumsum(np.sqrt(gaps) * z, out=values[1:])
     return BrownianPath(DiscretePath(grid, values, PathMode.LINEAR))
-
-
-def refine_brownian(w: BrownianPath, fine: TimeGrid, seed: SeedSpec) -> BrownianPath:
-    """Conditionally extend ``w`` to a finer grid by Brownian bridges.
-
-    ``fine`` must contain every node of ``w``'s grid.  Known values are kept
-    bit-for-bit; new interior values are drawn from the bridge law between
-    the nearest known neighbours, midpoints first and level by level, so the
-    result is a pure function of (w, fine, seed).
-    """
-    coarse_idx = fine.indices_of_subgrid(w.grid)
-    values = np.full(fine.nodes.size, np.nan)
-    values[coarse_idx] = w.values
-    known = np.zeros(fine.nodes.size, dtype=bool)
-    known[coarse_idx] = True
-
-    # breadth-first midpoint traversal over each gap of unknown nodes
-    order: list[tuple[int, int, int]] = []  # (node, left anchor, right anchor)
-    queue = deque()
-    for a, b in zip(coarse_idx[:-1], coarse_idx[1:]):
-        if b - a > 1:
-            queue.append((int(a), int(b)))
-    while queue:
-        a, b = queue.popleft()
-        mid = (a + b) // 2
-        order.append((mid, a, b))
-        if mid - a > 1:
-            queue.append((a, mid))
-        if b - mid > 1:
-            queue.append((mid, b))
-
-    z = seed.rng().standard_normal(len(order))
-    t = fine.nodes
-    for (m, a, b), zi in zip(order, z):
-        ta, tm, tb = t[a], t[m], t[b]
-        mean = values[a] + (tm - ta) / (tb - ta) * (values[b] - values[a])
-        var = (tm - ta) * (tb - tm) / (tb - ta)
-        values[m] = mean + np.sqrt(var) * zi
-        known[m] = True
-    assert known.all()
-    return BrownianPath(DiscretePath(fine, values, PathMode.LINEAR))
 
 
 def _dyadic_subgrid(w: BrownianPath, coarse: TimeGrid, interval_index: int, levels: int):

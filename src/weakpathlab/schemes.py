@@ -34,32 +34,19 @@ from .randomness import BrownianPath
 
 __all__ = [
     "SchemeOutput",
-    "VariationPath",
     "euler_nodes",
     "euler_scan",
     "euler_values_batch",
     "variation_values_batch",
     "stochastic_interpolation",
     "stochastic_interpolation_batch",
-    "fine_reference",
-    "first_variation",
 ]
-
-DEFAULT_REFINEMENT = 64
 
 
 @dataclass(frozen=True)
 class SchemeOutput:
     y_path: DiscretePath
     grid: TimeGrid
-
-
-@dataclass(frozen=True)
-class VariationPath:
-    """First-variation path Z with Z(start) = 1, linearized around ``base``."""
-
-    path: DiscretePath
-    base: DiscretePath
 
 
 def euler_scan(
@@ -215,46 +202,3 @@ def stochastic_interpolation(
         model, s.grid, fine, s.y_path.values[None, :], w_fine.values[None, :]
     )[0]
     return DiscretePath(fine, values, PathMode.LINEAR)
-
-
-def fine_reference(
-    model: SdeModel,
-    w_fine: BrownianPath,
-    coarse_mesh: float | None = None,
-    min_refinement: int = DEFAULT_REFINEMENT,
-) -> DiscretePath:
-    """Fine-grid Euler path standing in for the strong solution X.
-
-    When ``coarse_mesh`` is given, the fine mesh must be at least
-    ``min_refinement`` times smaller; the induced O(fine mesh) reference
-    bias is what every report's reference note documents.
-    """
-    fine = w_fine.grid
-    if coarse_mesh is not None and fine.mesh > coarse_mesh / min_refinement * (1 + 1e-12):
-        raise InvalidArgumentError(
-            f"fine mesh {fine.mesh} exceeds coarse mesh {coarse_mesh} / {min_refinement}"
-        )
-    return euler_nodes(model, w_fine).y_path
-
-
-def first_variation(
-    model: SdeModel,
-    x_ref: DiscretePath,
-    w_fine: BrownianPath,
-    start_index: int = 0,
-) -> VariationPath:
-    """Derivative of the flow with respect to its state at node ``start_index``.
-
-    Solves dZ = b'(X) Z dt + sigma'(X) Z dW along ``x_ref`` by Euler, with
-    Z = 1 at the start node (columns before it are padded with 1).
-    """
-    if x_ref.grid.nodes.shape != w_fine.grid.nodes.shape or not np.array_equal(
-        x_ref.grid.nodes, w_fine.grid.nodes
-    ):
-        raise InvalidArgumentError("x_ref and w_fine must share one grid")
-    values = variation_values_batch(
-        model, x_ref.values[None, :], x_ref.grid, np.diff(w_fine.values)[None, :], start_index
-    )[0]
-    if not np.all(np.isfinite(values)):
-        raise NumericalOverflowError("first-variation recursion became non-finite")
-    return VariationPath(DiscretePath(x_ref.grid, values, PathMode.LINEAR), x_ref)

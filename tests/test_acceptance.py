@@ -2,10 +2,10 @@
 
 Budgets are pinned here; every tolerance comes from the criterion itself.
 The heavy ladder criteria dominate the runtime.  Criteria 1 and 3 run their
-``RateExperiment``, and criterion 2 its ``covariance_bias`` calls, on every
-core (``THREADS``): the batch layout and streams do not depend on the thread
-count, so their numbers are those of a one-thread run (criterion 11 checks
-that contract).  Run with
+``RateExperiment``, criterion 2 its ``covariance_bias`` calls and criterion 4
+its ``interpolation_gap_stats`` calls on every core (``THREADS``): the batch
+layout and streams do not depend on the thread count, so their numbers are
+those of a one-thread run (criterion 11 checks that contract).  Run with
 ``pytest tests/test_acceptance.py -s`` to watch the per-criterion lines.
 """
 
@@ -131,7 +131,7 @@ def test_criterion_04_interpolation_gap_suite():
         fine = wpl.refine_grid(grid, 64)
         rep = wpl.interpolation_gap_stats(
             model, grid, fine, 20_000, SeedSpec(202404, n_steps),
-            functional=wpl.product_functional(0.3, 0.7), n_probes=16,
+            functional=wpl.product_functional(0.3, 0.7), n_probes=16, threads=THREADS,
         )
         ok &= rep.probes_pass and rep.pairing_pass and rep.sup4_over_delta2 <= bound
         details.append(f"delta={tag}: sup4/d2={rep.sup4_over_delta2:.1f}")

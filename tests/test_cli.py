@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import weakpathlab
 from weakpathlab import cli
@@ -35,8 +36,32 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config("command: ito-check\nbudget:\n  n_samples: 0\n")
         assert err.value.key_path == "budget.n_samples"
-        with pytest.raises(ConfigError):
-            parse_config("command: ito-check\nbudget:\n  n_inner: -3\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config("command: kolmogorov-check\nbudget:\n  n_inner: -3\n")
+        assert err.value.key_path == "budget.n_inner"
+
+    @pytest.mark.parametrize(
+        "text, key_path",
+        [("threads: 0", "threads"), ("threads: true", "threads"), ("seed: true", "seed"),
+         ("seed: -1", "seed"), ("budget: {n_samples: true}", "budget.n_samples"),
+         ("budget: {n_samples: 2.5}", "budget.n_samples")],
+    )
+    def test_integer_keys_reject_bools_and_out_of_range(self, text, key_path):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"command: ito-check\n{text}\n")
+        assert err.value.key_path == key_path
+
+    @pytest.mark.parametrize(
+        "command, section, key_path",
+        [("kolmogorov-check", "mollifier: {kernel_samples: 8}", "mollifier.kernel_samples"),
+         ("gap-stats", "budget: {batch_size: 5}", "budget.batch_size"),
+         ("ito-check", "reference: {kind: fine-grid}", "reference.kind")],
+    )
+    def test_key_the_command_does_not_read(self, command, section, key_path):
+        # such a key would change nothing but the config hash
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"command: {command}\n{section}\n")
+        assert err.value.key_path == key_path
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError) as err:
@@ -77,6 +102,18 @@ class TestParseConfig:
     def test_scalar_document_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("42")
+
+    def test_readme_schema_is_the_table(self):
+        # README's example parses, and its per-command keys and defaults are
+        # those the parser fills in
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = readme.split("### Config schema")[1].split("```yaml\n")[1:3]
+        example, table = (block.split("```")[0] for block in blocks)
+        assert parse_config(example).command == "weak-rate"
+        assert yaml.safe_load(table) == {
+            command: {k: v for k, v in sections.items() if k != "model"}
+            for command, sections in cli._COMMAND_DEFAULTS.items()
+        }
 
     @pytest.mark.parametrize("name", ["product", "point", "integral-square", "smooth-max"])
     @pytest.mark.parametrize("command", COMMANDS)
@@ -166,6 +203,15 @@ class TestRun:
                             lambda config: pytest.fail("runner called for a used directory"))
         assert main(["ito-check", "--config", cfg, "--out", str(out)]) == 2
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "flags", [["--threads", "0"], ["--threads", "-3"], ["--seed", "-1"]]
+    )
+    def test_bad_integer_flag_exits_2(self, tmp_path, flags):
+        cfg = write_config(tmp_path, "command: ito-check\nbudget:\n  n_samples: 100\n")
+        out = tmp_path / "run"
+        assert main(["ito-check", "--config", cfg, "--out", str(out), *flags]) == 2
+        assert not out.exists()
 
     def test_command_mismatch(self, tmp_path):
         cfg = write_config(tmp_path, "command: ito-check\nseed: 7\n")
@@ -272,8 +318,17 @@ class TestRun:
              "grid: {T: 0.5}"),
             ("gap-stats", "", "model: {name: constant, drift: 0.0, diffusion: 1.0, xi0: 0.0}",
              "functional: {name: smooth-max}"),
+            ("weak-rate", "", "check: {rate_range: [0.7, 1.3]}", "check: {rate_range: [0.8, 1.2]}"),
+            ("weak-rate", "", "budget: {batch_size: 131072}", "budget: {batch_size: 4096}"),
+            ("weak-rate", "", "reference: {kind: closed-form}", "reference: {kind: fine-grid}"),
+            ("kolmogorov-check", "", "mollifier: {epsilon_mesh_multiple: 2.0}",
+             "mollifier: {epsilon_mesh_multiple: 3.0}"),
+            ("error-representation", "", "check: {freeze: true}", "check: {freeze: false}"),
+            ("gap-stats", "", "check: {n_probes: 16}", "check: {n_probes: 8}"),
         ],
-        ids=["model-params", "runner-functional", "point-t1", "horizon-relative", "gap-stats"],
+        ids=["model-params", "runner-functional", "point-t1", "horizon-relative", "gap-stats",
+             "rate-range", "batch-size", "reference-kind", "epsilon-multiple", "freeze",
+             "n-probes"],
     )
     def test_config_hash_covers_builder_defaults(self, command, implicit, spelled_out, different):
         def config_hash(section):

@@ -53,10 +53,7 @@ def frozen_model(xi0):
         b=lambda x: 0.0 * x,
         sigma=lambda x: 0.0 * x,
         db=lambda x: 0.0 * x,
-        d2b=lambda x: 0.0 * x,
         dsigma=lambda x: 0.0 * x,
-        d2sigma=lambda x: 0.0 * x,
-        nondegeneracy_c=0.0,
         xi0=xi0,
         constant_sigma=True,
     )

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from weakpathlab.errors import InvalidArgumentError
-from weakpathlab.models import (
-    SdeModel,
-    check_assumptions,
-    ou_exact_moments,
-    ou_model,
-    sine_model,
-)
+from weakpathlab.models import ou_exact_moments, ou_model, sine_model
 
 PROBES = np.linspace(-4.0, 4.0, 21)
 
@@ -38,9 +32,6 @@ class TestSineModel:
         m = sine_model(0.5, 1.0, 0.0)
         s = np.asarray(m.sigma(PROBES))
         assert np.all(s >= 0.5) and np.all(s <= 1.5)
-
-    def test_nondegeneracy_constant(self):
-        assert sine_model(0.5, 1.0, 0.0).nondegeneracy_c == 0.5
 
     def test_degeneracy_boundary(self):
         with pytest.raises(InvalidArgumentError):
@@ -81,44 +72,3 @@ class TestOuExactMoments:
         with pytest.raises(InvalidArgumentError):
             ou_exact_moments(1.0, 1.0, 0.0, 1.0, 0.5)
 
-
-class TestCheckAssumptions:
-    def test_ou_clean(self):
-        assert check_assumptions(ou_model(1.0, 1.0, 0.0), PROBES).ok
-
-    def test_sine_clean(self):
-        assert check_assumptions(sine_model(0.5, 1.0, 0.0), PROBES).ok
-
-    def test_degenerate_sigma_flagged_at_zero(self):
-        m = SdeModel(
-            b=lambda x: 0.0 * x,
-            sigma=lambda x: 1.0 * x,
-            db=lambda x: 0.0 * x,
-            d2b=lambda x: 0.0 * x,
-            dsigma=lambda x: 1.0 + 0.0 * x,
-            d2sigma=lambda x: 0.0 * x,
-            nondegeneracy_c=0.5,
-            xi0=1.0,
-        )
-        report = check_assumptions(m, [0.0, 1.0, 2.0])
-        kinds = [v[0] for v in report.violations]
-        assert "nondegeneracy" in kinds
-
-    def test_injected_derivative_fault_flagged(self):
-        base = ou_model(1.0, 1.0, 0.0)
-        broken = SdeModel(
-            b=base.b,
-            sigma=base.sigma,
-            db=lambda x: base.db(x) + 0.1,
-            d2b=base.d2b,
-            dsigma=base.dsigma,
-            d2sigma=base.d2sigma,
-            nondegeneracy_c=base.nondegeneracy_c,
-            xi0=base.xi0,
-        )
-        report = check_assumptions(broken, PROBES)
-        assert any(v[0] == "derivative:db" for v in report.violations)
-
-    def test_empty_probe_set_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            check_assumptions(ou_model(1.0, 1.0, 0.0), [])

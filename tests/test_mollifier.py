@@ -266,3 +266,49 @@ class TestCaches:
             mollify_operator(self.spec(200), GRID, PathMode.LINEAR)
             mollify_operator(self.spec(i), GRID, PathMode.LINEAR)
         assert mollify_operator(self.spec(200), GRID, PathMode.LINEAR) is kept
+
+
+def audit_loop(spec, grid, seed, n_paths):
+    """The four audit values, one ``mollify`` call per path."""
+    contraction, linearity, scale = True, 0.0, 0.0
+    for i in range(n_paths):
+        p = sample_brownian(grid, seed.with_stream(i)).path
+        mp = mollify(spec, p)
+        contraction &= sup_norm(mp) <= sup_norm(p)
+        if i < 32:
+            q = sample_brownian(grid, seed.with_stream(n_paths + i)).path
+            combo = DiscretePath(grid, 2.0 * p.values - 3.0 * q.values, PathMode.LINEAR)
+            parts = 2.0 * mp.values - 3.0 * mollify(spec, q).values
+            linearity = max(linearity, float(np.abs(mollify(spec, combo).values - parts).max()))
+            scale = max(scale, 2.0 * sup_norm(p) + 3.0 * sup_norm(q))
+    w = sample_brownian(grid, seed.with_stream(2 * n_paths)).path
+    cut = grid.n_intervals // 2
+    edited = DiscretePath(grid, w.values + 7.0 * (np.arange(grid.nodes.size) > cut), PathMode.LINEAR)
+    non_anticipative = np.array_equal(
+        mollify(spec, w).values[: cut + 1], mollify(spec, edited).values[: cut + 1]
+    )
+    ramp = mollify(spec, DiscretePath(grid, grid.nodes.copy(), PathMode.LINEAR)).values
+    inside = grid.nodes >= spec.epsilon
+    ramp_err = float(np.abs(ramp[inside] - (grid.nodes[inside] - spec.epsilon / 2)).max())
+    return contraction, linearity, non_anticipative, ramp_err, scale
+
+
+class TestAudit:
+    @pytest.mark.parametrize("n_paths", [5, 40])
+    def test_matches_the_per_path_loop(self, n_paths):
+        grid = make_uniform_grid(1.0, 64)
+        spec, seed = MollifierSpec(16 * grid.mesh, 64), SeedSpec(31)
+        report = mol.audit(spec, grid, seed, n_paths)
+        contraction, linearity, non_anticipative, ramp, scale = audit_loop(spec, grid, seed, n_paths)
+        assert report.contraction is contraction is True
+        assert report.non_anticipative is non_anticipative is True
+        assert report.pairs == min(32, n_paths)
+        # one rounding of a convex combination of at most n values each side
+        rounding = grid.nodes.size * np.finfo(float).eps
+        assert abs(report.linearity - linearity) <= 2 * rounding * scale
+        assert abs(report.ramp - ramp) <= 2 * rounding
+        assert 0.0 < report.linearity <= 1e-10 and report.ramp <= 1e-6
+
+    def test_needs_a_path(self):
+        with pytest.raises(InvalidArgumentError):
+            mol.audit(SPEC, GRID, SeedSpec(1), 0)

@@ -6,7 +6,6 @@ from weakpathlab.errors import InvalidArgumentError
 from weakpathlab.randomness import (
     SeedSpec,
     haar_coefficients,
-    refine_brownian,
     sample_brownian,
     schauder_reconstruct,
 )
@@ -46,60 +45,6 @@ class TestSampleBrownian:
         inc = np.array([np.diff(sample_brownian(grid, seed.with_stream(i)).values) for i in range(n)])
         corr = np.corrcoef(inc[:, 0], inc[:, 1])[0, 1]
         assert abs(corr) <= 4 / np.sqrt(n)
-
-
-class TestRefineBrownian:
-    def test_no_new_nodes_unchanged(self):
-        grid = make_uniform_grid(1.0, 8)
-        w = sample_brownian(grid, SeedSpec(1))
-        r = refine_brownian(w, grid, SeedSpec(2))
-        assert np.array_equal(r.values, w.values)
-
-    def test_coarse_values_kept_exactly(self):
-        coarse = make_uniform_grid(1.0, 4)
-        fine = refine_grid(coarse, 8)
-        w = sample_brownian(coarse, SeedSpec(3))
-        r = refine_brownian(w, fine, SeedSpec(4))
-        idx = fine.indices_of_subgrid(coarse)
-        assert np.array_equal(r.values[idx], w.values)
-
-    def test_midpoint_conditional_law(self):
-        # one new midpoint of [a,b]: mean (W(a)+W(b))/2, var (b-a)/4
-        coarse = make_uniform_grid(0.5, 1)
-        fine = refine_grid(coarse, 2)
-        w = sample_brownian(coarse, SeedSpec(10))
-        n = 30_000
-        mids = np.array(
-            [refine_brownian(w, fine, SeedSpec(11, i)).values[1] for i in range(n)]
-        )
-        mean = 0.5 * (w.values[0] + w.values[1])
-        var = 0.25 * 0.5
-        z = (mids - mean) / np.sqrt(var)
-        assert abs(z.mean()) <= 4 / np.sqrt(n)
-        assert abs(z.var(ddof=1) - 1.0) <= 4 * np.sqrt(2.0 / n)
-
-    def test_coarsening_telescopes(self):
-        coarse = make_uniform_grid(1.0, 5)
-        fine = refine_grid(coarse, 4)
-        w = sample_brownian(coarse, SeedSpec(12))
-        r = refine_brownian(w, fine, SeedSpec(13))
-        idx = fine.indices_of_subgrid(coarse)
-        fine_inc = np.diff(r.values)
-        summed = np.add.reduceat(fine_inc, idx[:-1])
-        assert np.allclose(summed, np.diff(w.values), rtol=0, atol=1e-12)
-
-    def test_deterministic(self):
-        coarse = make_uniform_grid(1.0, 3)
-        fine = refine_grid(coarse, 8)
-        w = sample_brownian(coarse, SeedSpec(14))
-        a = refine_brownian(w, fine, SeedSpec(15))
-        b = refine_brownian(w, fine, SeedSpec(15))
-        assert np.array_equal(a.values, b.values)
-
-    def test_non_nested_rejected(self):
-        w = sample_brownian(make_uniform_grid(1.0, 3), SeedSpec(0))
-        with pytest.raises(InvalidArgumentError):
-            refine_brownian(w, make_uniform_grid(1.0, 4), SeedSpec(1))
 
 
 class TestHaarCoefficients:

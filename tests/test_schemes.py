@@ -9,10 +9,9 @@ from weakpathlab.schemes import (
     euler_nodes,
     euler_scan,
     euler_values_batch,
-    fine_reference,
-    first_variation,
     stochastic_interpolation,
     stochastic_interpolation_batch,
+    variation_values_batch,
 )
 
 
@@ -22,10 +21,7 @@ def degenerate_model(b_const, sigma_const, xi0):
         b=lambda x: b_const + 0.0 * x,
         sigma=lambda x: sigma_const + 0.0 * x,
         db=lambda x: 0.0 * x,
-        d2b=lambda x: 0.0 * x,
         dsigma=lambda x: 0.0 * x,
-        d2sigma=lambda x: 0.0 * x,
-        nondegeneracy_c=abs(sigma_const),
         xi0=xi0,
         constant_sigma=True,
     )
@@ -51,10 +47,7 @@ def blowup_model(xi0, scale):
         b=lambda x: x**3 * scale,
         sigma=lambda x: 0.0 * x,
         db=lambda x: 3 * scale * x**2,
-        d2b=lambda x: 6 * scale * x,
         dsigma=lambda x: 0.0 * x,
-        d2sigma=lambda x: 0.0 * x,
-        nondegeneracy_c=0.0,
         xi0=xi0,
     )
 
@@ -250,33 +243,28 @@ class TestFineReference:
         n = 20_000
         paths = [sample_brownian(fine, seed.with_stream(i)) for i in range(n)]
         dw = np.diff([w.values for w in paths], axis=1)
-        batch = euler_values_batch(model, fine, dw)
-        # the batch's rows are fine_reference's paths bit for bit
-        for i in (0, 1, 9_999, n - 1):
-            ref = fine_reference(model, paths[i], coarse_mesh=0.25, min_refinement=64)
-            assert np.array_equal(ref.values, batch[i])
-        vals = batch[:, -1]
+        vals = euler_values_batch(model, fine, dw)[:, -1]
         se = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - np.exp(-1.0)) <= 4 * se + 2.0 / 256
 
     def test_frozen_dynamics_constant(self):
         model = degenerate_model(0.0, 0.0, 3.3)
-        w = sample_brownian(make_uniform_grid(1.0, 64), SeedSpec(11))
-        ref = fine_reference(model, w)
-        assert np.all(ref.values == 3.3)
-
-    def test_refinement_guard(self):
-        model = ou_model(1.0, 1.0, 1.0)
-        w = sample_brownian(make_uniform_grid(1.0, 64), SeedSpec(12))
-        with pytest.raises(InvalidArgumentError):
-            fine_reference(model, w, coarse_mesh=0.25, min_refinement=64)
+        grid = make_uniform_grid(1.0, 64)
+        w = sample_brownian(grid, SeedSpec(11))
+        assert np.all(euler_values_batch(model, grid, w.increments()[None, :]) == 3.3)
 
     def test_same_grid_equals_euler(self):
         model = ou_model(1.0, 1.0, 1.0)
         grid = make_uniform_grid(1.0, 16)
         w = sample_brownian(grid, SeedSpec(13))
-        ref = fine_reference(model, w, coarse_mesh=grid.mesh, min_refinement=1)
-        assert np.array_equal(ref.values, euler_nodes(model, w).y_path.values)
+        batch = euler_values_batch(model, grid, w.increments()[None, :])
+        assert np.array_equal(batch[0], euler_nodes(model, w).y_path.values)
+
+
+def variation_path(model, fine, w, start=0):
+    """Z along the Euler path of ``w``, with Z = 1 at node ``start``."""
+    dw = w.increments()[None, :]
+    return variation_values_batch(model, euler_values_batch(model, fine, dw), fine, dw, start)[0]
 
 
 class TestFirstVariation:
@@ -284,18 +272,15 @@ class TestFirstVariation:
         # sigma' = 0: dZ = -theta Z dt, Z(1) -> e^{-theta} with O(mesh) error
         model = ou_model(1.0, 1.0, 1.0)
         fine = make_uniform_grid(1.0, 512)
-        w = sample_brownian(fine, SeedSpec(14))
-        x_ref = fine_reference(model, w)
-        z = first_variation(model, x_ref, w)
-        assert z.path.values[0] == 1.0
-        assert z.path.values[-1] == pytest.approx(np.exp(-1.0), abs=2.0 / 512)
+        z = variation_path(model, fine, sample_brownian(fine, SeedSpec(14)))
+        assert z[0] == 1.0
+        assert z[-1] == pytest.approx(np.exp(-1.0), abs=2.0 / 512)
 
     def test_constant_coefficients_identity(self):
         model = constant_model(0.0, 1.0, 0.0)
         fine = make_uniform_grid(1.0, 64)
-        w = sample_brownian(fine, SeedSpec(15))
-        z = first_variation(model, fine_reference(model, w), w)
-        assert np.all(z.path.values == 1.0)
+        z = variation_path(model, fine, sample_brownian(fine, SeedSpec(15)))
+        assert np.all(z == 1.0)
 
     def test_flow_property_of_restarts(self):
         # restarting Euler at (t, X(t)) with the same subsequent increments
@@ -320,10 +305,9 @@ class TestFirstVariation:
         model = sine_model(0.5, 1.0, 0.3)
         fine = make_uniform_grid(1.0, 128)
         w = sample_brownian(fine, SeedSpec(16))
-        x_ref = fine_reference(model, w)
-        z_full = first_variation(model, x_ref, w)
+        z_full = variation_path(model, fine, w)
         k = fine.index_of(0.5)
-        z_restart = first_variation(model, x_ref, w, start_index=k)
-        lhs = z_full.path.values[-1]
-        rhs = z_restart.path.values[-1] * z_full.path.values[k]
+        z_restart = variation_path(model, fine, w, start=k)
+        lhs = z_full[-1]
+        rhs = z_restart[-1] * z_full[k]
         assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -151,9 +151,7 @@ class TestCoupledBias:
         # mean, and every one of them is counted
         model = SdeModel(
             b=lambda x: -x, sigma=lambda x: np.where(x > 1.5, np.nan, 1.0),
-            db=lambda x: -1.0 + 0.0 * x, d2b=lambda x: 0.0 * x,
-            dsigma=lambda x: 0.0 * x, d2sigma=lambda x: 0.0 * x,
-            nondegeneracy_c=1.0, xi0=0.5,
+            db=lambda x: -1.0 + 0.0 * x, dsigma=lambda x: 0.0 * x, xi0=0.5,
         )
         exp = RateExperiment(
             model=model, functional=point_functional(1.0), horizon=1.0,
@@ -305,9 +303,7 @@ def materialised_bias(exp, rung, mollified=band_tiled):
 # b overflows to inf once a path passes 1.5, so those rows end non-finite
 EXPLODING = SdeModel(
     b=lambda x: np.where(x > 1.5, np.exp(1e3 * x), -x), sigma=lambda x: 1.0 + 0.0 * x,
-    db=lambda x: 0.0 * x, d2b=lambda x: 0.0 * x,
-    dsigma=lambda x: 0.0 * x, d2sigma=lambda x: 0.0 * x,
-    nondegeneracy_c=1.0, xi0=0.5,
+    db=lambda x: 0.0 * x, dsigma=lambda x: 0.0 * x, xi0=0.5,
 )
 
 # b overflows to +inf above 1.5 and to -inf below -1.5; some rows cross only
@@ -315,9 +311,7 @@ EXPLODING = SdeModel(
 EXPLODING_BOTH = SdeModel(
     b=lambda x: np.where(np.abs(x) > 1.5, np.sign(x) * np.exp(1e3 * np.abs(x)), -x),
     sigma=lambda x: 1.0 + 0.0 * x,
-    db=lambda x: 0.0 * x, d2b=lambda x: 0.0 * x,
-    dsigma=lambda x: 0.0 * x, d2sigma=lambda x: 0.0 * x,
-    nondegeneracy_c=1.0, xi0=0.0,
+    db=lambda x: 0.0 * x, dsigma=lambda x: 0.0 * x, xi0=0.0,
 )
 
 
