@@ -2,9 +2,9 @@
 
 ``weakpathlab <command> --config <file> [--seed N] [--out DIR] [--threads K]``
 
-The config is a single YAML document validated strictly: unknown keys are
-errors, every referenced model or functional must be shipped, and all
-randomness flows from the single seed.  ``--threads`` never changes any
+The config is a single YAML document validated strictly: unknown keys and
+keys the command does not read are errors, every referenced model or
+functional must be shipped, and all randomness flows from the single seed.  ``--threads`` never changes any
 numeric output.  Each run writes ``report.csv``, ``summary.json`` and a
 ``manifest.json`` with the config hash and the environment (Python, numpy,
 platform, CPU count, BLAS and the nested estimators' BLAS thread count)
