@@ -210,6 +210,47 @@ def _integer(value, key_path: str, least: int) -> int:
     return value
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _as_default_type(value, default, key_path: str):
+    """``value`` with its integers stored as floats where ``default`` holds
+    floats, so that ``2`` and ``2.0`` hash alike."""
+    try:
+        if isinstance(default, float) and _is_number(value):
+            return float(value)
+        if (isinstance(default, list) and isinstance(value, list)
+                and all(isinstance(d, float) for d in default)):
+            return [float(v) if _is_number(v) else v for v in value]
+    except OverflowError:
+        raise ConfigError("out of range for a float", key_path=key_path) from None
+    return value
+
+
+# check keys that a runner unpacks into two numbers
+_PAIRS = ("rate_range", "ratio_range", "times")
+
+
+def _check_shape(key: str, value, default):
+    """Raise ``ConfigError`` unless ``check.<key>`` has its default's shape:
+    a list of numbers (two for a pair, else at least two), a bool, a number,
+    or a number or null where the default is None."""
+    if isinstance(default, bool):
+        want, ok = "true or false", isinstance(value, bool)
+    elif isinstance(default, list):
+        pair = key in _PAIRS
+        want = "a list of two numbers" if pair else "a list of at least two numbers"
+        ok = (isinstance(value, list) and all(map(_is_number, value))
+              and (len(value) == 2 if pair else len(value) >= 2))
+    elif default is None:
+        want, ok = "a number or null", value is None or _is_number(value)
+    else:
+        want, ok = "a number", _is_number(value)
+    if not ok:
+        raise ConfigError(f"must be {want}, got {value!r}", key_path=f"check.{key}")
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config document, filling documented defaults."""
     try:
@@ -242,7 +283,10 @@ def parse_config(text: str) -> ExperimentConfig:
         target = getattr(cfg, section)
         target.update(sub)
         for key, value in defaults.items():
-            target.setdefault(key, list(value) if isinstance(value, list) else value)
+            given = target.setdefault(key, list(value) if isinstance(value, list) else value)
+            if section == "check":
+                _check_shape(key, given, value)
+            target[key] = _as_default_type(given, value, f"{section}.{key}")
     for key, value in cfg.budget.items():
         _integer(value, f"budget.{key}", 1)
     # build eagerly so typos and invalid parameter values fail at parse time

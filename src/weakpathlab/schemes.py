@@ -68,6 +68,10 @@ def euler_scan(
     reductions that must not depend on memory layout take a C-ordered copy
     (``_feps_batch`` does).  Non-finite values propagate; nothing is checked
     here.
+
+    Each step runs the model's fused step (:class:`~weakpathlab.models.EulerStep`)
+    while ``model.b`` and ``model.sigma`` are the evaluators it was built from,
+    else the generic step from ``b`` and ``sigma``; both give the same bits.
     """
     dt = np.diff(grid.nodes)
     cols = range(start, dt.size + 1) if keep is None else _checked_keep(keep, start, dt.size)
@@ -79,17 +83,39 @@ def euler_scan(
     x = scratch
     if start in slot:
         out[slot[start]] = x
+    step = _step(model, out.shape[1])
+    fetch = increments.__next__
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(start, dt.size):
-            # fetch the increment row last: a drawn row lives only for this product
-            drift = model.b(x) * dt[k]
-            diffusion = model.sigma(x) * next(increments)
             j = slot.get(k + 1)
-            step = scratch if j is None else out[j]
-            np.add(x, drift, out=step)
-            step += diffusion
-            x = step
+            dest = scratch if j is None else out[j]
+            step(x, dt[k], fetch, dest)
+            x = dest
     return out.T
+
+
+def _step(model: SdeModel, m: int):
+    """The step ``euler_scan`` runs for ``model`` on rows of m values: the
+    model's fused step while its ``b`` and ``sigma`` are the evaluators that
+    step was built from, else the generic step."""
+    fused = model.euler_step
+    if fused is not None and fused.b is model.b and fused.sigma is model.sigma:
+        return fused.make(m)
+    return _generic_step(model.b, model.sigma)
+
+
+def _generic_step(b, sigma):
+    """out = (x + b(x) dt) + sigma(x) dw(), for any evaluators.  The
+    increment row is fetched last, so a drawn row lives only for its
+    product."""
+
+    def step(x, dt, dw, out):
+        drift = b(x) * dt
+        diffusion = sigma(x) * dw()
+        np.add(x, drift, out=out)
+        out += diffusion
+
+    return step
 
 
 def _checked_keep(keep, start: int, last: int) -> list:

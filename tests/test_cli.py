@@ -115,6 +115,36 @@ class TestParseConfig:
             for command, sections in cli._COMMAND_DEFAULTS.items()
         }
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            pytest.param(command, key, value, id=f"{command}-{key}-{json.dumps(value)}")
+            for command, sections in cli._COMMAND_DEFAULTS.items()
+            for key, default in sections.get("check", {}).items()
+            for value in (
+                [1, "yes", None] if isinstance(default, bool)
+                else [5, [0.5, "x"], [0.5], [0.5, True]]
+                + ([[0.5, 1.0, 2.0]] if key in cli._PAIRS else [])
+                if isinstance(default, list)
+                else ["abc", True, [0.5]] if default is None
+                else ["abc", True, None, [0.5]]
+            )
+        ],
+    )
+    def test_check_value_of_the_wrong_shape(self, command, key, value):
+        # each check value must have the shape of its default in the table
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"command: {command}\ncheck: {{{key}: {json.dumps(value)}}}\n")
+        assert err.value.key_path == f"check.{key}"
+
+    def test_check_values_of_the_right_shape(self):
+        cfg = parse_config("command: kolmogorov-check\ncheck: {t: 1, bump: 0.01, allowance_rel: 1}\n")
+        assert cfg.check == {"t": 1.0, "bump": 0.01, "allowance_rel": 1.0}
+        cfg = parse_config("command: ito-check\ncheck: {meshes: [8, 16.0], ratio_range: [1, 2]}\n")
+        assert cfg.check == {"meshes": [8, 16.0], "ratio_range": [1.0, 2.0]}
+        assert parse_config("command: gap-stats\ncheck: {sup4_bound: null}\n").check[
+            "sup4_bound"] is None
+
     @pytest.mark.parametrize("name", ["product", "point", "integral-square", "smooth-max"])
     @pytest.mark.parametrize("command", COMMANDS)
     def test_shipped_functional_parses_unmerged(self, command, name):
@@ -211,6 +241,13 @@ class TestRun:
         cfg = write_config(tmp_path, "command: ito-check\nbudget:\n  n_samples: 100\n")
         out = tmp_path / "run"
         assert main(["ito-check", "--config", cfg, "--out", str(out), *flags]) == 2
+        assert not out.exists()
+
+    def test_check_value_of_the_wrong_shape_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "command: ito-check\ncheck: {ratio_range: 5}\n")
+        out = tmp_path / "run"
+        assert main(["ito-check", "--config", cfg, "--out", str(out)]) == 2
+        assert "check.ratio_range" in capsys.readouterr().err
         assert not out.exists()
 
     def test_command_mismatch(self, tmp_path):
@@ -325,10 +362,13 @@ class TestRun:
              "mollifier: {epsilon_mesh_multiple: 3.0}"),
             ("error-representation", "", "check: {freeze: true}", "check: {freeze: false}"),
             ("gap-stats", "", "check: {n_probes: 16}", "check: {n_probes: 8}"),
+            ("kolmogorov-check", "", "mollifier: {epsilon_mesh_multiple: 2}",
+             "mollifier: {epsilon_mesh_multiple: 3}"),
+            ("covariance-bias", "", "check: {ratio_max: 3}", "check: {ratio_max: 2}"),
         ],
         ids=["model-params", "runner-functional", "point-t1", "horizon-relative", "gap-stats",
              "rate-range", "batch-size", "reference-kind", "epsilon-multiple", "freeze",
-             "n-probes"],
+             "n-probes", "integer-epsilon-multiple", "integer-ratio-max"],
     )
     def test_config_hash_covers_builder_defaults(self, command, implicit, spelled_out, different):
         def config_hash(section):

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from weakpathlab import schemes
 from weakpathlab.core_paths import DiscretePath, PathMode, make_uniform_grid, refine_grid
 from weakpathlab.errors import InvalidArgumentError, NumericalOverflowError
 from weakpathlab.models import SdeModel, constant_model, ou_model, sine_model
@@ -116,6 +119,50 @@ class TestEulerScan:
         assert np.array_equal(got, want, equal_nan=True)
         assert np.isnan(got[1, -1]) and not np.isfinite(got[3, -1])
         assert np.all(np.isfinite(got[[0, 2]]))
+
+
+    @pytest.mark.parametrize("model", ["ou", "sine"])
+    def test_constructors_take_the_fused_step(self, model, monkeypatch):
+        model = self.MODELS[model]
+        dw = self.increments(32, 0, 12)
+        want = reference_euler(model, self.GRID, model.xi0, dw)
+
+        def no_generic_step(b, sigma):
+            raise AssertionError("the generic step ran")
+
+        monkeypatch.setattr(schemes, "_generic_step", no_generic_step)
+        assert np.array_equal(euler_values_batch(model, self.GRID, dw), want)
+        # a copy with the same evaluators keeps the fused step
+        copy = dataclasses.replace(model, name="copy")
+        assert np.array_equal(euler_values_batch(copy, self.GRID, dw), want)
+        with pytest.raises(AssertionError, match="generic step"):
+            euler_values_batch(dataclasses.replace(model, euler_step=None), self.GRID, dw)
+
+    @pytest.mark.parametrize(
+        "model", [ou_model(1.3, 0.7, 0.4), ou_model(4.0, 0.7, 0.4), sine_model(0.5, 1.0, 0.3)]
+    )
+    def test_fused_step_is_the_generic_step_at_extreme_rows(self, model):
+        # +-inf and NaN rows become NaN on both steps; 1e308 overflows the
+        # OU drift at theta = 4 and stays finite at theta = 1.3
+        x0 = np.array([np.inf, -np.inf, np.nan, 1e308, -1e308, 0.3, -5.0])
+        dw = self.increments(x0.size, 0, 13)
+        fused = euler_scan(model, self.GRID, x0, dw)
+        generic = euler_scan(dataclasses.replace(model, euler_step=None), self.GRID, x0, dw)
+        assert np.array_equal(fused, generic, equal_nan=True)
+        assert np.array_equal(fused, reference_euler(model, self.GRID, x0, dw), equal_nan=True)
+        assert np.isnan(fused[:3, -1]).all() and np.isfinite(fused[5:, -1]).all()
+
+    @pytest.mark.parametrize("model", ["ou", "sine"])
+    @pytest.mark.parametrize(
+        "coefficient", [{"b": lambda x: 0.5 - x**3}, {"sigma": lambda x: 0.2 + 0.1 * x**2}]
+    )
+    def test_replaced_coefficients_are_followed(self, model, coefficient):
+        model = self.MODELS[model]
+        replaced = dataclasses.replace(model, **coefficient)
+        dw = self.increments(64, 0, 14)
+        got = euler_values_batch(replaced, self.GRID, dw)
+        assert np.array_equal(got, reference_euler(replaced, self.GRID, replaced.xi0, dw))
+        assert not np.array_equal(got, euler_values_batch(model, self.GRID, dw))
 
 
 class TestEulerNodes:
