@@ -120,23 +120,25 @@ class TestEulerScan:
         assert np.isnan(got[1, -1]) and not np.isfinite(got[3, -1])
         assert np.all(np.isfinite(got[[0, 2]]))
 
-
     @pytest.mark.parametrize("model", ["ou", "sine"])
     def test_constructors_take_the_fused_step(self, model, monkeypatch):
         model = self.MODELS[model]
-        dw = self.increments(32, 0, 12)
-        want = reference_euler(model, self.GRID, model.xi0, dw)
+        # steps of 0.7/50, not a power of two, so that a reordered product
+        # with dt would round differently
+        grid = make_uniform_grid(0.7, 50)
+        dw = np.sqrt(grid.mesh) * SeedSpec(12).rng().standard_normal((32, 50))
+        want = reference_euler(model, grid, model.xi0, dw)
 
         def no_generic_step(b, sigma):
             raise AssertionError("the generic step ran")
 
         monkeypatch.setattr(schemes, "_generic_step", no_generic_step)
-        assert np.array_equal(euler_values_batch(model, self.GRID, dw), want)
+        assert np.array_equal(euler_values_batch(model, grid, dw), want)
         # a copy with the same evaluators keeps the fused step
         copy = dataclasses.replace(model, name="copy")
-        assert np.array_equal(euler_values_batch(copy, self.GRID, dw), want)
+        assert np.array_equal(euler_values_batch(copy, grid, dw), want)
         with pytest.raises(AssertionError, match="generic step"):
-            euler_values_batch(dataclasses.replace(model, euler_step=None), self.GRID, dw)
+            euler_values_batch(dataclasses.replace(model, euler_step=None), grid, dw)
 
     @pytest.mark.parametrize(
         "model", [ou_model(1.3, 0.7, 0.4), ou_model(4.0, 0.7, 0.4), sine_model(0.5, 1.0, 0.3)]
