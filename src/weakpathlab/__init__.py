@@ -69,11 +69,6 @@ from .randomness import (
     sample_brownian,
     schauder_reconstruct,
 )
-from .schemes import (
-    SchemeOutput,
-    euler_nodes,
-    stochastic_interpolation,
-)
 from .weak_error import (
     BiasPoint,
     ClosedFormReference,

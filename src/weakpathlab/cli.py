@@ -235,7 +235,9 @@ _PAIRS = ("rate_range", "ratio_range", "times")
 def _check_shape(key: str, value, default):
     """Raise ``ConfigError`` unless ``check.<key>`` has its default's shape:
     a list of numbers (two for a pair, else at least two), a bool, a number,
-    or a number or null where the default is None."""
+    or a number or null where the default is None.  Where the default, or
+    each of its entries, is an integer, the value must be an integer >= 1."""
+    key_path = f"check.{key}"
     if isinstance(default, bool):
         want, ok = "true or false", isinstance(value, bool)
     elif isinstance(default, list):
@@ -243,12 +245,18 @@ def _check_shape(key: str, value, default):
         want = "a list of two numbers" if pair else "a list of at least two numbers"
         ok = (isinstance(value, list) and all(map(_is_number, value))
               and (len(value) == 2 if pair else len(value) >= 2))
+        if ok and all(isinstance(d, int) for d in default):
+            for i, v in enumerate(value):
+                _integer(v, f"{key_path}[{i}]", 1)
+    elif isinstance(default, int):
+        _integer(value, key_path, 1)
+        return
     elif default is None:
         want, ok = "a number or null", value is None or _is_number(value)
     else:
         want, ok = "a number", _is_number(value)
     if not ok:
-        raise ConfigError(f"must be {want}, got {value!r}", key_path=f"check.{key}")
+        raise ConfigError(f"must be {want}, got {value!r}", key_path=key_path)
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -14,15 +14,7 @@ class ResolutionTooCoarseError(InvalidArgumentError):
 
 
 class NumericalOverflowError(ArithmeticError):
-    """A recursion produced a non-finite value.
-
-    ``step_index`` is the first scheme step at which the value became
-    non-finite, when known.
-    """
-
-    def __init__(self, message: str, step_index: int | None = None):
-        super().__init__(message)
-        self.step_index = step_index
+    """A recursion produced a non-finite value."""
 
 
 class InsufficientSignalError(RuntimeError):

@@ -6,16 +6,23 @@ where X^{t,x} keeps the frozen prefix x on [0, t) and continues from x(t) as
 a fresh solution path (realized by Euler on the experiment's fine grid), and
 f_eps = f o M_eps is the mollified functional.
 
-Every estimator draws its inner samples through one helper: Euler from a
-(possibly bumped) start value over shared increments, glued onto the prefix
-and evaluated by the one batch evaluator of f o M_eps.  Vertical derivatives
-are estimated by common-random-number central differences over endpoint
-bumps, cross-checked by pairing f's directional derivative with a simulated
-first-variation path.  The horizontal derivative
-is a forward difference over a flat time extension with time-aligned noise.
-On top of these sit numerical verifications of the martingale property, the
-backward Kolmogorov equation, the functional Ito formula for x(t)^2, and the
-two sides of the weak-error representation identity.
+Every estimator draws its inner samples through one stencil,
+:func:`_stencil`: Euler from the prefix's endpoint moved by each of a few
+offsets, over one shared set of increments, glued onto the prefix and
+evaluated by the one batch evaluator of f o M_eps.  ``estimate_F`` takes the
+offsets (0,), the first vertical derivative (+h, -h) and the second
+(+h, 0, -h); the horizontal derivative and the consistency checks build on
+the same stencil.  At t = T the continuation has zero steps: one row of
+increments with no columns, so each sample is f_eps of the prefix with its
+endpoint moved, and the estimate is that number with no inner samples.
+Vertical derivatives are common-random-number central differences over
+endpoint bumps, cross-checked by pairing f's directional derivative with a
+simulated first-variation path (at t = T, the endpoint indicator).  The
+horizontal derivative is a forward difference over a flat time extension
+with time-aligned noise.  On top of these sit numerical verifications of
+the martingale property, the backward Kolmogorov equation, the functional
+Ito formula for x(t)^2, and the two sides of the weak-error representation
+identity.
 """
 
 from __future__ import annotations
@@ -250,27 +257,43 @@ def _continued(
     return out
 
 
-def _f_continued(
+def _stencil(
     model: SdeModel,
     f: PathFunctional,
     spec: MollifierSpec | None,
     fine: TimeGrid,
     prefix_values: np.ndarray,
-    x0,
+    offsets,
     dw: np.ndarray,
     mode: PathMode = PathMode.LINEAR,
-) -> np.ndarray:
-    """f_eps of the continued paths, one sample per row of ``dw``.
+) -> list[np.ndarray]:
+    """f_eps of the paths continued from the prefix's endpoint moved by each
+    of ``offsets``: one array per offset, one sample per row of ``dw``.
 
-    Calls that differ only in ``x0`` share ``dw``, so their differences are
-    the common-random-number bump differences of every estimator here.
+    Every continuation in this module is built here.  The offsets share
+    ``dw``, so differences of the arrays are the common-random-number bump
+    differences of the estimators.  ``prefix_values`` is shared, or one row
+    per path; with no columns in ``dw`` (t = T) each path is the prefix
+    with its endpoint moved.
     """
-    return _feps_batch(f, spec, fine, _continued(model, fine, prefix_values, x0, dw), mode)
+    x0 = prefix_values[..., -1]
+    return [
+        _feps_batch(f, spec, fine, _continued(model, fine, prefix_values, x0 + o, dw), mode)
+        for o in offsets
+    ]
 
 
 def _draw_dw(fine: TimeGrid, i_t: int, n_inner: int, rng: np.random.Generator) -> np.ndarray:
     dt = np.diff(fine.nodes)[i_t:]
     return np.sqrt(dt) * rng.standard_normal((n_inner, dt.size))
+
+
+def _inner_dw(fine: TimeGrid, i_t: int, n_inner: int, seed: SeedSpec) -> np.ndarray:
+    """The continuation increments of the public estimators: ``n_inner``
+    rows, or at t = T one row with no columns, whose continuation is the
+    prefix itself."""
+    rows = n_inner if i_t < fine.n_intervals else 1
+    return _draw_dw(fine, i_t, rows, seed.rng(_TAG_CONTINUATION))
 
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:
@@ -279,6 +302,13 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
     if mom.excluded:
         raise NumericalOverflowError("continuation produced non-finite functional values")
     return float(mom.mean), float(mom.se)
+
+
+def _estimate(samples: np.ndarray, dw: np.ndarray, cfg: dict) -> NestedEstimate:
+    """The mean of ``samples`` with its SE; a continuation over no steps
+    (t = T) counts no inner samples."""
+    mean, se = _mean_se(samples)
+    return NestedEstimate(mean, se, len(dw) if dw.shape[1] else 0, cfg)
 
 
 def _config(eps, fine: TimeGrid, seed: SeedSpec, **extra) -> dict:
@@ -317,18 +347,14 @@ def estimate_F(
 
     ``prefix`` must live on the restriction of ``fine`` to [0, t]; the
     continuation is Euler on the remaining fine nodes started from x(t).
-    At t = T there is nothing to continue and the value is deterministic.
+    At t = T it has no steps, so the value is f_eps(x) with SE 0.
     """
     spec = _spec(eps)
     i_t = _prefix_index(prefix, fine)
     cfg = _config(spec, fine, seed, t=float(prefix.grid.horizon))
-    if i_t == fine.nodes.size - 1:
-        val = float(_feps_batch(f, spec, fine, prefix.values[None, :], prefix.mode)[0])
-        return NestedEstimate(val, 0.0, 0, cfg)
-    dw = _draw_dw(fine, i_t, n_inner, seed.rng(_TAG_CONTINUATION))
-    vals = _f_continued(model, f, spec, fine, prefix.values, prefix.values[-1], dw, prefix.mode)
-    mean, se = _mean_se(vals)
-    return NestedEstimate(mean, se, int(n_inner), cfg)
+    dw = _inner_dw(fine, i_t, n_inner, seed)
+    (vals,) = _stencil(model, f, spec, fine, prefix.values, (0.0,), dw, prefix.mode)
+    return _estimate(vals, dw, cfg)
 
 
 @one_thread()
@@ -354,42 +380,17 @@ def vertical_derivative(
     spec = _spec(eps)
     i_t = _prefix_index(prefix, fine)
     cfg = _config(spec, fine, seed, t=float(prefix.grid.horizon), bump=float(bump))
-    x0 = prefix.values[-1]
+    dw = _inner_dw(fine, i_t, n_inner, seed)
+    up, down = _stencil(model, f, spec, fine, prefix.values, (bump, -bump), dw, prefix.mode)
+    central = _estimate((up - down) / (2 * bump), dw, cfg)
 
-    if i_t == fine.nodes.size - 1:
-        # no continuation: bump only the stored endpoint
-        up, down = prefix.values.copy(), prefix.values.copy()
-        up[-1] += bump
-        down[-1] -= bump
-        both = np.stack([up, down])
-        vals = _feps_batch(f, spec, fine, both, prefix.mode)
-        grad = float((vals[0] - vals[1]) / (2 * bump))
-        central = NestedEstimate(grad, 0.0, 0, cfg)
-        # the pairing direction degenerates to the endpoint indicator
-        direction = np.zeros_like(prefix.values)
-        direction[-1] = 1.0
-        pair = float(
-            _fd1_batch(f, spec, fine, prefix.values[None, :], direction[None, :], prefix.mode)[0]
-        )
-        return VerticalDerivative(central, NestedEstimate(pair, 0.0, 0, cfg))
-
-    dw = _draw_dw(fine, i_t, n_inner, seed.rng(_TAG_CONTINUATION))
-    up, down = (
-        _f_continued(model, f, spec, fine, prefix.values, x, dw, prefix.mode)
-        for x in (x0 + bump, x0 - bump)
-    )
-    grad_samples = (up - down) / (2 * bump)
-    mean, se = _mean_se(grad_samples)
-    central = NestedEstimate(mean, se, int(n_inner), cfg)
-
-    combined = _continued(model, fine, prefix.values, x0, dw)
+    combined = _continued(model, fine, prefix.values, prefix.values[-1], dw)
     full_dw = np.pad(dw, ((0, 0), (i_t, 0)))  # no noise before t
+    # Z = 1 at node i_t: at t = T, the endpoint indicator
     variation = variation_values_batch(model, combined, fine, full_dw, start=i_t)
     direction = np.zeros_like(combined)
     direction[:, i_t:] = variation[:, i_t:]
-    pair_samples = _fd1_batch(f, spec, fine, combined, direction, prefix.mode)
-    pmean, pse = _mean_se(pair_samples)
-    pairing = NestedEstimate(pmean, pse, int(n_inner), cfg)
+    pairing = _estimate(_fd1_batch(f, spec, fine, combined, direction, prefix.mode), dw, cfg)
     return VerticalDerivative(central, pairing)
 
 
@@ -411,22 +412,9 @@ def second_vertical_derivative(
     spec = _spec(eps)
     i_t = _prefix_index(prefix, fine)
     cfg = _config(spec, fine, seed, t=float(prefix.grid.horizon), bump=float(bump))
-    x0 = prefix.values[-1]
-    if i_t == fine.nodes.size - 1:
-        stack = np.stack([prefix.values] * 3)
-        stack[0, -1] += bump
-        stack[2, -1] -= bump
-        vals = _feps_batch(f, spec, fine, stack, prefix.mode)
-        second = float((vals[0] - 2 * vals[1] + vals[2]) / bump**2)
-        return NestedEstimate(second, 0.0, 0, cfg)
-    dw = _draw_dw(fine, i_t, n_inner, seed.rng(_TAG_CONTINUATION))
-    up, mid, down = (
-        _f_continued(model, f, spec, fine, prefix.values, x, dw, prefix.mode)
-        for x in (x0 + bump, x0, x0 - bump)
-    )
-    samples = (up - 2 * mid + down) / bump**2
-    mean, se = _mean_se(samples)
-    return NestedEstimate(mean, se, int(n_inner), cfg)
+    dw = _inner_dw(fine, i_t, n_inner, seed)
+    up, mid, down = _stencil(model, f, spec, fine, prefix.values, (bump, 0.0, -bump), dw, prefix.mode)
+    return _estimate((up - 2 * mid + down) / bump**2, dw, cfg)
 
 
 @one_thread()
@@ -466,15 +454,13 @@ def horizontal_derivative(
     h_actual = float(nodes[i_ext] - t)
     cfg = _config(spec, fine, seed, t=float(t), h_step=h_actual)
 
-    x0 = prefix.values[-1]
-    dw = _draw_dw(fine, i_t, n_inner, seed.rng(_TAG_CONTINUATION))
-    base_vals = _f_continued(model, f, spec, fine, prefix.values, x0, dw, prefix.mode)
-    ext_prefix = np.concatenate([prefix.values, np.full(i_ext - i_t, x0)])
-    ext_vals = _f_continued(model, f, spec, fine, ext_prefix, x0, dw[:, i_ext - i_t :], prefix.mode)
-
-    samples = (ext_vals - base_vals) / h_actual
-    mean, se = _mean_se(samples)
-    return NestedEstimate(mean, se, int(n_inner), cfg)
+    dw = _inner_dw(fine, i_t, n_inner, seed)
+    (base_vals,) = _stencil(model, f, spec, fine, prefix.values, (0.0,), dw, prefix.mode)
+    ext_prefix = np.concatenate([prefix.values, np.full(i_ext - i_t, prefix.values[-1])])
+    (ext_vals,) = _stencil(
+        model, f, spec, fine, ext_prefix, (0.0,), dw[:, i_ext - i_t :], prefix.mode
+    )
+    return _estimate((ext_vals - base_vals) / h_actual, dw, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +507,10 @@ def kolmogorov_residual(
     def _batch(bi: int) -> tuple[float, float, float, float]:
         rng = seed.rng(_TAG_INNER, bi)
         dw = _draw_dw(fine, i_t, n_inner, rng)
-        f_up, f_mid, f_down = (
-            _f_continued(model, f, spec, fine, prefix.values, x, dw, prefix.mode)
-            for x in (x0 + h, x0, x0 - h)
+        f_up, f_mid, f_down = _stencil(
+            model, f, spec, fine, prefix.values, (h, 0.0, -h), dw, prefix.mode
         )
-        f_ext = _f_continued(model, f, spec, fine, ext_prefix, x0, dw[:, 1:], prefix.mode)
+        (f_ext,) = _stencil(model, f, spec, fine, ext_prefix, (0.0,), dw[:, 1:], prefix.mode)
 
         dt_term = _mean_se((f_ext - f_mid) / h_t)[0]
         grad = _mean_se((f_up - f_down) / (2 * h))[0]
@@ -589,7 +574,7 @@ def martingale_gap(
         means = []
         for i_u, off in ((i_s, 0), (i_t, i_t - i_s)):
             prefixes = np.repeat(outer[:, : i_u + 1], n_inner, axis=0)
-            fv = _f_continued(model, f, spec, fine, prefixes, prefixes[:, -1], dw_in[:, off:])
+            (fv,) = _stencil(model, f, spec, fine, prefixes, (0.0,), dw_in[:, off:])
             means.append(fv.reshape(m, n_inner).mean(axis=1))
         gaps.append(means[1] - means[0])
     gap_samples = np.concatenate(gaps)
@@ -830,14 +815,9 @@ def _grad_pair_at(
     need_second: bool,
 ) -> tuple[float, float]:
     """Central-difference (grad F, grad^2 F) at a prefix given by raw values."""
-    x0 = float(prefix_values[-1])
     dw = _draw_dw(fine, prefix_values.size - 1, n_inner, rng)
-    f_up, f_down = (
-        _f_continued(model, f, spec, fine, prefix_values, x, dw) for x in (x0 + bump, x0 - bump)
-    )
+    offsets = (bump, -bump, 0.0) if need_second else (bump, -bump)
+    f_up, f_down, *f_mid = _stencil(model, f, spec, fine, prefix_values, offsets, dw)
     grad = _mean_se(f_up - f_down)[0] / (2 * bump)
-    second = 0.0
-    if need_second:
-        f_mid = _f_continued(model, f, spec, fine, prefix_values, x0, dw)
-        second = _mean_se(f_up - 2 * f_mid + f_down)[0] / bump**2
+    second = _mean_se(f_up - 2 * f_mid[0] + f_down)[0] / bump**2 if need_second else 0.0
     return grad, second

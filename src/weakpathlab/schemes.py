@@ -23,30 +23,18 @@ recursion of :func:`variation_values_batch` is multiplicative and kept apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core_paths import DiscretePath, PathMode, TimeGrid
-from .errors import InvalidArgumentError, NumericalOverflowError
+from .core_paths import TimeGrid
+from .errors import InvalidArgumentError
 from .models import SdeModel
-from .randomness import BrownianPath
 
 __all__ = [
-    "SchemeOutput",
-    "euler_nodes",
     "euler_scan",
     "euler_values_batch",
     "variation_values_batch",
-    "stochastic_interpolation",
     "stochastic_interpolation_batch",
 ]
-
-
-@dataclass(frozen=True)
-class SchemeOutput:
-    y_path: DiscretePath
-    grid: TimeGrid
 
 
 def euler_scan(
@@ -131,18 +119,6 @@ def _checked_keep(keep, start: int, last: int) -> list:
     return cols.tolist()
 
 
-def euler_nodes(model: SdeModel, w: BrownianPath) -> SchemeOutput:
-    """Run the Euler recursion along the increments of ``w``."""
-    grid = w.grid
-    values = euler_values_batch(model, grid, w.increments()[None, :])[0]
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise NumericalOverflowError(
-            f"Euler value became non-finite at step {bad[0]}", step_index=int(bad[0])
-        )
-    return SchemeOutput(y_path=DiscretePath(grid, values, PathMode.LINEAR), grid=grid)
-
-
 def euler_values_batch(model: SdeModel, grid: TimeGrid, dw: np.ndarray) -> np.ndarray:
     """Vectorized Euler over samples: dw is (m, N), output is (m, N+1).
 
@@ -170,23 +146,6 @@ def variation_values_batch(
             z = z * (1.0 + model.db(xk) * dt[k] + model.dsigma(xk) * dw[:, k])
             out[:, k + 1] = z
     return out
-
-
-def _check_consistent(model: SdeModel, s: SchemeOutput, w_fine: BrownianPath, fine: TimeGrid):
-    if w_fine.grid.nodes.shape != fine.nodes.shape or not np.array_equal(
-        w_fine.grid.nodes, fine.nodes
-    ):
-        raise InvalidArgumentError("w_fine must live on the fine grid")
-    coarse_idx = fine.indices_of_subgrid(s.grid)
-    # the coarse increments of w_fine must reproduce the scheme nodes
-    # (tolerance covers the ulp gap between summed and differenced increments)
-    w_coarse = w_fine.values[coarse_idx]
-    redone = euler_values_batch(model, s.grid, np.diff(w_coarse)[None, :])[0]
-    if not np.allclose(redone, s.y_path.values, rtol=1e-10, atol=1e-13):
-        raise InvalidArgumentError(
-            "w_fine is inconsistent with the scheme output (coarse increments differ)"
-        )
-    return coarse_idx
 
 
 def stochastic_interpolation_batch(
@@ -218,13 +177,3 @@ def stochastic_interpolation_batch(
     out[:, coarse_idx] = y
     return out
 
-
-def stochastic_interpolation(
-    s: SchemeOutput, w_fine: BrownianPath, fine: TimeGrid, model: SdeModel
-) -> DiscretePath:
-    """X~ for a single path, with nesting and coupling validated."""
-    _check_consistent(model, s, w_fine, fine)
-    values = stochastic_interpolation_batch(
-        model, s.grid, fine, s.y_path.values[None, :], w_fine.values[None, :]
-    )[0]
-    return DiscretePath(fine, values, PathMode.LINEAR)

@@ -137,11 +137,35 @@ class TestParseConfig:
             parse_config(f"command: {command}\ncheck: {{{key}: {json.dumps(value)}}}\n")
         assert err.value.key_path == f"check.{key}"
 
+    @pytest.mark.parametrize(
+        "command, key, value, key_path",
+        [
+            pytest.param(command, key, value, key_path, id=f"{command}-{key}-{json.dumps(value)}")
+            for command, sections in cli._COMMAND_DEFAULTS.items()
+            for key, default in sections.get("check", {}).items()
+            if not isinstance(default, bool)
+            and isinstance(default[0] if isinstance(default, list) else default, int)
+            for value, key_path in (
+                [([8, 0], f"check.{key}[1]"), ([8, 16.7], f"check.{key}[1]"),
+                 ([-8, 16], f"check.{key}[0]"), ([8, 16.0], f"check.{key}[1]")]
+                if isinstance(default, list)
+                else [(0, f"check.{key}"), (-1, f"check.{key}"), (2.5, f"check.{key}"),
+                      (4.0, f"check.{key}")]
+            )
+        ],
+    )
+    def test_integer_check_value_below_one_or_fractional(self, command, key, value, key_path):
+        # where the default is an integer (or a list of them), the value
+        # must be an integer >= 1
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"command: {command}\ncheck: {{{key}: {json.dumps(value)}}}\n")
+        assert err.value.key_path == key_path
+
     def test_check_values_of_the_right_shape(self):
         cfg = parse_config("command: kolmogorov-check\ncheck: {t: 1, bump: 0.01, allowance_rel: 1}\n")
         assert cfg.check == {"t": 1.0, "bump": 0.01, "allowance_rel": 1.0}
-        cfg = parse_config("command: ito-check\ncheck: {meshes: [8, 16.0], ratio_range: [1, 2]}\n")
-        assert cfg.check == {"meshes": [8, 16.0], "ratio_range": [1.0, 2.0]}
+        cfg = parse_config("command: ito-check\ncheck: {meshes: [8, 16], ratio_range: [1, 2]}\n")
+        assert cfg.check == {"meshes": [8, 16], "ratio_range": [1.0, 2.0]}
         assert parse_config("command: gap-stats\ncheck: {sup4_bound: null}\n").check[
             "sup4_bound"] is None
 
@@ -248,6 +272,30 @@ class TestRun:
         out = tmp_path / "run"
         assert main(["ito-check", "--config", cfg, "--out", str(out)]) == 2
         assert "check.ratio_range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, key_path",
+        [
+            ("command: gap-stats\nbudget: {n_samples: 50}\ngrid: {n_steps: 2, fine_factor: 4}\n"
+             "check: {n_probes: 0}\n", "check.n_probes"),
+            ("command: error-representation\nbudget: {n_outer: 2, n_inner: 2}\n"
+             "check: {quad_per_interval: 0}\n", "check.quad_per_interval"),
+            ("command: ito-check\nbudget: {n_samples: 100}\ncheck: {meshes: [0, 16]}\n",
+             "check.meshes[0]"),
+            ("command: ito-check\nbudget: {n_samples: 100}\ncheck: {meshes: [8, 16.7]}\n",
+             "check.meshes[1]"),
+        ],
+        ids=["gap-stats-n_probes-0", "error-representation-quad-0", "ito-mesh-0", "ito-mesh-16.7"],
+    )
+    def test_integer_check_value_out_of_range_exits_2(self, tmp_path, capsys, text, key_path):
+        # these once ended in a traceback (exit 1), exit 4, or a silently
+        # truncated mesh
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "run"
+        command = text.split("\n")[0].split(": ")[1]
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert key_path in capsys.readouterr().err
         assert not out.exists()
 
     def test_command_mismatch(self, tmp_path):

@@ -15,6 +15,7 @@ from weakpathlab.core_paths import (
 from weakpathlab.errors import (
     BudgetExceededError,
     InvalidArgumentError,
+    NumericalOverflowError,
     OutOfRangeError,
 )
 from weakpathlab.functional_calculus import (
@@ -413,6 +414,19 @@ class TestItoResidual:
             assert 1.2 <= ratio <= 1.7
 
 
+def ou_beta(rows, dt, theta=1.0):
+    """beta[i] = sum_{m >= i} r_m (1 - theta dt)^(m - i) for each probe row r
+    (one column per row; beta[N + 1] = 0): the sensitivity of E (M X)(tau)
+    to the value u at node i of an OU(theta) Euler continuation on a
+    uniform grid of step dt, which has mean u (1 - theta dt)^(m - i) at
+    node m."""
+    n = rows.shape[1]
+    beta = np.zeros((n + 1, rows.shape[0]))
+    for i in range(n - 1, -1, -1):
+        beta[i] = rows[:, i] + (1.0 - theta * dt) * beta[i + 1]
+    return beta
+
+
 def ou_expected_diff(f, coarse, eps, rule, theta=1.0, factor=64, q=4):
     """Exact E LHS - E RHS of ``error_representation_sides`` for OU(theta, 1, 1).
 
@@ -436,9 +450,7 @@ def ou_expected_diff(f, coarse, eps, rule, theta=1.0, factor=64, q=4):
     w = np.hstack([np.zeros((n_fine + 1, 1)), np.cumsum(dw, axis=1)])
     x_tilde = stochastic_interpolation_batch(model, coarse, fine, y, w)
     rows = fc._probe_rows(MollifierSpec(eps), fine, PathMode.LINEAR, f.probe_times)
-    beta = np.zeros((n_fine + 2, rows.shape[0]))
-    for i in range(n_fine, -1, -1):
-        beta[i] = rows[:, i] + (1.0 - theta * dt) * beta[i + 1]
+    beta = ou_beta(rows, dt, theta)
 
     def expect(a, b):
         return a[0] * b[0] + dt * np.dot(a[1:] - a[0], b[1:] - b[0])
@@ -543,3 +555,131 @@ def test_non_finite_value_or_tolerance_fails():
     est = NestedEstimate(0.0, 0.0, 0, {})
     assert ErrorRepresentationReport(est, est, 1.0, 1.0).passed
     assert not ErrorRepresentationReport(est, est, 1.0, np.inf).passed
+
+
+class TestOuOracles:
+    """Exact F_t, grad F and grad^2 F for OU(1, 1, 1) with mollified point
+    and product functionals.  The Euler continuation from u at node i has
+    probe values (M X)(tau) = mean + beta(i) (u - x(t)) + N: ``mean`` comes
+    from the prefix and beta from the probe rows, and N is Gaussian with
+    mean zero, independent of u, with covariance dt sum_{j >= i} beta(j+1)
+    beta(j+1)^T.  So F_t is affine (point) or quadratic (product) in u, and
+    central differences over common noise are exact on it up to rounding."""
+
+    I_T = 64  # t = 0.5
+    BUMP = 1e-2
+    N_INNER = 2000
+
+    def oracle(self, f):
+        rows = fc._probe_rows(MollifierSpec(EPS), FINE, PathMode.LINEAR, f.probe_times)
+        beta = ou_beta(rows, FINE.mesh)
+        dw = np.sqrt(FINE.mesh) * SeedSpec(60).rng().standard_normal((1, FINE.n_intervals))
+        x = euler_values_batch(OU, FINE, dw)[0]
+        i = self.I_T
+        prefix = DiscretePath(TimeGrid(FINE.nodes[: i + 1]), x[: i + 1], PathMode.LINEAR)
+        mean = rows[:, :i] @ x[:i] + beta[i] * x[i]
+        cov = FINE.mesh * beta[i + 1 :].T @ beta[i + 1 :]
+        return prefix, mean, beta[i], cov
+
+    def estimates(self, f, seed):
+        prefix, mean, beta, cov = self.oracle(f)
+        args = (OU, prefix, f, EPS, self.N_INNER)
+        return (
+            (mean, beta, cov),
+            estimate_F(*args, SeedSpec(seed), FINE),
+            vertical_derivative(*args, self.BUMP, SeedSpec(seed + 1), FINE),
+            second_vertical_derivative(*args, self.BUMP, SeedSpec(seed + 2), FINE),
+        )
+
+    def test_point_is_affine(self):
+        # F = mean + beta (u - x(t)): grad F = beta for every sample, grad^2 F = 0
+        (mean, beta, _), est, vd, second = self.estimates(point_functional(1.0), 61)
+        assert beta[0] > 0.1
+        assert abs(est.value - mean[0]) <= 4 * est.std_error
+        # rounding of f_eps, about 1e-16, over 2h and h^2
+        assert abs(vd.central.value - beta[0]) <= 1e-13
+        assert abs(vd.pairing.value - beta[0]) <= 1e-14
+        assert abs(second.value) <= 1e-11
+
+    def test_product_is_quadratic(self):
+        # F = m1 m2 + C12: grad F = beta1 m2 + beta2 m1, grad^2 F = 2 beta1 beta2;
+        # the bump difference of each sample is its pairing up to rounding
+        (mean, beta, cov), est, vd, second = self.estimates(product_functional(0.5, 1.0), 64)
+        assert beta.min() > 0.1
+        grad = beta[0] * mean[1] + beta[1] * mean[0]
+        assert abs(est.value - (mean[0] * mean[1] + cov[0, 1])) <= 4 * est.std_error
+        for part in (vd.central, vd.pairing):
+            assert abs(part.value - grad) <= 4 * part.std_error
+        assert abs(second.value - 2 * beta[0] * beta[1]) <= 1e-11
+        assert second.std_error <= 1e-11
+        # the same draws: the two first-derivative estimates agree to rounding
+        assert abs(vd.central.value - vd.pairing.value) <= 1e-13
+
+
+class TestTerminalTime:
+    """At t = T the continuation has no steps: each estimator is f_eps of the
+    prefix with its endpoint moved, with SE 0 and no inner samples."""
+
+    BUMP = 1e-2
+    CASES = [
+        pytest.param(f, eps, id=f"{name}-{'mollified' if eps else 'raw'}")
+        for name, f in (
+            ("point", point_functional(1.0)),
+            ("product", product_functional(0.5, 1.0)),
+            ("integral-square", SQUARE_INTEGRAL),
+        )
+        for eps in (EPS, None)
+    ]
+
+    @staticmethod
+    def path():
+        dw = np.sqrt(FINE.mesh) * SeedSpec(70).rng().standard_normal((1, FINE.n_intervals))
+        return DiscretePath(FINE, euler_values_batch(SINE, FINE, dw)[0], PathMode.LINEAR)
+
+    def run(self, f, eps, prefix=None):
+        args = (SINE, prefix or self.path(), f, eps, 64)
+        return (
+            estimate_F(*args, SeedSpec(71), FINE),
+            vertical_derivative(*args, self.BUMP, SeedSpec(72), FINE),
+            second_vertical_derivative(*args, self.BUMP, SeedSpec(73), FINE),
+        )
+
+    @pytest.mark.parametrize("f, eps", CASES)
+    def test_no_inner_samples(self, f, eps):
+        est, vd, second = self.run(f, eps)
+        for part in (est, vd.central, vd.pairing, second):
+            assert part.std_error == 0.0 and part.inner_samples == 0
+
+    @pytest.mark.parametrize("f, eps", CASES)
+    def test_values_are_bump_differences_of_f_eps(self, f, eps):
+        est, vd, second = self.run(f, eps)
+        x = self.path().values
+        rows = np.stack([x, x, x])
+        rows[0, -1] += self.BUMP
+        rows[2, -1] -= self.BUMP
+        up, mid, down = fc._feps_batch(f, fc._spec(eps), FINE, rows)
+        # a one-row product may sum in another order than the three-row one:
+        # a few ulps of the summed terms, over 2h and h^2
+        ulps = 16 * FINE.nodes.size * np.finfo(np.float64).eps * (1.0 + np.abs(rows).max()) ** 2
+        assert est.value == mid
+        assert abs(vd.central.value - (up - down) / (2 * self.BUMP)) <= ulps / (2 * self.BUMP)
+        assert abs(second.value - (up - 2 * mid + down) / self.BUMP**2) <= ulps / self.BUMP**2
+
+    @pytest.mark.parametrize("f, eps", CASES)
+    def test_pairing_is_df_along_the_endpoint_indicator(self, f, eps):
+        _, vd, _ = self.run(f, eps)
+        x = self.path().values
+        indicator = np.zeros_like(x)
+        indicator[-1] = 1.0
+        assert vd.pairing.value == fc._fd1_batch(f, fc._spec(eps), FINE, x[None], indicator[None])[0]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("eps", [EPS, None])
+    def test_non_finite_f_eps_raises(self, eps):
+        # as at t < T; the square of 1e200 overflows
+        prefix = constant_prefix(1.0, 1e200)
+        f = product_functional(1.0, 1.0)
+        for estimator in (estimate_F, vertical_derivative, second_vertical_derivative):
+            extra = () if estimator is estimate_F else (self.BUMP,)
+            with pytest.raises(NumericalOverflowError):
+                estimator(SINE, prefix, f, eps, 16, *extra, SeedSpec(74), FINE)

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from weakpathlab import schemes
-from weakpathlab.core_paths import DiscretePath, PathMode, make_uniform_grid, refine_grid
-from weakpathlab.errors import InvalidArgumentError, NumericalOverflowError
+from weakpathlab.core_paths import (
+    DiscretePath,
+    PathMode,
+    interpolate_values,
+    make_uniform_grid,
+    refine_grid,
+)
+from weakpathlab.errors import InvalidArgumentError
 from weakpathlab.models import SdeModel, constant_model, ou_model, sine_model
-from weakpathlab.randomness import BrownianPath, SeedSpec, sample_brownian
+from weakpathlab.randomness import SeedSpec, sample_brownian
 from weakpathlab.schemes import (
-    euler_nodes,
     euler_scan,
     euler_values_batch,
-    stochastic_interpolation,
     stochastic_interpolation_batch,
     variation_values_batch,
 )
@@ -28,6 +32,12 @@ def degenerate_model(b_const, sigma_const, xi0):
         xi0=xi0,
         constant_sigma=True,
     )
+
+
+def euler_path(model, w):
+    """The Euler path Y along the increments of the Brownian path ``w``."""
+    values = euler_values_batch(model, w.grid, w.increments()[None, :])[0]
+    return DiscretePath(w.grid, values, PathMode.LINEAR)
 
 
 def reference_euler(model, grid, x0, dw, start=0):
@@ -167,44 +177,31 @@ class TestEulerScan:
         assert not np.array_equal(got, euler_values_batch(model, self.GRID, dw))
 
 
-class TestEulerNodes:
+class TestDegenerateDynamics:
     def test_frozen_dynamics(self):
         grid = make_uniform_grid(1.0, 8)
         w = sample_brownian(grid, SeedSpec(1))
-        s = euler_nodes(degenerate_model(0.0, 0.0, 2.5), w)
-        assert np.all(s.y_path.values == 2.5)
+        y = euler_path(degenerate_model(0.0, 0.0, 2.5), w)
+        assert np.all(y.values == 2.5)
 
     def test_pure_drift(self):
         grid = make_uniform_grid(1.0, 8)
         w = sample_brownian(grid, SeedSpec(2))
-        s = euler_nodes(degenerate_model(1.0, 0.0, 0.5), w)
-        assert np.allclose(s.y_path.values, 0.5 + grid.nodes, atol=1e-14)
+        y = euler_path(degenerate_model(1.0, 0.0, 0.5), w)
+        assert np.allclose(y.values, 0.5 + grid.nodes, atol=1e-14)
 
     def test_pure_noise(self):
         grid = make_uniform_grid(1.0, 8)
         w = sample_brownian(grid, SeedSpec(3))
-        s = euler_nodes(degenerate_model(0.0, 1.0, 0.5), w)
-        assert np.allclose(s.y_path.values, 0.5 + w.values, atol=1e-14)
-
-    def test_overflow_reports_step(self):
-        grid = make_uniform_grid(1.0, 8)
-        w = sample_brownian(grid, SeedSpec(4))
-        # step_index is the first node whose value is non-finite: step 2 for
-        # an immediate blow-up, the last node for one that overflows at T
-        for model, step in ((blowup_model(1.0, 1e200), 2), (blowup_model(3.0, 1.0), 8)):
-            with pytest.raises(NumericalOverflowError) as err:
-                euler_nodes(model, w)
-            assert err.value.step_index == step
-            row = reference_euler(model, grid, model.xi0, w.increments()[None, :])[0]
-            assert step == np.flatnonzero(~np.isfinite(row))[0]
+        y = euler_path(degenerate_model(0.0, 1.0, 0.5), w)
+        assert np.allclose(y.values, 0.5 + w.values, atol=1e-14)
 
 
 class TestLinearInterpolation:
     def test_node_and_midpoint_values(self):
         grid = make_uniform_grid(1.0, 4)
         w = sample_brownian(grid, SeedSpec(5))
-        s = euler_nodes(ou_model(1.0, 1.0, 1.0), w)
-        y = s.y_path
+        y = euler_path(ou_model(1.0, 1.0, 1.0), w)
         for k, t in enumerate(grid.nodes):
             assert y(t) == y.values[k]
         assert y(0.125) == pytest.approx(0.5 * (y.values[0] + y.values[1]), rel=1e-14)
@@ -212,7 +209,7 @@ class TestLinearInterpolation:
     def test_constant_nodes(self):
         grid = make_uniform_grid(1.0, 4)
         w = sample_brownian(grid, SeedSpec(6))
-        y = euler_nodes(degenerate_model(0.0, 0.0, 1.5), w).y_path
+        y = euler_path(degenerate_model(0.0, 0.0, 1.5), w)
         assert y(0.3) == 1.5
 
 
@@ -220,64 +217,44 @@ class TestStochasticInterpolation:
     def setup_method(self):
         self.coarse = make_uniform_grid(1.0, 4)
         self.fine = refine_grid(self.coarse, 16)
+        self.idx = self.fine.indices_of_subgrid(self.coarse)
         self.w_fine = sample_brownian(self.fine, SeedSpec(7))
-        idx = self.fine.indices_of_subgrid(self.coarse)
-        self.w_coarse = BrownianPath(
-            DiscretePath(self.coarse, self.w_fine.values[idx], PathMode.LINEAR)
-        )
+
+    def scheme(self, model, w_fine):
+        """Y on the coarse grid and X~ on the fine grid, both driven by the
+        fine Brownian values ``w_fine`` (one row per path)."""
+        y = euler_values_batch(model, self.coarse, np.diff(w_fine[:, self.idx]))
+        return y, stochastic_interpolation_batch(model, self.coarse, self.fine, y, w_fine)
 
     def test_nodal_agreement_exact(self):
-        model = ou_model(1.0, 1.0, 1.0)
-        s = euler_nodes(model, self.w_coarse)
-        x_tilde = stochastic_interpolation(s, self.w_fine, self.fine, model)
-        idx = self.fine.indices_of_subgrid(self.coarse)
-        assert np.array_equal(x_tilde.values[idx], s.y_path.values)
+        y, x_tilde = self.scheme(ou_model(1.0, 1.0, 1.0), self.w_fine.values[None, :])
+        assert np.array_equal(x_tilde[:, self.idx], y)
 
     def test_zero_diffusion_reduces_to_linear(self):
-        model = degenerate_model(1.3, 0.0, 0.2)
-        s = euler_nodes(model, self.w_coarse)
-        x_tilde = stochastic_interpolation(s, self.w_fine, self.fine, model)
-        y = s.y_path
-        expect = np.array([y(t) for t in self.fine.nodes])
-        assert np.allclose(x_tilde.values, expect, atol=1e-12)
+        y, x_tilde = self.scheme(degenerate_model(1.3, 0.0, 0.2), self.w_fine.values[None, :])
+        expect = interpolate_values(self.coarse.nodes, y, self.fine.nodes, PathMode.LINEAR)
+        assert np.allclose(x_tilde, expect, atol=1e-12)
 
     def test_pure_noise_bridge_identity(self):
         # X~(t) - Y(t) = (W(t)-W(tau_n)) - (t-tau_n)/(tau_{n+1}-tau_n) (W(tau_{n+1})-W(tau_n))
-        model = degenerate_model(0.0, 1.0, 0.0)
-        s = euler_nodes(model, self.w_coarse)
-        x_tilde = stochastic_interpolation(s, self.w_fine, self.fine, model)
-        y = s.y_path
-        idx = self.fine.indices_of_subgrid(self.coarse)
+        y, x_tilde = self.scheme(degenerate_model(0.0, 1.0, 0.0), self.w_fine.values[None, :])
+        y_fine = interpolate_values(self.coarse.nodes, y[0], self.fine.nodes, PathMode.LINEAR)
+        w = self.w_fine.values
         for j, t in enumerate(self.fine.nodes):
             n = min(np.searchsorted(self.coarse.nodes, t, side="right") - 1, 3)
             ta, tb = self.coarse.nodes[n], self.coarse.nodes[n + 1]
-            wa, wb = self.w_fine.values[idx[n]], self.w_fine.values[idx[n + 1]]
-            bridge = (self.w_fine.values[j] - wa) - (t - ta) / (tb - ta) * (wb - wa)
-            assert x_tilde.values[j] - y(t) == pytest.approx(bridge, abs=1e-12)
-
-    def test_inconsistent_noise_rejected(self):
-        model = ou_model(1.0, 1.0, 1.0)
-        s = euler_nodes(model, self.w_coarse)
-        other = sample_brownian(self.fine, SeedSpec(8))
-        with pytest.raises(InvalidArgumentError):
-            stochastic_interpolation(s, other, self.fine, model)
+            wa, wb = w[self.idx[n]], w[self.idx[n + 1]]
+            bridge = (w[j] - wa) - (t - ta) / (tb - ta) * (wb - wa)
+            assert x_tilde[0, j] - y_fine[j] == pytest.approx(bridge, abs=1e-12)
 
     def test_mean_zero_gap_at_fine_nodes(self):
         model = degenerate_model(0.0, 1.0, 0.0)
         seed = SeedSpec(9)
         n = 4000
-        idx = self.fine.indices_of_subgrid(self.coarse)
-        gaps = []
-        for i in range(n):
-            wf = sample_brownian(self.fine, seed.with_stream(i))
-            wc = BrownianPath(DiscretePath(self.coarse, wf.values[idx], PathMode.LINEAR))
-            s = euler_nodes(model, wc)
-            vals = stochastic_interpolation_batch(
-                model, self.coarse, self.fine, s.y_path.values[None, :], wf.values[None, :]
-            )[0]
-            y = s.y_path
-            gaps.append(vals[7] - y(self.fine.nodes[7]))
-        gaps = np.asarray(gaps)
+        w_fine = np.array([sample_brownian(self.fine, seed.with_stream(i)).values for i in range(n)])
+        y, x_tilde = self.scheme(model, w_fine)
+        t = self.fine.nodes[7]
+        gaps = x_tilde[:, 7] - interpolate_values(self.coarse.nodes, y, [t], PathMode.LINEAR)[:, 0]
         se = gaps.std(ddof=1) / np.sqrt(n)
         assert abs(gaps.mean()) <= 4 * se
 
@@ -306,8 +283,9 @@ class TestFineReference:
         model = ou_model(1.0, 1.0, 1.0)
         grid = make_uniform_grid(1.0, 16)
         w = sample_brownian(grid, SeedSpec(13))
-        batch = euler_values_batch(model, grid, w.increments()[None, :])
-        assert np.array_equal(batch[0], euler_nodes(model, w).y_path.values)
+        dw = w.increments()[None, :]
+        batch = euler_values_batch(model, grid, dw)
+        assert np.array_equal(batch, reference_euler(model, grid, model.xi0, dw))
 
 
 def variation_path(model, fine, w, start=0):
@@ -337,7 +315,7 @@ class TestFirstVariation:
         model = ou_model(1.3, 0.7, 0.4)
         fine = make_uniform_grid(1.0, 64)
         w = sample_brownian(fine, SeedSpec(17))
-        x = euler_nodes(model, w).y_path.values
+        x = euler_path(model, w).values
         k = 24
         restart = x[k]
         dw = np.diff(w.values)
