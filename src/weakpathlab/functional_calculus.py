@@ -270,11 +270,11 @@ def _stencil(
     """f_eps of the paths continued from the prefix's endpoint moved by each
     of ``offsets``: one array per offset, one sample per row of ``dw``.
 
-    Every continuation in this module is built here.  The offsets share
-    ``dw``, so differences of the arrays are the common-random-number bump
-    differences of the estimators.  ``prefix_values`` is shared, or one row
-    per path; with no columns in ``dw`` (t = T) each path is the prefix
-    with its endpoint moved.
+    Every f_eps sample of a continued path in this module comes from here.
+    The offsets share ``dw``, so differences of the arrays are the
+    common-random-number bump differences of the estimators.
+    ``prefix_values`` is shared, or one row per path; with no columns in
+    ``dw`` (t = T) each path is the prefix with its endpoint moved.
     """
     x0 = prefix_values[..., -1]
     return [
@@ -413,7 +413,9 @@ def second_vertical_derivative(
     i_t = _prefix_index(prefix, fine)
     cfg = _config(spec, fine, seed, t=float(prefix.grid.horizon), bump=float(bump))
     dw = _inner_dw(fine, i_t, n_inner, seed)
-    up, mid, down = _stencil(model, f, spec, fine, prefix.values, (bump, 0.0, -bump), dw, prefix.mode)
+    up, mid, down = _stencil(
+        model, f, spec, fine, prefix.values, (bump, 0.0, -bump), dw, prefix.mode
+    )
     return _estimate((up - 2 * mid + down) / bump**2, dw, cfg)
 
 

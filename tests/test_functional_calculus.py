@@ -671,7 +671,8 @@ class TestTerminalTime:
         x = self.path().values
         indicator = np.zeros_like(x)
         indicator[-1] = 1.0
-        assert vd.pairing.value == fc._fd1_batch(f, fc._spec(eps), FINE, x[None], indicator[None])[0]
+        want = fc._fd1_batch(f, fc._spec(eps), FINE, x[None], indicator[None])[0]
+        assert vd.pairing.value == want
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("eps", [EPS, None])

@@ -251,7 +251,9 @@ class TestStochasticInterpolation:
         model = degenerate_model(0.0, 1.0, 0.0)
         seed = SeedSpec(9)
         n = 4000
-        w_fine = np.array([sample_brownian(self.fine, seed.with_stream(i)).values for i in range(n)])
+        w_fine = np.array(
+            [sample_brownian(self.fine, seed.with_stream(i)).values for i in range(n)]
+        )
         y, x_tilde = self.scheme(model, w_fine)
         t = self.fine.nodes[7]
         gaps = x_tilde[:, 7] - interpolate_values(self.coarse.nodes, y, [t], PathMode.LINEAR)[:, 0]
