@@ -636,8 +636,8 @@ class TestTerminalTime:
         dw = np.sqrt(FINE.mesh) * SeedSpec(70).rng().standard_normal((1, FINE.n_intervals))
         return DiscretePath(FINE, euler_values_batch(SINE, FINE, dw)[0], PathMode.LINEAR)
 
-    def run(self, f, eps, prefix=None):
-        args = (SINE, prefix or self.path(), f, eps, 64)
+    def run(self, f, eps):
+        args = (SINE, self.path(), f, eps, 64)
         return (
             estimate_F(*args, SeedSpec(71), FINE),
             vertical_derivative(*args, self.BUMP, SeedSpec(72), FINE),
@@ -658,10 +658,10 @@ class TestTerminalTime:
         rows[0, -1] += self.BUMP
         rows[2, -1] -= self.BUMP
         up, mid, down = fc._feps_batch(f, fc._spec(eps), FINE, rows)
+        assert est.value == fc._feps_batch(f, fc._spec(eps), FINE, x[None])[0]
         # a one-row product may sum in another order than the three-row one:
         # a few ulps of the summed terms, over 2h and h^2
         ulps = 16 * FINE.nodes.size * np.finfo(np.float64).eps * (1.0 + np.abs(rows).max()) ** 2
-        assert est.value == mid
         assert abs(vd.central.value - (up - down) / (2 * self.BUMP)) <= ulps / (2 * self.BUMP)
         assert abs(second.value - (up - 2 * mid + down) / self.BUMP**2) <= ulps / self.BUMP**2
 
