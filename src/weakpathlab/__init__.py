@@ -15,12 +15,9 @@ from .core_paths import (
     DiscretePath,
     PathMode,
     TimeGrid,
-    eval_path,
     make_uniform_grid,
     refine_grid,
-    restrict,
     sup_norm,
-    vertical_bump,
 )
 from .errors import (
     BudgetExceededError,
@@ -40,7 +37,6 @@ from .functional_calculus import (
     error_representation_sides,
     estimate_F,
     horizontal_derivative,
-    ito_residual,
     ito_rms_study,
     kolmogorov_residual,
     martingale_gap,

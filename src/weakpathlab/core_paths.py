@@ -1,10 +1,11 @@
 """Time grids and discrete path representations.
 
-A path on [0, T] is stored by its values at the nodes of a :class:`TimeGrid`
-together with an interpolation mode.  ``Linear`` realizes continuous
-piecewise-affine paths (the linearly interpolated Euler scheme is exactly of
-this form); ``CadlagStep`` realizes right-continuous step paths, which arise
-from vertical perturbations of a path's endpoint.
+A path on [0, T] is a row of values at the nodes of a :class:`TimeGrid`,
+read through an interpolation mode; :func:`interpolate_values` reads a batch
+of rows at any times.  ``Linear`` realizes continuous piecewise-affine paths
+(the linearly interpolated Euler scheme is exactly of this form);
+``CadlagStep`` realizes right-continuous step paths, which arise from
+vertical perturbations of a path's endpoint.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidArgumentError, OutOfRangeError
+from .errors import InvalidArgumentError
 
 __all__ = [
     "PathMode",
@@ -22,10 +23,7 @@ __all__ = [
     "DiscretePath",
     "make_uniform_grid",
     "refine_grid",
-    "eval_path",
-    "restrict",
     "sup_norm",
-    "vertical_bump",
 ]
 
 
@@ -45,8 +43,8 @@ class TimeGrid:
     """Strictly increasing nodes 0 = tau_0 < ... < tau_N = T with mesh delta.
 
     ``mesh`` is always the computed maximum gap between consecutive nodes.
-    The degenerate single-node grid {0} is permitted so that restriction to
-    time 0 stays representable; every constructor for nondegenerate grids
+    The degenerate single-node grid {0} is permitted so that a prefix on
+    [0, 0] stays representable; every constructor for nondegenerate grids
     requires T > 0.
     """
 
@@ -160,15 +158,13 @@ class DiscretePath:
         if not np.all(np.isfinite(values)):
             raise InvalidArgumentError("path values must be finite")
 
-    def __call__(self, t):
-        return eval_path(self, t)
-
 
 def interpolate_values(
     nodes: np.ndarray, values: np.ndarray, t: np.ndarray, mode: PathMode
 ) -> np.ndarray:
-    """Vectorized interpolation used by both path evaluation and the batched
-    Monte-Carlo kernels.  ``values`` may be (n,) or (m, n); ``t`` must lie in
+    """Path values at times ``t`` for every row of ``values``: affine between
+    the bracketing nodes in Linear mode, the value at the largest node <= t
+    in CadlagStep mode.  ``values`` may be (n,) or (m, n); ``t`` must lie in
     [nodes[0], nodes[-1]].  Exact node values are reproduced in both modes.
     """
     t = np.asarray(t, dtype=np.float64)
@@ -184,30 +180,6 @@ def interpolate_values(
         return (1.0 - lam) * values[..., idx] + lam * values[..., idx + 1]
 
 
-def eval_path(p: DiscretePath, t):
-    """Path value at time t.
-
-    Linear mode interpolates affinely between the bracketing nodes; cadlag
-    mode returns the value at the largest node <= t.  Node times return the
-    stored values exactly.
-    """
-    t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr < 0.0) or np.any(t_arr > p.grid.horizon):
-        raise OutOfRangeError(f"t={t!r} outside [0, {p.grid.horizon}]")
-    if p.grid.nodes.size == 1:
-        out = np.broadcast_to(p.values[0], t_arr.shape)
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out.copy()
-    out = interpolate_values(p.grid.nodes, p.values, t_arr, p.mode)
-    # np.interp-style exactness at nodes holds because lam = 0 there.
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-
-def restrict(p: DiscretePath, t: float) -> DiscretePath:
-    """Restriction of the path to [0, t]; ``t`` must be a grid node."""
-    i = p.grid.index_of(t)
-    return DiscretePath(TimeGrid(p.grid.nodes[: i + 1]), p.values[: i + 1], p.mode)
-
-
 def sup_norm(p: DiscretePath) -> float:
     """Uniform norm over [0, T].
 
@@ -216,13 +188,3 @@ def sup_norm(p: DiscretePath) -> float:
     """
     return float(np.abs(p.values).max())
 
-
-def vertical_bump(p: DiscretePath, h: float) -> DiscretePath:
-    """Bump the final value by h, leaving the rest of the path unchanged.
-
-    The result has a jump at the final time, so the mode is forced to
-    CadlagStep.
-    """
-    values = p.values.copy()
-    values[-1] += h
-    return DiscretePath(p.grid, values, PathMode.CADLAG_STEP)

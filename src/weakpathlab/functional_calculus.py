@@ -43,7 +43,7 @@ from .functionals import PathFunctional
 from .models import SdeModel
 from .mollifier import BandRows, LruCache, MollifierSpec, band_tiles, mollify_operator
 from .parallel import Moments, batch_layout
-from .randomness import BrownianPath, SeedSpec
+from .randomness import SeedSpec
 from .schemes import (
     euler_scan,
     euler_values_batch,
@@ -62,7 +62,6 @@ __all__ = [
     "horizontal_derivative",
     "kolmogorov_residual",
     "martingale_gap",
-    "ito_residual",
     "ito_rms_study",
     "error_representation_sides",
     "default_bump",
@@ -178,7 +177,7 @@ def _feps_batch(
     product and unmollified hooks read C-ordered rows, and ``BandRows``
     fixes the layout of the mollified rows it returns.
     """
-    if f.probe_times is not None and f.probe_eval is not None:
+    if f.probe_times is not None:
         return f.probe_eval(_at_probes(f, spec, grid, mode, values))
     if spec is None:
         return f.batch_eval(np.ascontiguousarray(values), grid, mode)
@@ -199,7 +198,7 @@ def _fd1_batch(
 ) -> np.ndarray:
     """Df(M x)(M h) rowwise (mollification is linear, so it commutes into
     the direction)."""
-    if f.probe_times is not None and f.probe_d1 is not None:
+    if f.probe_times is not None:
         return f.probe_d1(
             _at_probes(f, spec, grid, mode, values), _at_probes(f, spec, grid, mode, directions)
         )
@@ -588,47 +587,14 @@ def martingale_gap(
     )
 
 
-def ito_residual(w: BrownianPath) -> ResidualReport:
-    """Discrete functional Ito identity for F_t(x) = x(t)^2 along W.
-
-    With D_t F = 0, grad F = 2 x(t) and grad^2 F = 2, the formula reads
-
-        W(T)^2 = sum 2 W(tau_k) dW_k + [W](T),
-
-    realized with the left-point Ito sum and the analytic quadratic
-    variation [W](T) = T.  The residual equals the discrete-QV fluctuation
-    sum dW_k^2 - T, which has mean zero and std sqrt(2 sum dt_k^2); the
-    4-sigma bound on that fluctuation is the pass criterion.  The
-    ``telescoping`` component replaces T by sum dW_k^2 and vanishes
-    identically, which pins down the sums themselves.
-    """
-    t_final = w.grid.horizon
-    dw = w.increments()
-    ito_sum = float(np.sum(2.0 * w.values[:-1] * dw))
-    qv_discrete = float(np.sum(dw**2))
-    f_final = float(w.values[-1] ** 2)
-    residual = f_final - ito_sum - t_final
-    telescoping = f_final - ito_sum - qv_discrete
-    sigma4 = 4.0 * float(np.sqrt(2.0 * np.sum(np.diff(w.grid.nodes) ** 2)))
-    return ResidualReport.make(
-        residual,
-        sigma4,
-        {
-            "ito_sum": ito_sum,
-            "qv_discrete": qv_discrete,
-            "qv_compensator": t_final,
-            "telescoping": telescoping,
-        },
-    )
-
-
 def ito_rms_study(
     T: float, steps_list, n_samples: int, seed: SeedSpec, batch: int = 65536
 ) -> dict:
     """RMS of the Ito residual for x(t)^2 across meshes.
 
-    The residual per path is sum dW_k^2 - T (see :func:`ito_residual`), so
-    the RMS contracts like sqrt(2 T delta) under mesh refinement.
+    The discrete Ito formula W(T)^2 = sum 2 W(tau_k) dW_k + T holds up to a
+    residual equal per path to sum dW_k^2 - T, so the RMS contracts like
+    sqrt(2 T delta) under mesh refinement.
     """
     out = {"T": float(T), "meshes": [], "rms": [], "n_samples": int(n_samples)}
     for si, n_steps in enumerate(steps_list):

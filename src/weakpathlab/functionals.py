@@ -1,15 +1,18 @@
-"""Path-dependent test functionals with analytic directional derivatives.
+"""Path-dependent test functionals f: C([0, T]) -> R with analytic first and
+second derivatives, evaluated on batches of paths.
 
-Every shipped functional carries closed-form first and second directional
-derivatives; no estimator relies on numerically differentiating ``eval``.
-``d1(x, h)`` is the derivative of ``eval`` at x in direction h and
-``d2(x, h1, h2)`` the symmetric second derivative.
-
-Point evaluations between grid nodes use the path's own interpolation mode,
-so Linear and CadlagStep arguments are distinguished exactly where they
-should be.  The ``probe_*`` or ``batch_*`` hooks evaluate f and its first
-derivative on matrices of node values; the Monte-Carlo harnesses evaluate
-only through them, so every functional carries one of the two sets.
+A functional is a set of batch hooks, and every estimator evaluates f only
+through them.  Functionals that read the path at a few times carry
+``probe_times`` with ``probe_eval(v)``, ``probe_d1(v, h)`` and
+``probe_d2(v, h1, h2)``, where the last axis of each argument holds the path
+values at those times.  Functionals of the whole path carry
+``batch_eval(v, grid, mode)``, ``batch_d1(v, h, grid, mode)`` and
+``batch_d2(v, h1, h2, grid, mode)`` on rows of node values.  ``*_d1`` is the
+directional derivative of ``*_eval`` at v in direction h and ``*_d2`` the
+symmetric second derivative; the paper's weak-error formula needs f twice
+differentiable, and ``*_d2`` is the closed form that certifies it for the
+shipped functionals.  Every hook is row-wise: a row's result does not depend
+on the rows batched with it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core_paths import DiscretePath, PathMode, TimeGrid
+from .core_paths import PathMode, TimeGrid
 from .errors import InvalidArgumentError
 
 __all__ = [
@@ -35,24 +38,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PathFunctional:
+    """One complete hook set: ``probe_times`` with the three ``probe_*``
+    hooks, or the three ``batch_*`` hooks, never a mix."""
+
     name: str
-    eval: Callable[[DiscretePath], float]
-    d1: Callable[[DiscretePath, DiscretePath], float]
-    d2: Callable[[DiscretePath, DiscretePath, DiscretePath], float]
-    growth_exponent: float
     # reads only these times; None means the whole path matters
     probe_times: Optional[tuple[float, ...]] = None
     probe_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
     probe_d1: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    probe_d2: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
     batch_eval: Optional[Callable[[np.ndarray, TimeGrid, PathMode], np.ndarray]] = None
     batch_d1: Optional[
         Callable[[np.ndarray, np.ndarray, TimeGrid, PathMode], np.ndarray]
     ] = None
+    batch_d2: Optional[
+        Callable[[np.ndarray, np.ndarray, np.ndarray, TimeGrid, PathMode], np.ndarray]
+    ] = None
 
     def __post_init__(self):
-        probe = self.probe_times is not None and None not in (self.probe_eval, self.probe_d1)
-        if not probe and None in (self.batch_eval, self.batch_d1):
-            raise InvalidArgumentError(f"functional {self.name!r} has no probe or batch hooks")
+        probe = [
+            h is not None for h in (self.probe_times, self.probe_eval, self.probe_d1, self.probe_d2)
+        ]
+        batch = [h is not None for h in (self.batch_eval, self.batch_d1, self.batch_d2)]
+        if not (all(probe) and not any(batch) or all(batch) and not any(probe)):
+            raise InvalidArgumentError(
+                f"functional {self.name!r} needs exactly one complete set of probe or batch hooks"
+            )
 
 
 def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
@@ -66,11 +77,11 @@ def trapezoid(y: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Trapezoid rule along the last axis of ``y``, one contraction with
     ``trapezoid_weights(nodes)``.  Every C-contiguous row is summed by the
     same loop, so a row's result does not depend on the rows batched with
-    it, and a single path equals its one-row batch bit for bit.  Step-major
-    rows (the transpose of a C-contiguous array, which class-tiled
-    mollifiers return) are summed in node order by another loop, the same
-    for every batch of two or more rows; they agree with C-ordered rows to
-    rounding."""
+    it: a one-row batch equals its row in a C-ordered batch bit for bit.
+    Step-major rows (the transpose of a C-contiguous array, which
+    class-tiled mollifiers return) are summed in node order by another
+    loop, the same for every batch of two or more rows; they agree with
+    C-ordered rows to rounding."""
     return np.einsum("...j,j->...", y, trapezoid_weights(nodes))
 
 
@@ -83,25 +94,12 @@ def product_functional(t1: float, t2: float) -> PathFunctional:
     """f(x) = x(t1) x(t2); the covariance-type test functional."""
     _check_time(t1)
     _check_time(t2)
-
-    def _eval(x: DiscretePath) -> float:
-        return float(x(t1) * x(t2))
-
-    def _d1(x: DiscretePath, h: DiscretePath) -> float:
-        return float(h(t1) * x(t2) + x(t1) * h(t2))
-
-    def _d2(x: DiscretePath, h1: DiscretePath, h2: DiscretePath) -> float:
-        return float(h1(t1) * h2(t2) + h2(t1) * h1(t2))
-
     return PathFunctional(
         name=f"product({t1},{t2})",
-        eval=_eval,
-        d1=_d1,
-        d2=_d2,
-        growth_exponent=2.0,
         probe_times=(float(t1), float(t2)),
         probe_eval=lambda v: v[..., 0] * v[..., 1],
         probe_d1=lambda v, h: h[..., 0] * v[..., 1] + v[..., 0] * h[..., 1],
+        probe_d2=lambda v, h1, h2: h1[..., 0] * h2[..., 1] + h2[..., 0] * h1[..., 1],
     )
 
 
@@ -110,13 +108,10 @@ def point_functional(t1: float) -> PathFunctional:
     _check_time(t1)
     return PathFunctional(
         name=f"point({t1})",
-        eval=lambda x: float(x(t1)),
-        d1=lambda x, h: float(h(t1)),
-        d2=lambda x, h1, h2: 0.0,
-        growth_exponent=1.0,
         probe_times=(float(t1),),
         probe_eval=lambda v: v[..., 0],
         probe_d1=lambda v, h: h[..., 0],
+        probe_d2=lambda v, h1, h2: np.zeros_like(v[..., 0]),
     )
 
 
@@ -124,13 +119,13 @@ def integral_functional(
     g: Callable[[np.ndarray], np.ndarray],
     dg: Callable[[np.ndarray], np.ndarray],
     d2g: Callable[[np.ndarray], np.ndarray],
-    growth_exponent: float = 2.0,
     name: str = "integral",
 ) -> PathFunctional:
     """f(x) = int_0^T g(x(t)) dt by the trapezoid rule on the path's grid.
 
     ``g`` must be smooth with derivatives up to order four; only g' and g''
-    are evaluated here (for d1 and d2), the rest certify smoothness.
+    are evaluated here (for batch_d1 and batch_d2), the rest certify
+    smoothness.
     """
 
     def _batch_eval(v: np.ndarray, grid: TimeGrid, mode: PathMode) -> np.ndarray:
@@ -139,23 +134,14 @@ def integral_functional(
     def _batch_d1(v, hv, grid: TimeGrid, mode: PathMode) -> np.ndarray:
         return trapezoid(dg(v) * hv, grid.nodes)
 
-    def _eval(x: DiscretePath) -> float:
-        return float(_batch_eval(x.values, x.grid, x.mode))
-
-    def _d1(x: DiscretePath, h: DiscretePath) -> float:
-        return float(_batch_d1(x.values, h.values, x.grid, x.mode))
-
-    def _d2(x: DiscretePath, h1: DiscretePath, h2: DiscretePath) -> float:
-        return float(trapezoid(d2g(x.values) * h1.values * h2.values, x.grid.nodes))
+    def _batch_d2(v, h1, h2, grid: TimeGrid, mode: PathMode) -> np.ndarray:
+        return trapezoid(d2g(v) * h1 * h2, grid.nodes)
 
     return PathFunctional(
         name=name,
-        eval=_eval,
-        d1=_d1,
-        d2=_d2,
-        growth_exponent=float(growth_exponent),
         batch_eval=_batch_eval,
         batch_d1=_batch_d1,
+        batch_d2=_batch_d2,
     )
 
 
@@ -164,12 +150,13 @@ def smooth_max_functional(beta: float) -> PathFunctional:
 
         f(x) = beta^{-1} log( (1/T) int_0^T exp(beta x(t)) dt ).
 
-    Always <= sup |x| and increasing to the maximum as beta grows.  The
-    log-mean-exp and the exp(beta x) weights are evaluated in shifted form
-    (exponents <= 0), so both stay finite for every finite path.
+    Always <= sup |x| and increasing to the maximum as beta grows; beta must
+    be finite and positive.  The log-mean-exp and the exp(beta x) weights are
+    evaluated in shifted form (exponents <= 0), so both stay finite for
+    every finite path.
     """
-    if not beta > 0:
-        raise InvalidArgumentError(f"beta must be positive, got {beta!r}")
+    if not 0 < beta < np.inf:
+        raise InvalidArgumentError(f"beta must be finite and positive, got {beta!r}")
     bf = float(beta)
 
     def _batch_eval(v: np.ndarray, grid: TimeGrid, mode: PathMode) -> np.ndarray:
@@ -186,25 +173,14 @@ def smooth_max_functional(beta: float) -> PathFunctional:
         den = trapezoid(w, grid.nodes)
         return num / den
 
-    def _eval(x: DiscretePath) -> float:
-        return float(_batch_eval(x.values, x.grid, x.mode))
-
-    def _d1(x: DiscretePath, h: DiscretePath) -> float:
-        return float(_weighted(x.values, h.values, x.grid))
-
-    def _d2(x: DiscretePath, h1: DiscretePath, h2: DiscretePath) -> float:
-        v = x.values
-        both = _weighted(v, h1.values * h2.values, x.grid)
-        first = _weighted(v, h1.values, x.grid)
-        second = _weighted(v, h2.values, x.grid)
-        return float(bf * (both - first * second))
+    def _batch_d2(v, h1, h2, grid: TimeGrid, mode: PathMode) -> np.ndarray:
+        # beta times the weighted covariance of h1 and h2
+        both = _weighted(v, h1 * h2, grid)
+        return bf * (both - _weighted(v, h1, grid) * _weighted(v, h2, grid))
 
     return PathFunctional(
         name=f"smooth_max({beta})",
-        eval=_eval,
-        d1=_d1,
-        d2=_d2,
-        growth_exponent=1.0,
         batch_eval=_batch_eval,
         batch_d1=_weighted,
+        batch_d2=_batch_d2,
     )

@@ -66,9 +66,6 @@ class BrownianPath:
     def values(self) -> np.ndarray:
         return self.path.values
 
-    def increments(self) -> np.ndarray:
-        return np.diff(self.path.values)
-
 
 def sample_brownian(grid: TimeGrid, seed: SeedSpec) -> BrownianPath:
     """Sample W at the grid nodes: independent N(0, tau_{k+1}-tau_k) increments."""

@@ -205,7 +205,7 @@ def _f_on_scheme(
     f: PathFunctional, spec: Optional[MollifierSpec], grid: TimeGrid, model: SdeModel, m: int, dw
 ) -> np.ndarray:
     """f (mollified when ``spec`` is given) on m Euler paths on ``grid`` driven by ``dw``."""
-    if spec is None and f.probe_times is not None and f.probe_eval is not None:
+    if spec is None and f.probe_times is not None:
         return f.probe_eval(_at_times(model, grid, m, dw, f.probe_times))
     return _feps_batch(f, spec, grid, euler_scan(model, grid, np.broadcast_to(model.xi0, (m,)), dw))
 

@@ -167,7 +167,7 @@ class TestBuilders:
         assert build_functional({"name": "product", "t1": 0.2, "t2": 0.6}, 1.0).probe_times == (0.2, 0.6)
         assert build_functional({"name": "point", "t1": 0.9}, 1.0).probe_times == (0.9,)
         assert build_functional({"name": "integral-square"}, 1.0).batch_eval is not None
-        assert build_functional({"name": "smooth-max", "beta": 3.0}, 1.0).growth_exponent == 1.0
+        assert build_functional({"name": "smooth-max", "beta": 3.0}, 1.0).name == "smooth_max(3.0)"
 
     @pytest.mark.parametrize("horizon", [0.25, 1.0, 2.0])
     def test_probe_defaults_follow_the_horizon(self, horizon):
@@ -352,6 +352,16 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "invalid-experiment"
         assert "probe times" in summary["detail"]
+
+    def test_infinite_beta_is_a_config_error(self, tmp_path, capsys):
+        # beta = inf once made every smooth-max value NaN: exit 4, numeric-failure
+        cfg = write_config(tmp_path, "command: kolmogorov-check\n"
+                           "functional: {name: smooth-max, beta: .inf}\n"
+                           "budget: {n_inner: 20, n_outer: 4}\n")
+        out = tmp_path / "run"
+        assert main(["kolmogorov-check", "--config", cfg, "--out", str(out)]) == 2
+        assert "beta must be finite" in capsys.readouterr().err
+        assert not out.exists()  # rejected at parse time, before any run
 
     def test_config_hash_covers_the_resolved_experiment(self, tmp_path):
         base = "command: ito-check\nseed: 7\nbudget:\n  n_samples: 1000\n"

@@ -5,14 +5,12 @@ from weakpathlab.core_paths import (
     DiscretePath,
     PathMode,
     TimeGrid,
-    eval_path,
+    interpolate_values,
     make_uniform_grid,
     refine_grid,
-    restrict,
     sup_norm,
-    vertical_bump,
 )
-from weakpathlab.errors import InvalidArgumentError, OutOfRangeError
+from weakpathlab.errors import InvalidArgumentError
 
 
 def path(values, T=None, mode=PathMode.LINEAR):
@@ -60,55 +58,46 @@ class TestRefineGrid:
             b.indices_of_subgrid(a)
 
 
-class TestEvalPath:
+def at(p, t):
+    """Path ``p`` read at times ``t``."""
+    return interpolate_values(p.grid.nodes, p.values, t, p.mode)
+
+
+class TestInterpolateValues:
     def test_linear_midpoint(self):
-        assert eval_path(path([0.0, 1.0]), 0.5) == 0.5
+        assert at(path([0.0, 1.0]), 0.5) == 0.5
 
     def test_cadlag_left_value(self):
-        assert eval_path(path([0.0, 1.0], mode=PathMode.CADLAG_STEP), 0.5) == 0.0
+        assert at(path([0.0, 1.0], mode=PathMode.CADLAG_STEP), 0.5) == 0.0
 
     @pytest.mark.parametrize("mode", [PathMode.LINEAR, PathMode.CADLAG_STEP])
     def test_node_values_exact(self, mode):
         rng = np.random.default_rng(0)
         p = path(rng.standard_normal(9), mode=mode)
-        for k, t in enumerate(p.grid.nodes):
-            assert eval_path(p, t) == p.values[k]
-
-    def test_out_of_range(self):
-        p = path([0.0, 1.0])
-        with pytest.raises(OutOfRangeError):
-            eval_path(p, 1.5)
-        with pytest.raises(OutOfRangeError):
-            eval_path(p, -0.1)
+        assert np.array_equal(at(p, p.grid.nodes), p.values)
 
     def test_vectorized(self):
         p = path([0.0, 2.0, 0.0])
-        out = eval_path(p, np.array([0.25, 0.5, 0.75]))
+        out = at(p, np.array([0.25, 0.5, 0.75]))
         assert np.allclose(out, [1.0, 2.0, 1.0])
 
+    @pytest.mark.parametrize("mode", [PathMode.LINEAR, PathMode.CADLAG_STEP])
+    def test_batch_rows_match_np_interp(self, mode):
+        rng = np.random.default_rng(3)
+        nodes = make_uniform_grid(1.0, 8).nodes
+        rows = rng.standard_normal((4, 9))
+        t = np.sort(rng.uniform(0.0, 1.0, 11))
+        want = [np.interp(t, nodes, r) if mode is PathMode.LINEAR
+                else r[np.searchsorted(nodes, t, side="right") - 1] for r in rows]
+        assert np.allclose(interpolate_values(nodes, rows, t, mode), want, rtol=1e-15, atol=1e-15)
 
-class TestRestrict:
-    def test_full_restriction_is_identity(self):
-        p = path([1.0, 2.0, 3.0])
-        q = restrict(p, 1.0)
-        assert np.array_equal(q.values, p.values)
-        assert np.array_equal(q.grid.nodes, p.grid.nodes)
-
-    def test_restrict_to_zero(self):
-        p = path([1.0, 2.0, 3.0])
-        q = restrict(p, 0.0)
-        assert q.grid.nodes.size == 1 and q.values[0] == 1.0
-
-    def test_non_node_rejected(self):
-        p = path([0.0, 1.0, 2.0, 3.0, 4.0])  # nodes multiples of 0.25
-        with pytest.raises(InvalidArgumentError):
-            restrict(p, 0.3)
-
-    def test_idempotent(self):
-        p = path(np.arange(9.0))
-        q = restrict(p, 0.5)
-        r = restrict(q, 0.5)
-        assert np.array_equal(q.values, r.values)
+    def test_cadlag_endpoint_bump_changes_only_final_time(self):
+        # the step path of a vertical bump of x at T: x before T, x(T) + h at T
+        p = path([1.0, 2.0, -1.0, 0.5], mode=PathMode.CADLAG_STEP)
+        bumped = path([1.0, 2.0, -1.0, 3.5], mode=PathMode.CADLAG_STEP)
+        before_last = np.linspace(0.0, 1.0, 41)[:-1]
+        assert np.array_equal(at(p, before_last), at(bumped, before_last))
+        assert at(bumped, 1.0) == at(p, 1.0) + 3.0
 
 
 class TestSupNorm:
@@ -121,39 +110,15 @@ class TestSupNorm:
     def test_prefix_monotone(self):
         rng = np.random.default_rng(1)
         p = path(rng.standard_normal(17))
-        for t in p.grid.nodes:
-            assert sup_norm(restrict(p, t)) <= sup_norm(p)
+        for i in range(p.grid.nodes.size):
+            prefix = DiscretePath(TimeGrid(p.grid.nodes[: i + 1]), p.values[: i + 1])
+            assert sup_norm(prefix) <= sup_norm(p)
 
     def test_matches_nodewise_eval(self):
         rng = np.random.default_rng(2)
         p = path(rng.standard_normal(9))
-        nodewise = max(abs(eval_path(p, t)) for t in p.grid.nodes)
-        assert sup_norm(p) == nodewise
-
-
-class TestVerticalBump:
-    def test_zero_bump_equal_as_cadlag(self):
-        p = path([1.0, 2.0])
-        q = vertical_bump(p, 0.0)
-        assert q.mode is PathMode.CADLAG_STEP
-        assert np.array_equal(q.values, p.values)
-
-    def test_last_value_incremented(self):
-        q = vertical_bump(path([1.0, 2.0]), 0.5)
-        assert list(q.values) == [1.0, 2.5]
-
-    def test_inverse(self):
-        p = path([1.0, 2.0, -1.0])
-        q = vertical_bump(vertical_bump(p, 0.7), -0.7)
-        assert np.allclose(q.values, p.values)
-
-    def test_only_final_time_changes(self):
-        p = path([1.0, 2.0, -1.0, 0.5], mode=PathMode.CADLAG_STEP)
-        q = vertical_bump(p, 3.0)
-        ts = np.linspace(0.0, 1.0, 41)[:-1]  # strictly below the final node
-        before_last = ts[ts < p.grid.nodes[-1]]
-        assert np.array_equal(eval_path(p, before_last), eval_path(q, before_last))
-        assert eval_path(q, 1.0) == eval_path(p, 1.0) + 3.0
+        t = np.linspace(0.0, 1.0, 65)
+        assert sup_norm(p) == np.abs(at(p, t)).max()
 
 
 class TestValidation:

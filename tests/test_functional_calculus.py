@@ -25,7 +25,6 @@ from weakpathlab.functional_calculus import (
     error_representation_sides,
     estimate_F,
     horizontal_derivative,
-    ito_residual,
     ito_rms_study,
     kolmogorov_residual,
     martingale_gap,
@@ -40,7 +39,7 @@ from weakpathlab.functionals import (
 )
 from weakpathlab.models import SdeModel, constant_model, ou_model, sine_model
 from weakpathlab.mollifier import MollifierSpec, band_tiles, mollify, mollify_operator
-from weakpathlab.randomness import BrownianPath, SeedSpec, sample_brownian
+from weakpathlab.randomness import SeedSpec, sample_brownian
 from weakpathlab.schemes import euler_values_batch, stochastic_interpolation_batch
 
 FINE = make_uniform_grid(1.0, 128)
@@ -197,13 +196,57 @@ class TestLayout:
         assert all(np.array_equal(a, b) for a, b in zip(want, got))
 
 
+class TestHookRouting:
+    """Every evaluation of f goes through its hooks: wrappers installed with
+    dataclasses.replace, as the benchmark's tracer installs them, see every
+    row and change no bit."""
+
+    FUNCTIONALS = [
+        point_functional(0.7), product_functional(0.3, 1.0), SQUARE_INTEGRAL,
+        smooth_max_functional(2.0),
+    ]
+    HOOKS = ("probe_eval", "probe_d1", "probe_d2", "batch_eval", "batch_d1", "batch_d2")
+
+    @classmethod
+    def counted(cls, f, rows):
+        def wrap(name, hook):
+            def wrapped(*args):
+                rows[name] = rows.get(name, 0) + len(args[0])
+                return hook(*args)
+
+            return wrapped
+
+        hooks = {name: getattr(f, name) for name in cls.HOOKS if getattr(f, name) is not None}
+        return dataclasses.replace(f, **{name: wrap(name, h) for name, h in hooks.items()})
+
+    @pytest.mark.parametrize("eps", [EPS, None], ids=["mollified", "raw"])
+    @pytest.mark.parametrize("f", FUNCTIONALS, ids=lambda f: f.name)
+    def test_wrapped_hooks_count_every_row_and_keep_the_bits(self, f, eps):
+        spec, rows = fc._spec(eps), {}
+        wrapped = self.counted(f, rows)
+        rng = np.random.default_rng(80)
+        x = np.cumsum(rng.standard_normal((300, FINE.nodes.size)), axis=1) * 0.1
+        h = rng.standard_normal((300, FINE.nodes.size))
+        assert np.array_equal(fc._feps_batch(wrapped, spec, FINE, x),
+                              fc._feps_batch(f, spec, FINE, x))
+        assert np.array_equal(fc._fd1_batch(wrapped, spec, FINE, x, h),
+                              fc._fd1_batch(f, spec, FINE, x, h))
+        prefix = constant_prefix(0.5, 0.3)
+        got, want = (estimate_F(OU, prefix, g, eps, 64, SeedSpec(81), FINE) for g in (wrapped, f))
+        assert (got.value, got.std_error) == (want.value, want.std_error)
+        kind = "probe" if f.probe_times is not None else "batch"
+        assert rows == {f"{kind}_eval": 300 + 64, f"{kind}_d1": 300}
+
+
 class TestEstimateF:
     def test_full_horizon_is_deterministic(self):
         w = sample_brownian(FINE, SeedSpec(1)).path
         f = product_functional(0.4, 1.0)
         est = estimate_F(OU, w, f, EPS, 500, SeedSpec(2), FINE)
         assert est.std_error == 0.0
-        assert est.value == pytest.approx(f.eval(mollify(MollifierSpec(EPS), w)), rel=1e-12)
+        smooth = mollify(MollifierSpec(EPS), w).values
+        want = np.interp(0.4, FINE.nodes, smooth) * smooth[-1]
+        assert est.value == pytest.approx(want, rel=1e-12)
 
     def test_frozen_dynamics_exact(self):
         model = frozen_model(1.7)
@@ -386,30 +429,29 @@ class TestMartingaleGap:
             martingale_gap(OU, point_functional(1.0), EPS, (0.75, 0.25), 8, SeedSpec(28), FINE)
 
 
-class TestItoResidual:
-    def test_zero_path_telescoping(self):
-        grid = make_uniform_grid(1.0, 16)
-        w = BrownianPath(DiscretePath(grid, np.zeros(17), PathMode.LINEAR))
-        rep = ito_residual(w)
-        assert rep.components["telescoping"] == 0.0
-        assert rep.residual == pytest.approx(-1.0)  # QV fluctuation of the null path
+class TestItoRmsStudy:
+    STEPS = [16, 32, 64, 128]
+    N = 4000
 
-    def test_single_step_telescoping_exact(self):
-        grid = make_uniform_grid(1.0, 1)
-        w = sample_brownian(grid, SeedSpec(29))
-        rep = ito_residual(w)
-        assert rep.components["telescoping"] == pytest.approx(0.0, abs=1e-14)
-
-    def test_residual_is_qv_fluctuation(self):
-        w = sample_brownian(make_uniform_grid(1.0, 64), SeedSpec(30))
-        rep = ito_residual(w)
-        dw2 = float(np.sum(np.diff(w.values) ** 2))
-        assert rep.residual == pytest.approx(dw2 - 1.0, abs=1e-12)
-        assert abs(rep.components["telescoping"]) < 1e-12
-        assert rep.passed  # 4-sigma bound on the QV fluctuation
+    def test_residual_is_qv_fluctuation_on_the_study_draws(self):
+        # the draws of ito_rms_study, redrawn here: W(T)^2 - sum 2 W dW - T
+        # equals sum dW^2 - T on every path, whose mean square is exactly
+        # 2 T delta; 4 SE of that mean bound the study's RMS
+        study = ito_rms_study(1.0, self.STEPS, self.N, SeedSpec(31))
+        for si, n in enumerate(self.STEPS):
+            dt = 1.0 / n
+            dw = np.sqrt(dt) * SeedSpec(31).rng(fc._TAG_INNER, si, 0).standard_normal((self.N, n))
+            w = np.cumsum(dw, axis=1)
+            ito_sum = 2.0 * np.sum(w[:, :-1] * dw[:, 1:], axis=1)
+            resid = w[:, -1] ** 2 - ito_sum - 1.0
+            assert np.allclose(resid, np.sum(dw**2, axis=1) - 1.0, rtol=0.0, atol=1e-12)
+            assert study["rms"][si] == pytest.approx(np.sqrt(np.mean(resid**2)), rel=1e-12)
+            # Var[(sum dW^2 - T)^2] / (2 T delta)^2 = 2 + 12 / n
+            se = np.sqrt((2.0 + 12.0 / n) / self.N)
+            assert abs(study["rms"][si] ** 2 / (2.0 * dt) - 1.0) <= 4 * se
 
     def test_rms_contraction_rate(self):
-        study = ito_rms_study(1.0, [16, 32, 64, 128], 4000, SeedSpec(31))
+        study = ito_rms_study(1.0, self.STEPS, self.N, SeedSpec(31))
         for ratio in study["ratios"]:
             assert 1.2 <= ratio <= 1.7
 
@@ -558,8 +600,8 @@ def test_non_finite_value_or_tolerance_fails():
 
 
 class TestOuOracles:
-    """Exact F_t, grad F and grad^2 F for OU(1, 1, 1) with mollified point
-    and product functionals.  The Euler continuation from u at node i has
+    """Exact F_t, grad F, grad^2 F and D_t F for OU(1, 1, 1) with mollified
+    point and product functionals.  The Euler continuation from u at node i has
     probe values (M X)(tau) = mean + beta(i) (u - x(t)) + N: ``mean`` comes
     from the prefix and beta from the probe rows, and N is Gaussian with
     mean zero, independent of u, with covariance dt sum_{j >= i} beta(j+1)
@@ -571,21 +613,33 @@ class TestOuOracles:
     N_INNER = 2000
 
     def oracle(self, f):
+        """The prefix up to node I_T, the probe rows and beta."""
         rows = fc._probe_rows(MollifierSpec(EPS), FINE, PathMode.LINEAR, f.probe_times)
-        beta = ou_beta(rows, FINE.mesh)
         dw = np.sqrt(FINE.mesh) * SeedSpec(60).rng().standard_normal((1, FINE.n_intervals))
         x = euler_values_batch(OU, FINE, dw)[0]
         i = self.I_T
         prefix = DiscretePath(TimeGrid(FINE.nodes[: i + 1]), x[: i + 1], PathMode.LINEAR)
-        mean = rows[:, :i] @ x[:i] + beta[i] * x[i]
-        cov = FINE.mesh * beta[i + 1 :].T @ beta[i + 1 :]
-        return prefix, mean, beta[i], cov
+        return prefix, rows, ou_beta(rows, FINE.mesh)
+
+    @staticmethod
+    def moments(rows, beta, path):
+        """Mean and noise covariance of the probe values of the continuation
+        of ``path`` from its last node i."""
+        i = path.size - 1
+        mean = rows[:, :i] @ path[:i] + beta[i] * path[i]
+        return mean, FINE.mesh * beta[i + 1 :].T @ beta[i + 1 :]
+
+    @staticmethod
+    def exact_F(mean, cov):
+        """E f(mean + N) for point (one probe) or product (two)."""
+        return mean[0] if mean.size == 1 else mean[0] * mean[1] + cov[0, 1]
 
     def estimates(self, f, seed):
-        prefix, mean, beta, cov = self.oracle(f)
+        prefix, rows, beta = self.oracle(f)
+        mean, cov = self.moments(rows, beta, prefix.values)
         args = (OU, prefix, f, EPS, self.N_INNER)
         return (
-            (mean, beta, cov),
+            (mean, beta[self.I_T], cov),
             estimate_F(*args, SeedSpec(seed), FINE),
             vertical_derivative(*args, self.BUMP, SeedSpec(seed + 1), FINE),
             second_vertical_derivative(*args, self.BUMP, SeedSpec(seed + 2), FINE),
@@ -607,13 +661,35 @@ class TestOuOracles:
         (mean, beta, cov), est, vd, second = self.estimates(product_functional(0.5, 1.0), 64)
         assert beta.min() > 0.1
         grad = beta[0] * mean[1] + beta[1] * mean[0]
-        assert abs(est.value - (mean[0] * mean[1] + cov[0, 1])) <= 4 * est.std_error
+        assert abs(est.value - self.exact_F(mean, cov)) <= 4 * est.std_error
         for part in (vd.central, vd.pairing):
             assert abs(part.value - grad) <= 4 * part.std_error
         assert abs(second.value - 2 * beta[0] * beta[1]) <= 1e-11
         assert second.std_error <= 1e-11
         # the same draws: the two first-derivative estimates agree to rounding
         assert abs(vd.central.value - vd.pairing.value) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "f", [point_functional(1.0), product_functional(0.5, 1.0)], ids=["point", "product"]
+    )
+    def test_horizontal_derivative(self, f):
+        # the flat extension to node i + 1 has probe mean
+        # rows[:, :i+1] @ ext + beta(i+1) x(t), and its noise covariance drops
+        # dt beta(i+1) beta(i+1)^T; for point, D_t F = theta x(t) beta(i+1).
+        # The prefix is lifted by 2 so that x(t) is far from 0 and the
+        # estimate resolves D_t F.
+        prefix, rows, beta = self.oracle(f)
+        prefix = DiscretePath(prefix.grid, prefix.values + 2.0)
+        x_t = prefix.values[-1]
+        base = self.exact_F(*self.moments(rows, beta, prefix.values))
+        ext = self.exact_F(*self.moments(rows, beta, np.append(prefix.values, x_t)))
+        exact = (ext - base) / FINE.mesh
+        if f.probe_times == (1.0,):
+            assert exact == pytest.approx(x_t * beta[self.I_T + 1][0], rel=1e-10)
+        # one step's noise over dt: 10 N_INNER rows bring the SE to 4% of D_t F
+        est = horizontal_derivative(OU, prefix, f, EPS, 10 * self.N_INNER, None, SeedSpec(66), FINE)
+        assert abs(exact) > 20 * est.std_error
+        assert abs(est.value - exact) <= 4 * est.std_error
 
 
 class TestTerminalTime:

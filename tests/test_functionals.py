@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from weakpathlab.core_paths import DiscretePath, PathMode, TimeGrid, make_uniform_grid, sup_norm
+import weakpathlab.functional_calculus as fc
+from weakpathlab.core_paths import PathMode, TimeGrid, interpolate_values, make_uniform_grid
 from weakpathlab.errors import InvalidArgumentError
 from weakpathlab.functionals import (
     PathFunctional,
@@ -13,19 +14,17 @@ from weakpathlab.functionals import (
     trapezoid_weights,
 )
 from weakpathlab.models import ou_model
-from weakpathlab.mollifier import MollifierSpec, mollify
+from weakpathlab.mollifier import MollifierSpec
 from weakpathlab.randomness import SeedSpec, sample_brownian
 from weakpathlab.weak_error import FineGridReference, RateExperiment, coupled_bias
 
 GRID = make_uniform_grid(1.0, 100)
+NODES = GRID.nodes
 
 
-def brownian_path(i):
-    return sample_brownian(GRID, SeedSpec(123, i)).path
-
-
-def as_path(values):
-    return DiscretePath(GRID, values, PathMode.LINEAR)
+def brownian_rows(first, count=1):
+    """``count`` Brownian paths on GRID as rows of node values."""
+    return np.stack([sample_brownian(GRID, SeedSpec(123, first + i)).values for i in range(count)])
 
 
 def square_integral():
@@ -39,36 +38,45 @@ ALL_FUNCTIONALS = [
     smooth_max_functional(2.0),
 ]
 
+# f(x), written out for rows x of node values on GRID
+REFERENCES = {
+    "product(0.31,0.87)": lambda x: np.array([np.interp(0.31, NODES, r) * np.interp(0.87, NODES, r)
+                                              for r in x]),
+    "point(0.7)": lambda x: np.array([np.interp(0.7, NODES, r) for r in x]),
+    "integral": lambda x: np.trapezoid(x**2, NODES, axis=-1),
+    # the unshifted log-mean-exp, finite at this beta (T = 1)
+    "smooth_max(2.0)": lambda x: np.log(np.trapezoid(np.exp(2.0 * x), NODES, axis=-1)) / 2.0,
+}
 
-def central_d1(f, x, h):
-    tau = 1e-4 * (1.0 + sup_norm(h))
-    up = as_path(x.values + tau * h.values)
-    down = as_path(x.values - tau * h.values)
-    return (f.eval(up) - f.eval(down)) / (2 * tau)
+# p with |f(x)| <= C (1 + |x|_sup^p): the polynomial growth the weak-error
+# formula asks of f and its derivatives
+GROWTH_EXPONENTS = {"product(0.31,0.87)": 2.0, "point(0.7)": 1.0, "integral": 2.0,
+                    "smooth_max(2.0)": 1.0}
 
 
-def central_d2(f, x, h1, h2):
-    tau = 1e-4 * (1.0 + max(sup_norm(h1), sup_norm(h2)))
-    pp = as_path(x.values + tau * h1.values + tau * h2.values)
-    pm = as_path(x.values + tau * h1.values - tau * h2.values)
-    mp = as_path(x.values - tau * h1.values + tau * h2.values)
-    mm = as_path(x.values - tau * h1.values - tau * h2.values)
-    return (f.eval(pp) - f.eval(pm) - f.eval(mp) + f.eval(mm)) / (4 * tau**2)
+def hook(f, kind, *rows):
+    """f's ``kind`` hook ("eval", "d1" or "d2") on rows of node values on
+    GRID; probe hooks get the rows at their probe times."""
+    if f.probe_times is not None:
+        probes = np.asarray(f.probe_times)
+        args = [interpolate_values(NODES, r, probes, PathMode.LINEAR) for r in rows]
+        return getattr(f, f"probe_{kind}")(*args)
+    return getattr(f, f"batch_{kind}")(*rows, GRID, PathMode.LINEAR)
 
 
 class TestProductFunctional:
     def test_zero_path(self):
-        assert product_functional(0.2, 0.9).eval(as_path(np.zeros(101))) == 0.0
+        assert hook(product_functional(0.2, 0.9), "eval", np.zeros((1, 101)))[0] == 0.0
 
     def test_euler_homogeneity(self):
         f = product_functional(0.25, 0.75)
-        x = brownian_path(0)
-        assert f.d1(x, x) == pytest.approx(2 * f.eval(x), rel=1e-12)
+        x = brownian_rows(0)
+        assert hook(f, "d1", x, x)[0] == pytest.approx(2 * hook(f, "eval", x)[0], rel=1e-12)
 
-    def test_d2_symmetry(self):
+    def test_d2_is_constant(self):
         f = product_functional(0.25, 0.75)
-        x, h1, h2 = brownian_path(1), brownian_path(2), brownian_path(3)
-        assert f.d2(x, h1, h2) == f.d2(x, h2, h1)
+        h1, h2 = brownian_rows(2), brownian_rows(3)
+        assert hook(f, "d2", brownian_rows(1), h1, h2) == hook(f, "d2", brownian_rows(4), h1, h2)
 
     def test_negative_time_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -78,59 +86,60 @@ class TestProductFunctional:
 class TestPointFunctional:
     def test_ramp_value(self):
         f = point_functional(0.7)
-        assert f.eval(as_path(GRID.nodes.copy())) == pytest.approx(0.7, rel=1e-14)
+        assert hook(f, "eval", NODES[None])[0] == pytest.approx(0.7, rel=1e-14)
 
     def test_d1_independent_of_base(self):
         f = point_functional(0.7)
-        h = brownian_path(4)
-        assert f.d1(brownian_path(5), h) == f.d1(brownian_path(6), h)
+        h = brownian_rows(4)
+        assert hook(f, "d1", brownian_rows(5), h) == hook(f, "d1", brownian_rows(6), h)
 
     def test_d2_vanishes(self):
         f = point_functional(0.7)
-        assert f.d2(brownian_path(7), brownian_path(8), brownian_path(9)) == 0.0
+        d2 = hook(f, "d2", brownian_rows(7, 3), brownian_rows(10, 3), brownian_rows(13, 3))
+        assert np.array_equal(d2, np.zeros(3))
 
 
 class TestIntegralFunctional:
     def test_identity_on_constant(self):
         f = integral_functional(lambda u: u, lambda u: 1.0 + 0.0 * u, lambda u: 0.0 * u)
-        assert f.eval(as_path(np.full(101, 2.5))) == pytest.approx(2.5, rel=1e-12)
+        assert hook(f, "eval", np.full((1, 101), 2.5))[0] == pytest.approx(2.5, rel=1e-12)
 
     def test_square_of_ramp(self):
         # integral of t^2 dt = 1/3, trapezoid error O(mesh^2)
-        f = square_integral()
-        assert f.eval(as_path(GRID.nodes.copy())) == pytest.approx(1.0 / 3.0, abs=2e-4)
+        assert hook(square_integral(), "eval", NODES[None])[0] == pytest.approx(1 / 3, abs=2e-4)
 
     def test_d1_against_quadrature(self):
         # d/du integral u^2 in direction 1 along x=t: integral 2t dt = 1
-        f = square_integral()
-        x = as_path(GRID.nodes.copy())
-        h = as_path(np.ones(101))
-        assert f.d1(x, h) == pytest.approx(1.0, abs=2e-4)
+        d1 = hook(square_integral(), "d1", NODES[None], np.ones((1, 101)))
+        assert d1[0] == pytest.approx(1.0, abs=2e-4)
+
+    def test_d2_reads_g_second_derivative(self):
+        # g'' = 2: D^2 f (x)[h, h] = 2 int h^2 dt whatever x is
+        h = brownian_rows(90)
+        d2 = hook(square_integral(), "d2", brownian_rows(91), h, h)
+        assert d2[0] == pytest.approx(2.0 * np.trapezoid(h[0] ** 2, NODES), rel=1e-12)
 
 
 class TestSmoothMax:
     def test_constant_path_exact(self):
         f = smooth_max_functional(3.0)
-        assert f.eval(as_path(np.full(101, -1.3))) == pytest.approx(-1.3, rel=1e-12)
+        assert hook(f, "eval", np.full((1, 101), -1.3))[0] == pytest.approx(-1.3, rel=1e-12)
 
     def test_bounded_by_sup_norm(self):
-        f = smooth_max_functional(2.0)
-        for i in range(10):
-            x = brownian_path(i)
-            assert f.eval(x) <= sup_norm(x) + 1e-12
+        x = brownian_rows(0, 10)
+        assert np.all(hook(smooth_max_functional(2.0), "eval", x) <= np.abs(x).max(axis=1) + 1e-12)
 
     def test_monotone_in_beta_to_max(self):
-        x = as_path(GRID.nodes.copy())
-        vals = [smooth_max_functional(b).eval(x) for b in (1.0, 10.0, 100.0)]
+        vals = [hook(smooth_max_functional(b), "eval", NODES[None])[0] for b in (1.0, 10.0, 100.0)]
         assert vals[0] < vals[1] < vals[2] < 1.0
 
     def test_shifted_form_stays_finite_for_large_beta_times_sup(self):
         # beta * sup|x| = 800 lies beyond the exp range unshifted; the
         # shifted log-mean-exp and weights are exact here
         f = smooth_max_functional(100.0)
-        x = as_path(np.full(101, 8.0))
-        assert f.eval(x) == 8.0
-        assert f.d1(x, as_path(np.ones(101))) == 1.0
+        x = np.full((1, 101), 8.0)
+        assert hook(f, "eval", x)[0] == 8.0
+        assert hook(f, "d1", x, np.ones((1, 101)))[0] == 1.0
         # OU paths with beta * sup|x| > 700 in some samples: the whole rung
         # is estimated, nothing excluded
         exp = RateExperiment(
@@ -141,95 +150,81 @@ class TestSmoothMax:
         point = coupled_bias(exp, 0)
         assert np.isfinite(point.bias) and point.excluded == 0 and point.n_samples == 20000
 
-    def test_invalid_beta(self):
+    @pytest.mark.parametrize("beta", [0.0, -1.0, np.inf, np.nan])
+    def test_invalid_beta(self, beta):
+        # beta = inf would make every value NaN
         with pytest.raises(InvalidArgumentError):
-            smooth_max_functional(0.0)
+            smooth_max_functional(beta)
 
 
-def test_functional_without_batch_hooks_rejected():
-    f = point_functional(0.5)
-    with pytest.raises(InvalidArgumentError):
-        PathFunctional(name="bare", eval=f.eval, d1=f.d1, d2=f.d2, growth_exponent=1.0)
-    with pytest.raises(InvalidArgumentError):  # probe hooks without their times
-        PathFunctional(name="timeless", eval=f.eval, d1=f.d1, d2=f.d2, growth_exponent=1.0,
-                       probe_eval=f.probe_eval, probe_d1=f.probe_d1)
+def test_functional_needs_exactly_one_complete_hook_set():
+    p, b = point_functional(0.5), square_integral()
+    probe = dict(probe_times=p.probe_times, probe_eval=p.probe_eval, probe_d1=p.probe_d1,
+                 probe_d2=p.probe_d2)
+    batch = dict(batch_eval=b.batch_eval, batch_d1=b.batch_d1, batch_d2=b.batch_d2)
+    PathFunctional(name="probe", **probe)
+    PathFunctional(name="batch", **batch)
+    for hooks in (
+        {},
+        {**probe, "probe_times": None},  # probe hooks without their times
+        {**probe, "probe_d2": None},  # no second derivative
+        {**batch, "batch_d2": None},
+        {**probe, "batch_eval": b.batch_eval},  # a mix
+        {**batch, "probe_times": p.probe_times},
+    ):
+        with pytest.raises(InvalidArgumentError):
+            PathFunctional(name="incomplete", **hooks)
+
+
+@pytest.mark.parametrize("f", ALL_FUNCTIONALS, ids=lambda f: f.name)
+def test_eval_matches_written_out_reference(f):
+    x = brownian_rows(60, 5)
+    assert np.allclose(hook(f, "eval", x), REFERENCES[f.name](x), rtol=1e-12, atol=1e-14)
 
 
 class TestDerivativeAudit:
     @pytest.mark.parametrize("f", ALL_FUNCTIONALS, ids=lambda f: f.name)
     def test_d1_matches_central_difference(self, f):
-        for i in range(25):
-            x, h = brownian_path(10 + i), brownian_path(200 + i)
-            claimed = f.d1(x, h)
-            fd = central_d1(f, x, h)
-            assert abs(claimed - fd) <= 1e-4 * (1.0 + abs(claimed))
+        x, h = brownian_rows(10, 25), brownian_rows(200, 25)
+        tau = 1e-4 * (1.0 + np.abs(h).max(axis=1, keepdims=True))
+        fd = (hook(f, "eval", x + tau * h) - hook(f, "eval", x - tau * h)) / (2 * tau[:, 0])
+        claimed = hook(f, "d1", x, h)
+        assert np.all(np.abs(claimed - fd) <= 1e-4 * (1.0 + np.abs(claimed)))
 
     @pytest.mark.parametrize("f", ALL_FUNCTIONALS, ids=lambda f: f.name)
-    def test_d2_matches_second_difference(self, f):
-        for i in range(25):
-            x, h1, h2 = brownian_path(20 + i), brownian_path(300 + i), brownian_path(400 + i)
-            claimed = f.d2(x, h1, h2)
-            fd = central_d2(f, x, h1, h2)
-            assert abs(claimed - fd) <= 1e-4 * (1.0 + abs(claimed)) + 1e-5
+    def test_d2_matches_central_difference_of_d1(self, f):
+        x, h1, h2 = brownian_rows(20, 25), brownian_rows(300, 25), brownian_rows(400, 25)
+        tau = 1e-4 * (1.0 + np.abs(h2).max(axis=1, keepdims=True))
+        fd = (hook(f, "d1", x + tau * h2, h1) - hook(f, "d1", x - tau * h2, h1)) / (2 * tau[:, 0])
+        claimed = hook(f, "d2", x, h1, h2)
+        assert np.all(np.abs(claimed - fd) <= 1e-4 * (1.0 + np.abs(claimed)) + 1e-5)
 
     @pytest.mark.parametrize("f", ALL_FUNCTIONALS, ids=lambda f: f.name)
     def test_d2_symmetric(self, f):
-        x, h1, h2 = brownian_path(30), brownian_path(31), brownian_path(32)
-        assert f.d2(x, h1, h2) == pytest.approx(f.d2(x, h2, h1), rel=1e-12, abs=1e-15)
+        x, h1, h2 = brownian_rows(30), brownian_rows(31), brownian_rows(32)
+        assert hook(f, "d2", x, h1, h2)[0] == pytest.approx(
+            hook(f, "d2", x, h2, h1)[0], rel=1e-12, abs=1e-15
+        )
 
 
 class TestGrowthAudit:
     @pytest.mark.parametrize("f", ALL_FUNCTIONALS, ids=lambda f: f.name)
     def test_polynomial_growth(self, f):
-        x = brownian_path(40)
-        base = 1.0 + abs(f.eval(x))
+        x = brownian_rows(40)
+        base = 1.0 + abs(hook(f, "eval", x)[0])
         for lam in (1.0, 2.0, 4.0, 8.0):
-            val = abs(f.eval(as_path(lam * x.values)))
-            assert val <= 4.0 * base * lam**f.growth_exponent
+            val = abs(hook(f, "eval", lam * x)[0])
+            assert val <= 4.0 * base * lam ** GROWTH_EXPONENTS[f.name]
 
     @pytest.mark.parametrize("f", ALL_FUNCTIONALS, ids=lambda f: f.name)
     def test_mollified_composition_same_growth(self, f):
         # f o M has the same growth constant: M is a sup-norm contraction
-        spec = MollifierSpec(0.05, 64)
-        for i in range(10):
-            x = brownian_path(50 + i)
-            mollified = abs(f.eval(mollify(spec, x)))
-            c = 4.0 * (1.0 + abs(f.eval(x))) / (1.0 + sup_norm(x) ** f.growth_exponent)
-            assert mollified <= c * (1.0 + sup_norm(x) ** f.growth_exponent)
-
-
-class TestBatchHooks:
-    @pytest.mark.parametrize("f", ALL_FUNCTIONALS, ids=lambda f: f.name)
-    def test_batch_matches_scalar(self, f):
-        values = np.stack([brownian_path(60 + i).values for i in range(5)])
-        if f.probe_times is not None and f.probe_eval is not None:
-            from weakpathlab.core_paths import interpolate_values
-
-            probes = interpolate_values(
-                GRID.nodes, values, np.asarray(f.probe_times), PathMode.LINEAR
-            )
-            batch = f.probe_eval(probes)
-        else:
-            batch = f.batch_eval(values, GRID, PathMode.LINEAR)
-        scalar = [f.eval(as_path(v)) for v in values]
-        assert np.allclose(batch, scalar, rtol=1e-12)
-
-    @pytest.mark.parametrize("f", ALL_FUNCTIONALS, ids=lambda f: f.name)
-    def test_batch_d1_matches_scalar(self, f):
-        xs = np.stack([brownian_path(70 + i).values for i in range(4)])
-        hs = np.stack([brownian_path(80 + i).values for i in range(4)])
-        if f.probe_times is not None and f.probe_d1 is not None:
-            from weakpathlab.core_paths import interpolate_values
-
-            t = np.asarray(f.probe_times)
-            batch = f.probe_d1(
-                interpolate_values(GRID.nodes, xs, t, PathMode.LINEAR),
-                interpolate_values(GRID.nodes, hs, t, PathMode.LINEAR),
-            )
-        else:
-            batch = f.batch_d1(xs, hs, GRID, PathMode.LINEAR)
-        scalar = [f.d1(as_path(x), as_path(h)) for x, h in zip(xs, hs)]
-        assert np.allclose(batch, scalar, rtol=1e-12)
+        p = GROWTH_EXPONENTS[f.name]
+        x = brownian_rows(50, 10)
+        mollified = np.abs(fc._feps_batch(f, MollifierSpec(0.05, 64), GRID, x))
+        sup_p = np.abs(x).max(axis=1) ** p
+        c = 4.0 * (1.0 + np.abs(hook(f, "eval", x))) / (1.0 + sup_p)
+        assert np.all(mollified <= c * (1.0 + sup_p))
 
 
 # the trapezoid kernel is checked on a uniform and a non-uniform grid
@@ -283,13 +278,13 @@ class TestTrapezoidKernel:
     @pytest.mark.parametrize("f", [square_integral(), smooth_max_functional(3.0)],
                              ids=lambda f: f.name)
     @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=["uniform", "non-uniform"])
-    def test_path_and_batch_forms_agree_bitwise(self, f, grid):
-        v, h = kernel_batch(grid), kernel_batch(grid, seed=1)
-        batch = f.batch_eval(v, grid, PathMode.LINEAR)
-        batch_d1 = f.batch_d1(v, h, grid, PathMode.LINEAR)
+    def test_one_row_batch_equals_its_row_bitwise(self, f, grid):
+        v, h1, h2 = kernel_batch(grid), kernel_batch(grid, seed=1), kernel_batch(grid, seed=2)
+        mode = PathMode.LINEAR
+        batch = (f.batch_eval(v, grid, mode), f.batch_d1(v, h1, grid, mode),
+                 f.batch_d2(v, h1, h2, grid, mode))
         for i in range(v.shape[0]):
-            x, dx = DiscretePath(grid, v[i], PathMode.LINEAR), DiscretePath(grid, h[i], PathMode.LINEAR)
-            one_row = f.batch_eval(v[i : i + 1], grid, PathMode.LINEAR)[0]
-            assert f.eval(x) == one_row == batch[i]
-            assert f.d1(x, dx) == f.batch_d1(v[i : i + 1], h[i : i + 1], grid, PathMode.LINEAR)[0]
-            assert f.d1(x, dx) == batch_d1[i]
+            row = slice(i, i + 1)
+            one_row = (f.batch_eval(v[row], grid, mode), f.batch_d1(v[row], h1[row], grid, mode),
+                       f.batch_d2(v[row], h1[row], h2[row], grid, mode))
+            assert all(a[0] == b[i] for a, b in zip(one_row, batch))

@@ -36,7 +36,7 @@ def degenerate_model(b_const, sigma_const, xi0):
 
 def euler_path(model, w):
     """The Euler path Y along the increments of the Brownian path ``w``."""
-    values = euler_values_batch(model, w.grid, w.increments()[None, :])[0]
+    values = euler_values_batch(model, w.grid, np.diff(w.values)[None, :])[0]
     return DiscretePath(w.grid, values, PathMode.LINEAR)
 
 
@@ -202,15 +202,15 @@ class TestLinearInterpolation:
         grid = make_uniform_grid(1.0, 4)
         w = sample_brownian(grid, SeedSpec(5))
         y = euler_path(ou_model(1.0, 1.0, 1.0), w)
-        for k, t in enumerate(grid.nodes):
-            assert y(t) == y.values[k]
-        assert y(0.125) == pytest.approx(0.5 * (y.values[0] + y.values[1]), rel=1e-14)
+        at = interpolate_values(grid.nodes, y.values, np.append(grid.nodes, 0.125), y.mode)
+        assert np.array_equal(at[:-1], y.values)
+        assert at[-1] == pytest.approx(0.5 * (y.values[0] + y.values[1]), rel=1e-14)
 
     def test_constant_nodes(self):
         grid = make_uniform_grid(1.0, 4)
         w = sample_brownian(grid, SeedSpec(6))
         y = euler_path(degenerate_model(0.0, 0.0, 1.5), w)
-        assert y(0.3) == 1.5
+        assert interpolate_values(grid.nodes, y.values, 0.3, y.mode) == 1.5
 
 
 class TestStochasticInterpolation:
@@ -279,20 +279,20 @@ class TestFineReference:
         model = degenerate_model(0.0, 0.0, 3.3)
         grid = make_uniform_grid(1.0, 64)
         w = sample_brownian(grid, SeedSpec(11))
-        assert np.all(euler_values_batch(model, grid, w.increments()[None, :]) == 3.3)
+        assert np.all(euler_values_batch(model, grid, np.diff(w.values)[None, :]) == 3.3)
 
     def test_same_grid_equals_euler(self):
         model = ou_model(1.0, 1.0, 1.0)
         grid = make_uniform_grid(1.0, 16)
         w = sample_brownian(grid, SeedSpec(13))
-        dw = w.increments()[None, :]
+        dw = np.diff(w.values)[None, :]
         batch = euler_values_batch(model, grid, dw)
         assert np.array_equal(batch, reference_euler(model, grid, model.xi0, dw))
 
 
 def variation_path(model, fine, w, start=0):
     """Z along the Euler path of ``w``, with Z = 1 at node ``start``."""
-    dw = w.increments()[None, :]
+    dw = np.diff(w.values)[None, :]
     return variation_values_batch(model, euler_values_batch(model, fine, dw), fine, dw, start)[0]
 
 
