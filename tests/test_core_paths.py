@@ -88,7 +88,7 @@ class TestInterpolateValues:
         rows = rng.standard_normal((4, 9))
         t = np.sort(rng.uniform(0.0, 1.0, 11))
         want = [np.interp(t, nodes, r) if mode is PathMode.LINEAR
-                else r[np.searchsorted(nodes, t, side="right") - 1] for r in rows]
+                else [r[nodes <= s][-1] for s in t] for r in rows]
         assert np.allclose(interpolate_values(nodes, rows, t, mode), want, rtol=1e-15, atol=1e-15)
 
     def test_cadlag_endpoint_bump_changes_only_final_time(self):

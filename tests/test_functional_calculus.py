@@ -601,12 +601,13 @@ def test_non_finite_value_or_tolerance_fails():
 
 class TestOuOracles:
     """Exact F_t, grad F, grad^2 F and D_t F for OU(1, 1, 1) with mollified
-    point and product functionals.  The Euler continuation from u at node i has
-    probe values (M X)(tau) = mean + beta(i) (u - x(t)) + N: ``mean`` comes
-    from the prefix and beta from the probe rows, and N is Gaussian with
-    mean zero, independent of u, with covariance dt sum_{j >= i} beta(j+1)
-    beta(j+1)^T.  So F_t is affine (point) or quadratic (product) in u, and
-    central differences over common noise are exact on it up to rounding."""
+    point and product functionals.  The Euler continuation from u at node i
+    has probe values (M X)(tau) = mean + beta(i) (u - x(t)) + N: ``mean``
+    comes from the prefix and beta from the probe rows, and N is Gaussian
+    with mean zero, independent of u, with covariance
+    dt sum_{j >= i} beta(j+1) beta(j+1)^T.  So F_t is affine (point) or
+    quadratic (product) in u, and central differences over common noise are
+    exact on it up to rounding."""
 
     I_T = 64  # t = 0.5
     BUMP = 1e-2
