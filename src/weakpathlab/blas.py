@@ -1,17 +1,20 @@
-"""One OpenBLAS thread while a nested estimator runs.
+"""One OpenBLAS thread for every product the package makes.
 
-The nested estimators issue thousands of small products (1000 x 34 band
-tiles, 1000 x 129 probe rows).  Between them an idle OpenBLAS worker spins
-on another core, which costs CPU time and buys no wall time.
+The package's products are many small ones (band tiles of a few dozen
+columns, probe rows, 2 x 2 covariances) made inside Monte-Carlo batches.
+A second OpenBLAS thread gains them no wall time, and while it idles
+between products it spins on another core, which costs CPU time.  So the
+only parallelism is :func:`parallel.deterministic_batch_map`'s own
+workers: the map, the nested estimators, :func:`mollifier.mollify` and
+:func:`mollifier.audit` run inside :func:`one_thread`, and every output is
+then the same for any core count.
+
 :func:`one_thread` holds the OpenBLAS that numpy loaded at one thread while
 any entered block runs and restores the caller's count when the last one
 leaves, also on an exception.  Entries from several Python threads share
-one reference count under a lock.  The large fine-grid products of
-``weak_error`` run outside it, at OpenBLAS's own count, because two threads
-multiply them faster.
-
-Where no OpenBLAS or no thread-count symbol is found, nothing is changed and
-:func:`describe` reports ``"unmanaged"``.
+one reference count under a lock.  The library is looked up on the first
+entry, never at import.  Where no OpenBLAS or no thread-count symbol is
+found, nothing is changed and :func:`describe` reports ``"unmanaged"``.
 """
 
 from __future__ import annotations
@@ -95,8 +98,8 @@ def one_thread():
 
 
 def describe() -> dict:
-    """Name and version of numpy's BLAS, and ``nested_threads``: the
-    OpenBLAS thread count inside :func:`one_thread`, 1 or ``"unmanaged"``."""
+    """Name and version of numpy's BLAS, and ``threads``: the OpenBLAS
+    thread count every product runs at, 1 or ``"unmanaged"``."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {"name": blas.get("name"), "version": blas.get("version"),
-            "nested_threads": 1 if _controls() is not None else "unmanaged"}
+            "threads": 1 if _controls() is not None else "unmanaged"}

@@ -7,7 +7,7 @@ keys the command does not read are errors, every referenced model or
 functional must be shipped, and all randomness flows from the single seed.  ``--threads`` never changes any
 numeric output.  Each run writes ``report.csv``, ``summary.json`` and a
 ``manifest.json`` with the config hash and the environment (Python, numpy,
-platform, CPU count, BLAS and the nested estimators' BLAS thread count)
+platform, CPU count, BLAS and the BLAS thread count of every product)
 into its output directory; files are never overwritten.
 
 Exit status: 0 when every embedded check passed, 1 when a check failed,
@@ -670,17 +670,19 @@ def run(config: ExperimentConfig) -> int:
     """
     out_dir = Path(config.out_dir or f"runs/{config.command}-seed{config.seed}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    # written first, so a rerun into a used directory stops before any work
-    manifest = {
-        "config_hash": config.config_hash(),
-        "seed": config.seed,
-        "threads": config.threads,
-        "command": config.command,
-        "version": __version__,
-        "environment": _environment(),
-    }
-    _write_once(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     try:
+        # the hash builds the model and functional, which may reject them
+        manifest = {
+            "config_hash": config.config_hash(),
+            "seed": config.seed,
+            "threads": config.threads,
+            "command": config.command,
+            "version": __version__,
+            "environment": _environment(),
+        }
+        # written first, so a rerun into a used directory stops before any work
+        _write_once(out_dir / "manifest.json",
+                    json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         checks, csv_text, extra = _RUNNERS[config.command](config)
     except tuple(kind for kind, _, _ in _FAILURES) as exc:
         reason, code = next((r, c) for kind, r, c in _FAILURES if isinstance(exc, kind))

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import one_thread
 from .core_paths import DiscretePath, PathMode, TimeGrid
 from .errors import InvalidArgumentError, ResolutionTooCoarseError
 from .randomness import SeedSpec, sample_brownian
@@ -290,6 +291,7 @@ class BandRows:
         return out
 
 
+@one_thread()
 def mollify(spec: MollifierSpec, p: DiscretePath) -> DiscretePath:
     """Smoothed path sampled on p's grid; the output is continuous (Linear)."""
     if p.grid.nodes.size < 2:
@@ -309,6 +311,7 @@ class MollifierAudit:
     ramp: float  # largest |M r(t) - (t - eps / 2)| over t >= eps, r(t) = t
 
 
+@one_thread()
 def audit(spec: MollifierSpec, grid: TimeGrid, seed: SeedSpec, n_paths: int) -> MollifierAudit:
     """Measure contraction, linearity, non-anticipativity and the ramp shift
     of the Linear-mode mollifier on ``grid``.

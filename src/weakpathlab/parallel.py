@@ -3,8 +3,11 @@
 Work is split into batches of a fixed, thread-independent layout; each batch
 derives its own random stream from its index.  Threads only decide which
 worker computes which batch, and results are reduced in batch order, so
-every numeric output is identical for any thread count.  Monte-Carlo
-partials are :class:`Moments`, merged in that same order.
+every numeric output is identical for any thread count.  The map is the
+package's one source of parallelism: it holds OpenBLAS at one thread
+(:func:`blas.one_thread`) while its batches run, so no product inside a
+batch threads on its own.  Monte-Carlo partials are :class:`Moments`,
+merged in that same order.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 import numpy as np
+
+from .blas import one_thread
 
 R = TypeVar("R")
 
@@ -36,11 +41,13 @@ def batch_layout(n_total: int, batch_size: int) -> list[tuple[int, int]]:
 def deterministic_batch_map(
     worker: Callable[[int], R], n_batches: int, threads: int = 1
 ) -> list[R]:
-    """``[worker(0), ..., worker(n_batches - 1)]`` in index order."""
-    if threads <= 1 or n_batches <= 1:
-        return [worker(i) for i in range(n_batches)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(n_batches)))
+    """``[worker(0), ..., worker(n_batches - 1)]`` in index order, with
+    OpenBLAS held at one thread throughout."""
+    with one_thread():
+        if threads <= 1 or n_batches <= 1:
+            return [worker(i) for i in range(n_batches)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(worker, range(n_batches)))
 
 
 @dataclass(frozen=True)

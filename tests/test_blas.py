@@ -1,19 +1,24 @@
 import dataclasses
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from weakpathlab import blas
+import weakpathlab
+from weakpathlab import blas, mollifier
 from weakpathlab.core_paths import DiscretePath, PathMode, TimeGrid, make_uniform_grid
 from weakpathlab.errors import InvalidArgumentError
 from weakpathlab.functional_calculus import estimate_F, kolmogorov_residual
-from weakpathlab.functionals import point_functional
-from weakpathlab.models import ou_model
+from weakpathlab.functionals import integral_functional, point_functional
+from weakpathlab.models import ou_model, sine_model
 from weakpathlab.parallel import deterministic_batch_map
 from weakpathlab.randomness import SeedSpec
+from weakpathlab.weak_error import FineGridReference, RateExperiment, coupled_bias
 
 FINE = make_uniform_grid(1.0, 16)
 OU = ou_model(1.0, 1.0, 1.0)
@@ -104,7 +109,7 @@ class TestOneThread:
         monkeypatch.setattr(blas, "_SYMBOLS", (("no_such_set", "no_such_get"),))
         blas._controls.cache_clear()
         try:
-            assert blas.describe()["nested_threads"] == "unmanaged"
+            assert blas.describe()["threads"] == "unmanaged"
             seen = []
             with blas.one_thread():
                 seen.append(getter())
@@ -112,7 +117,98 @@ class TestOneThread:
         finally:
             monkeypatch.undo()
             blas._controls.cache_clear()
-        assert blas.describe()["nested_threads"] == 1
+        assert blas.describe()["threads"] == 1
+
+
+SQUARE = integral_functional(lambda u: u**2, lambda u: 2.0 * u, lambda u: 2.0 + 0.0 * u,
+                             name="integral-square")
+
+
+def mollified_rung(f, threads):
+    """Rung 0 of a mollified sine ladder against a 4x fine grid: 128 samples
+    in 4 batches of 32, each making a fine and a coarse mollifier apply."""
+    exp = RateExperiment(
+        model=sine_model(0.5, 1.0, 0.5), functional=f, horizon=1.0,
+        deltas=(0.125, 0.0625, 0.03125), n_base=128, reference=FineGridReference(4),
+        seed=SeedSpec(3), eps=0.25, batch_size=32, threads=threads,
+    )
+    return coupled_bias(exp, 0)
+
+
+def bits(point):
+    return [x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(point)]
+
+
+class TestEveryProduct:
+    """Products outside the nested estimators run at one thread too: the
+    batch map and the mollifier's public entry points hold the pin."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_mollified_rung(self, controls, threads):
+        setter, getter = controls
+        setter(2)
+        seen = []
+
+        def batch_eval(*args):
+            seen.append(getter())
+            return SQUARE.batch_eval(*args)
+
+        point = mollified_rung(dataclasses.replace(SQUARE, batch_eval=batch_eval), threads)
+        assert seen == [1] * 8
+        assert getter() == 2
+        with blas.one_thread():
+            pinned = mollified_rung(SQUARE, threads)
+        assert bits(point) == bits(pinned)
+        assert getter() == 2
+
+    def test_audit(self, controls, monkeypatch):
+        setter, getter = controls
+        setter(2)
+        seen = []
+        real = mollifier.sample_brownian
+
+        def sample_brownian(*args):
+            seen.append(getter())
+            return real(*args)
+
+        monkeypatch.setattr(mollifier, "sample_brownian", sample_brownian)
+        report = mollifier.audit(mollifier.MollifierSpec(0.125), FINE, SeedSpec(4), 4)
+        assert seen == [1] * 9 and getter() == 2
+        assert report.contraction and report.non_anticipative
+
+    def test_mollify(self, controls, monkeypatch):
+        setter, getter = controls
+        setter(2)
+        seen = []
+        real = mollifier.mollify_operator
+
+        def mollify_operator(*args):
+            seen.append(getter())
+            return real(*args)
+
+        monkeypatch.setattr(mollifier, "mollify_operator", mollify_operator)
+        path = DiscretePath(FINE, np.sin(FINE.nodes), PathMode.LINEAR)
+        mollifier.mollify(mollifier.MollifierSpec(0.125), path)
+        assert seen == [1] and getter() == 2
+
+
+def test_setup_looks_up_no_library():
+    """Importing the package and building a mollified experiment leave
+    OpenBLAS alone: the library is looked up on the first product."""
+    code = (
+        "import weakpathlab as w\n"
+        "from weakpathlab import blas\n"
+        "w.RateExperiment(model=w.sine_model(0.5, 1.0, 0.5),\n"
+        "    functional=w.point_functional(1.0), horizon=1.0,\n"
+        "    deltas=(1 / 8, 1 / 16, 1 / 32), n_base=100,\n"
+        "    reference=w.FineGridReference(64), seed=w.SeedSpec(1), eps=0.25)\n"
+        "assert blas._controls.cache_info().currsize == 0\n"
+    )
+    src = str(Path(weakpathlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_pin_is_threading_safe_under_contention(controls):

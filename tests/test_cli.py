@@ -218,8 +218,8 @@ class TestRun:
         env = manifest["environment"]
         assert set(env) == {"python", "numpy", "platform", "cpu_count", "blas"}
         assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
-        assert set(env["blas"]) == {"name", "version", "nested_threads"}
-        assert env["blas"]["nested_threads"] in (1, "unmanaged")
+        assert set(env["blas"]) == {"name", "version", "threads"}
+        assert env["blas"]["threads"] in (1, "unmanaged")
         assert manifest["config_hash"] == parse_config(Path(cfg).read_text()).config_hash()
 
     def test_refuses_to_overwrite(self, tmp_path):
@@ -362,6 +362,17 @@ class TestRun:
         assert main(["kolmogorov-check", "--config", cfg, "--out", str(out)]) == 2
         assert "beta must be finite" in capsys.readouterr().err
         assert not out.exists()  # rejected at parse time, before any run
+
+    def test_functional_rejected_by_the_hash_writes_summary(self, tmp_path):
+        # parse_config rejects beta = inf; set in code, it first meets the
+        # functional builder inside the config hash
+        cfg = parse_config("command: kolmogorov-check\nfunctional: {name: smooth-max}\n")
+        cfg.functional["beta"] = float("inf")
+        cfg.out_dir = str(tmp_path / "run")
+        assert run(cfg) == 2
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["status"] == "invalid-experiment"
+        assert "beta must be finite" in summary["detail"]
 
     def test_config_hash_covers_the_resolved_experiment(self, tmp_path):
         base = "command: ito-check\nseed: 7\nbudget:\n  n_samples: 1000\n"
@@ -543,9 +554,8 @@ class TestThreadInvariance:
 
 
 class TestBlasThreadInvariance:
-    """The nested commands give the same bytes whatever OpenBLAS thread count
-    the process starts with.  Not claimed for weak-rate with ``eps``: its
-    fine-grid mollified products run at OpenBLAS's own thread count."""
+    """Every command that multiplies by a mollifier gives the same bytes
+    whatever OpenBLAS thread count the process starts with."""
 
     @pytest.mark.parametrize(
         "text",
@@ -553,8 +563,14 @@ class TestBlasThreadInvariance:
             "command: kolmogorov-check\nseed: 5\nfunctional: {name: integral-square}\n"
             "budget: {n_inner: 300, n_outer: 4}\n",
             "command: error-representation\nseed: 5\nbudget: {n_outer: 6, n_inner: 32}\n",
+            "command: weak-rate\nseed: 5\nmodel: {name: sine}\n"
+            "functional: {name: integral-square}\nmollifier: {epsilon: 0.25}\n"
+            "grid: {deltas: [0.125, 0.0625, 0.03125]}\nreference: {kind: fine-grid, factor: 4}\n"
+            "budget: {n_samples: 2000}\n",
+            "command: mollifier-audit\nseed: 5\ngrid: {n_steps: 256}\ncheck: {n_paths: 64}\n",
         ],
-        ids=["kolmogorov-check", "error-representation"],
+        ids=["kolmogorov-check", "error-representation", "weak-rate-mollified",
+             "mollifier-audit"],
     )
     def test_outputs_byte_identical_across_blas_threads(self, tmp_path, text):
         cfg = write_config(tmp_path, text)
