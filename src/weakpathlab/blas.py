@@ -1,13 +1,13 @@
 """One OpenBLAS thread for every product the package makes.
 
-The package's products are many small ones (band tiles of a few dozen
-columns, probe rows, 2 x 2 covariances) made inside Monte-Carlo batches.
-A second OpenBLAS thread gains them no wall time, and while it idles
-between products it spins on another core, which costs CPU time.  So the
-only parallelism is :func:`parallel.deterministic_batch_map`'s own
-workers: the map, the nested estimators, :func:`mollifier.mollify` and
-:func:`mollifier.audit` run inside :func:`one_thread`, and every output is
-then the same for any core count.
+The package's products are made inside Monte-Carlo batches and are small:
+band tiles of a few dozen columns, probe rows, 2 x 2 covariances.  A second
+OpenBLAS thread shortens them little, and between products it spins idle
+on another core, which costs CPU time.  So the only parallelism is the
+workers of :func:`parallel.deterministic_batch_map`: the map, the nested
+estimators, :func:`mollifier.mollify` and :func:`mollifier.audit` run
+inside :func:`one_thread`, and every output is then the same for any core
+count.
 
 :func:`one_thread` holds the OpenBLAS that numpy loaded at one thread while
 any entered block runs and restores the caller's count when the last one

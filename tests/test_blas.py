@@ -161,35 +161,27 @@ class TestEveryProduct:
         assert bits(point) == bits(pinned)
         assert getter() == 2
 
-    def test_audit(self, controls, monkeypatch):
+    @pytest.mark.parametrize("patched, call", [
+        ("sample_brownian",
+         lambda spec: mollifier.audit(spec, FINE, SeedSpec(4), 4)),
+        ("mollify_operator",
+         lambda spec: mollifier.mollify(spec, DiscretePath(FINE, np.sin(FINE.nodes),
+                                                           PathMode.LINEAR))),
+    ], ids=["audit", "mollify"])
+    def test_mollifier_entry_point(self, controls, monkeypatch, patched, call):
         setter, getter = controls
         setter(2)
         seen = []
-        real = mollifier.sample_brownian
+        real = getattr(mollifier, patched)
 
-        def sample_brownian(*args):
+        def recording(*args):
             seen.append(getter())
             return real(*args)
 
-        monkeypatch.setattr(mollifier, "sample_brownian", sample_brownian)
-        report = mollifier.audit(mollifier.MollifierSpec(0.125), FINE, SeedSpec(4), 4)
-        assert seen == [1] * 9 and getter() == 2
-        assert report.contraction and report.non_anticipative
-
-    def test_mollify(self, controls, monkeypatch):
-        setter, getter = controls
-        setter(2)
-        seen = []
-        real = mollifier.mollify_operator
-
-        def mollify_operator(*args):
-            seen.append(getter())
-            return real(*args)
-
-        monkeypatch.setattr(mollifier, "mollify_operator", mollify_operator)
-        path = DiscretePath(FINE, np.sin(FINE.nodes), PathMode.LINEAR)
-        mollifier.mollify(mollifier.MollifierSpec(0.125), path)
-        assert seen == [1] and getter() == 2
+        monkeypatch.setattr(mollifier, patched, recording)
+        call(mollifier.MollifierSpec(0.125))
+        assert seen and set(seen) == {1}
+        assert getter() == 2
 
 
 def test_setup_looks_up_no_library():
