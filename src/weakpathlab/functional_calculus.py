@@ -15,6 +15,11 @@ offsets (0,), the first vertical derivative (+h, -h) and the second
 the same stencil.  At t = T the continuation has zero steps: one row of
 increments with no columns, so each sample is f_eps of the prefix with its
 endpoint moved, and the estimate is that number with no inner samples.
+Each estimator call holds one :class:`_Workspace` for all its offsets and
+outer batches: the increments are drawn into it, the prefix is written
+into its C-ordered paths once, and each continuation is scanned into its
+step-major buffer and copied after the prefix, so a batch allocates no
+path-sized array.
 Vertical derivatives are common-random-number central differences over
 endpoint bumps, cross-checked by pairing f's directional derivative with a
 simulated first-variation path (at t = T, the endpoint indicator).  The
@@ -169,13 +174,17 @@ def _feps_batch(
     grid: TimeGrid,
     values: np.ndarray,
     mode: PathMode = PathMode.LINEAR,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """f(M x) for every row of ``values``; f(x) when spec is None.
 
     The result does not depend on the layout of ``values``: step-major rows
     from ``euler_scan`` give the same bits as C-ordered ones.  The probe
-    product and unmollified hooks read C-ordered rows, and ``BandRows``
-    fixes the layout of the mollified rows it returns.
+    product and unmollified hooks read C-ordered rows (a copy of any other
+    layout), and ``BandRows`` fixes the layout of the mollified rows it
+    returns.  ``out``, when given, is a C-contiguous buffer of as many
+    values as ``values`` that receives the mollified rows (see
+    ``BandRows``).
     """
     if f.probe_times is not None:
         return f.probe_eval(_at_probes(f, spec, grid, mode, values))
@@ -184,7 +193,7 @@ def _feps_batch(
     mollified = _mollifier(spec, grid, mode)
     if values.nbytes > _BLOCK_BYTES:
         return _mollified_blocks(f, mollified, grid, values)
-    values = mollified(values)  # frees the raw rows before the hook runs
+    values = mollified(values, out)  # frees the raw rows before the hook runs
     return f.batch_eval(values, grid, PathMode.LINEAR)
 
 
@@ -212,10 +221,11 @@ def _fd1_batch(
 
 def _mollifier(spec: MollifierSpec, grid: TimeGrid, mode: PathMode):
     """The map from rows of node values to rows of M_eps values on ``grid``:
-    the operator, looked up once, applied by band tiles."""
+    the operator, looked up once, applied by band tiles, into ``out`` when
+    given (see ``BandRows``)."""
     at = mollify_operator(spec, grid, mode).T
     tiles = band_tiles(spec, grid, mode)
-    return lambda values: BandRows(values, tiles) @ at
+    return lambda values, out=None: BandRows(values, tiles, out) @ at
 
 
 def _mollified_blocks(f: PathFunctional, mollified, grid: TimeGrid, values: np.ndarray):
@@ -242,18 +252,56 @@ def _prefix_index(prefix: DiscretePath, fine: TimeGrid) -> int:
     return k
 
 
-def _continued(
-    model: SdeModel, fine: TimeGrid, prefix_values: np.ndarray, x0, dw: np.ndarray
-) -> np.ndarray:
-    """Paths that follow ``prefix_values`` (shared, or one row per path) up to
-    its last node i_t and continue from ``x0`` there by Euler over the
-    increments ``dw`` of steps i_t..N-1; the start column holds ``x0``."""
-    i_t = prefix_values.shape[-1] - 1
-    cont = euler_scan(model, fine, x0, dw, start=i_t)
-    out = np.empty((cont.shape[0], i_t + cont.shape[1]))
-    out[:, :i_t] = prefix_values[..., :i_t]
-    out[:, i_t:] = cont
-    return out
+class _Workspace:
+    """The buffers of one estimator call on the fine grid, for m paths,
+    reused by all its offsets and outer batches:
+    - ``draw`` fills a held (m, n_steps) array with scaled increments;
+    - ``paths`` holds the m paths C-ordered, one row per path: ``hold``
+      writes the prefix columns once, and ``_continue`` copies each
+      continuation after them;
+    - ``scan`` is the step-major (N+1, m) buffer ``euler_scan`` writes
+      into.  Once a continuation is copied into ``paths`` it is dead, so
+      it also receives the mollified rows.
+    Every call builds its own, so calls in other threads share none.
+    """
+
+    def __init__(self, fine: TimeGrid, m: int):
+        n = fine.nodes.size
+        self.m = m
+        self._sqrt_dt = np.sqrt(np.diff(fine.nodes))
+        self._dw = np.empty(m * (n - 1))
+        self.paths = np.empty((m, n))
+        self.scan = np.empty((n, m))
+
+    def draw(self, rng: np.random.Generator, i_t: int) -> np.ndarray:
+        """Increments of steps i_t..N-1 for the m paths, drawn into the held
+        buffer and scaled in place: the stream and bits of ``_draw_dw``."""
+        scale = self._sqrt_dt[i_t:]
+        dw = self._dw[: self.m * scale.size].reshape(self.m, scale.size)
+        rng.standard_normal(out=dw)
+        dw *= scale
+        return dw
+
+    def hold(self, prefix_values: np.ndarray, repeats: int = 1) -> None:
+        """Write columns [:i] of ``paths``, i the prefix's last node (the
+        continuations start there).  ``prefix_values`` is shared (i+1,),
+        or (m / repeats, i+1) with each row held by ``repeats`` consecutive
+        paths."""
+        i = prefix_values.shape[-1] - 1
+        if prefix_values.ndim == 1:
+            self.paths[:, :i] = prefix_values[:i]
+        else:
+            by_row = self.paths.reshape(-1, repeats, self.paths.shape[1])
+            by_row[:, :, :i] = prefix_values[:, None, :i]
+
+
+def _continue(model: SdeModel, fine: TimeGrid, ws: _Workspace, x0, dw: np.ndarray) -> np.ndarray:
+    """``ws.paths`` continued from node i = N - (columns of ``dw``) by Euler
+    from ``x0`` (shared, or one value per path) over the increments ``dw``
+    of steps i..N-1; columns before i keep what the caller wrote there."""
+    start = fine.n_intervals - dw.shape[1]
+    ws.paths[:, start:] = euler_scan(model, fine, x0, dw, start=start, out=ws.scan[start:])
+    return ws.paths
 
 
 def _stencil(
@@ -261,23 +309,24 @@ def _stencil(
     f: PathFunctional,
     spec: MollifierSpec | None,
     fine: TimeGrid,
-    prefix_values: np.ndarray,
+    ws: _Workspace,
+    x0,
     offsets,
     dw: np.ndarray,
     mode: PathMode = PathMode.LINEAR,
 ) -> list[np.ndarray]:
-    """f_eps of the paths continued from the prefix's endpoint moved by each
-    of ``offsets``: one array per offset, one sample per row of ``dw``.
+    """f_eps of the paths of ``ws`` continued from ``x0`` moved by each of
+    ``offsets``: one array per offset, one sample per row of ``dw``.
 
     Every f_eps sample of a continued path in this module comes from here.
     The offsets share ``dw``, so differences of the arrays are the
-    common-random-number bump differences of the estimators.
-    ``prefix_values`` is shared, or one row per path; with no columns in
-    ``dw`` (t = T) each path is the prefix with its endpoint moved.
+    common-random-number bump differences of the estimators.  The
+    continuation starts at node i = N - (columns of ``dw``), and columns
+    [:i] of ``ws.paths`` must hold the prefix; with no columns in ``dw``
+    (t = T) each path is the prefix with its endpoint moved.
     """
-    x0 = prefix_values[..., -1]
     return [
-        _feps_batch(f, spec, fine, _continued(model, fine, prefix_values, x0 + o, dw), mode)
+        _feps_batch(f, spec, fine, _continue(model, fine, ws, x0 + o, dw), mode, ws.scan)
         for o in offsets
     ]
 
@@ -287,12 +336,16 @@ def _draw_dw(fine: TimeGrid, i_t: int, n_inner: int, rng: np.random.Generator) -
     return np.sqrt(dt) * rng.standard_normal((n_inner, dt.size))
 
 
-def _inner_dw(fine: TimeGrid, i_t: int, n_inner: int, seed: SeedSpec) -> np.ndarray:
-    """The continuation increments of the public estimators: ``n_inner``
-    rows, or at t = T one row with no columns, whose continuation is the
-    prefix itself."""
-    rows = n_inner if i_t < fine.n_intervals else 1
-    return _draw_dw(fine, i_t, rows, seed.rng(_TAG_CONTINUATION))
+def _inner(
+    fine: TimeGrid, prefix_values: np.ndarray, n_inner: int, seed: SeedSpec
+) -> tuple[_Workspace, np.ndarray]:
+    """The workspace of a public estimator, holding the prefix, and the
+    continuation increments: ``n_inner`` rows, or at t = T one row with no
+    columns, whose continuation is the prefix itself."""
+    i_t = prefix_values.size - 1
+    ws = _Workspace(fine, n_inner if i_t < fine.n_intervals else 1)
+    ws.hold(prefix_values)
+    return ws, ws.draw(seed.rng(_TAG_CONTINUATION), i_t)
 
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:
@@ -349,10 +402,10 @@ def estimate_F(
     At t = T it has no steps, so the value is f_eps(x) with SE 0.
     """
     spec = _spec(eps)
-    i_t = _prefix_index(prefix, fine)
+    _prefix_index(prefix, fine)
     cfg = _config(spec, fine, seed, t=float(prefix.grid.horizon))
-    dw = _inner_dw(fine, i_t, n_inner, seed)
-    (vals,) = _stencil(model, f, spec, fine, prefix.values, (0.0,), dw, prefix.mode)
+    ws, dw = _inner(fine, prefix.values, n_inner, seed)
+    (vals,) = _stencil(model, f, spec, fine, ws, prefix.values[-1], (0.0,), dw, prefix.mode)
     return _estimate(vals, dw, cfg)
 
 
@@ -379,11 +432,12 @@ def vertical_derivative(
     spec = _spec(eps)
     i_t = _prefix_index(prefix, fine)
     cfg = _config(spec, fine, seed, t=float(prefix.grid.horizon), bump=float(bump))
-    dw = _inner_dw(fine, i_t, n_inner, seed)
-    up, down = _stencil(model, f, spec, fine, prefix.values, (bump, -bump), dw, prefix.mode)
+    ws, dw = _inner(fine, prefix.values, n_inner, seed)
+    x0 = prefix.values[-1]
+    up, down = _stencil(model, f, spec, fine, ws, x0, (bump, -bump), dw, prefix.mode)
     central = _estimate((up - down) / (2 * bump), dw, cfg)
 
-    combined = _continued(model, fine, prefix.values, prefix.values[-1], dw)
+    combined = _continue(model, fine, ws, x0, dw)
     full_dw = np.pad(dw, ((0, 0), (i_t, 0)))  # no noise before t
     # Z = 1 at node i_t: at t = T, the endpoint indicator
     variation = variation_values_batch(model, combined, fine, full_dw, start=i_t)
@@ -409,11 +463,11 @@ def second_vertical_derivative(
     if not bump > 0:
         raise InvalidArgumentError(f"bump must be positive, got {bump!r}")
     spec = _spec(eps)
-    i_t = _prefix_index(prefix, fine)
+    _prefix_index(prefix, fine)
     cfg = _config(spec, fine, seed, t=float(prefix.grid.horizon), bump=float(bump))
-    dw = _inner_dw(fine, i_t, n_inner, seed)
+    ws, dw = _inner(fine, prefix.values, n_inner, seed)
     up, mid, down = _stencil(
-        model, f, spec, fine, prefix.values, (bump, 0.0, -bump), dw, prefix.mode
+        model, f, spec, fine, ws, prefix.values[-1], (bump, 0.0, -bump), dw, prefix.mode
     )
     return _estimate((up - 2 * mid + down) / bump**2, dw, cfg)
 
@@ -455,11 +509,12 @@ def horizontal_derivative(
     h_actual = float(nodes[i_ext] - t)
     cfg = _config(spec, fine, seed, t=float(t), h_step=h_actual)
 
-    dw = _inner_dw(fine, i_t, n_inner, seed)
-    (base_vals,) = _stencil(model, f, spec, fine, prefix.values, (0.0,), dw, prefix.mode)
-    ext_prefix = np.concatenate([prefix.values, np.full(i_ext - i_t, prefix.values[-1])])
+    ws, dw = _inner(fine, prefix.values, n_inner, seed)
+    x0 = prefix.values[-1]
+    (base_vals,) = _stencil(model, f, spec, fine, ws, x0, (0.0,), dw, prefix.mode)
+    ws.paths[:, i_t:i_ext] = x0  # the flat extension up to t + h
     (ext_vals,) = _stencil(
-        model, f, spec, fine, ext_prefix, (0.0,), dw[:, i_ext - i_t :], prefix.mode
+        model, f, spec, fine, ws, x0, (0.0,), dw[:, i_ext - i_t :], prefix.mode
     )
     return _estimate((ext_vals - base_vals) / h_actual, dw, cfg)
 
@@ -503,15 +558,16 @@ def kolmogorov_residual(
     h_t = float(fine.nodes[i_t + 1] - fine.nodes[i_t])
     b0 = float(model.b(x0))
     s0 = float(model.sigma(x0))
-    ext_prefix = np.concatenate([prefix.values, [x0]])
+    ws = _Workspace(fine, n_inner)
+    ws.hold(prefix.values)
 
     def _batch(bi: int) -> tuple[float, float, float, float]:
-        rng = seed.rng(_TAG_INNER, bi)
-        dw = _draw_dw(fine, i_t, n_inner, rng)
+        dw = ws.draw(seed.rng(_TAG_INNER, bi), i_t)
         f_up, f_mid, f_down = _stencil(
-            model, f, spec, fine, prefix.values, (h, 0.0, -h), dw, prefix.mode
+            model, f, spec, fine, ws, x0, (h, 0.0, -h), dw, prefix.mode
         )
-        (f_ext,) = _stencil(model, f, spec, fine, ext_prefix, (0.0,), dw[:, 1:], prefix.mode)
+        ws.paths[:, i_t] = x0  # the flat extension by one step
+        (f_ext,) = _stencil(model, f, spec, fine, ws, x0, (0.0,), dw[:, 1:], prefix.mode)
 
         dt_term = _mean_se((f_ext - f_mid) / h_t)[0]
         grad = _mean_se((f_up - f_down) / (2 * h))[0]
@@ -567,17 +623,22 @@ def martingale_gap(
     if s == t:
         return ResidualReport.make(0.0, 0.0, {"note": "s = t, gap vanishes identically"})
 
-    gaps = []
+    gaps, ws = [], None
     for ci, (_, m) in enumerate(batch_layout(n_samples, chunk)):
         outer = euler_values_batch(model, fine, _draw_dw(fine, 0, m, seed.rng(_TAG_OUTER, ci)))
-        dw_in = _draw_dw(fine, i_s, m * n_inner, seed.rng(_TAG_INNER, ci))
+        if ws is None or ws.m != m * n_inner:
+            ws = _Workspace(fine, m * n_inner)
+        dw_in = ws.draw(seed.rng(_TAG_INNER, ci), i_s)
+        ws.hold(outer[:, : i_t + 1], repeats=n_inner)
 
-        means = []
-        for i_u, off in ((i_s, 0), (i_t, i_t - i_s)):
-            prefixes = np.repeat(outer[:, : i_u + 1], n_inner, axis=0)
-            (fv,) = _stencil(model, f, spec, fine, prefixes, (0.0,), dw_in[:, off:])
-            means.append(fv.reshape(m, n_inner).mean(axis=1))
-        gaps.append(means[1] - means[0])
+        means = {}
+        # t first: the continuation from s then overwrites the columns
+        # [i_s, i_t) of the outer paths that the one from t reads
+        for i_u in (i_t, i_s):
+            x0 = np.repeat(outer[:, i_u], n_inner)
+            (fv,) = _stencil(model, f, spec, fine, ws, x0, (0.0,), dw_in[:, i_u - i_s :])
+            means[i_u] = fv.reshape(m, n_inner).mean(axis=1)
+        gaps.append(means[i_t] - means[i_s])
     gap_samples = np.concatenate(gaps)
     mean, se = _mean_se(gap_samples)
     return ResidualReport.make(
@@ -698,6 +759,7 @@ def error_representation_sides(
     lhs_samples = np.empty(n_outer)
     lhs_scale = np.empty(n_outer)
     rhs_samples = np.empty(n_outer)
+    ws = _Workspace(fine, n_inner)
     for oi in range(n_outer):
         rng = seed.rng(_TAG_OUTER, oi)
         dw_fine = _draw_dw(fine, 0, 1, rng)
@@ -732,7 +794,7 @@ def error_representation_sides(
                 prefix[-1] = end
                 h = default_bump(end) if bump is None else float(bump)
                 grad, second = _grad_pair_at(
-                    model, f, spec, fine, prefix, n_inner,
+                    model, f, spec, fine, ws, prefix,
                     seed.rng(_TAG_INNER, oi, n, j), h, need_second=delta_s2 != 0.0,
                 )
                 weight = fine.nodes[first + block] - fine.nodes[first]
@@ -776,16 +838,18 @@ def _grad_pair_at(
     f: PathFunctional,
     spec: MollifierSpec | None,
     fine: TimeGrid,
+    ws: _Workspace,
     prefix_values: np.ndarray,
-    n_inner: int,
     rng: np.random.Generator,
     bump: float,
     need_second: bool,
 ) -> tuple[float, float]:
-    """Central-difference (grad F, grad^2 F) at a prefix given by raw values."""
-    dw = _draw_dw(fine, prefix_values.size - 1, n_inner, rng)
+    """Central-difference (grad F, grad^2 F) at a prefix given by raw values,
+    over ``ws.m`` inner paths."""
+    dw = ws.draw(rng, prefix_values.size - 1)
+    ws.hold(prefix_values)
     offsets = (bump, -bump, 0.0) if need_second else (bump, -bump)
-    f_up, f_down, *f_mid = _stencil(model, f, spec, fine, prefix_values, offsets, dw)
+    f_up, f_down, *f_mid = _stencil(model, f, spec, fine, ws, prefix_values[-1], offsets, dw)
     grad = _mean_se(f_up - f_down)[0] / (2 * bump)
     second = _mean_se(f_up - 2 * f_mid[0] + f_down)[0] / bump**2 if need_second else 0.0
     return grad, second

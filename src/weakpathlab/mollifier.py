@@ -248,22 +248,29 @@ class BandRows:
     ``values @ A.T`` up to rounding; one tile is exactly that product.  It
     does not depend on the layout of ``values``:
     - g = 1: C-ordered rows (a copy of any other layout) are multiplied by
-      contiguous tiles of A.T, and the result is C-ordered.
+      contiguous tiles of A.T, and the result is C-ordered.  Step-major
+      rows are copied because the BLAS sums them in another order at some
+      row counts: on OpenBLAS 0.3.31 (Haswell kernels) tiles of 2 to 16
+      step-major rows differ from the C-ordered product in the last bit.
     - g > 1: the tiles read step-major rows (the transpose of a C-contiguous
       (n, m) array, as ``euler_scan`` returns them; a copy of any other
       layout), where each class slice is a BLAS-strided row block, and
       write step-major rows, which are returned as they are.
-    A row holding a non-finite value gives a NaN row, as the dense product's
-    0 * inf terms would.  It is spelled as one ``@`` with the dense
-    operator on the right so that a wrapper of the operator that observes
-    ``x @ A.T`` (as the benchmark's tracer does) sees one product of m rows.
+    ``out``, when given, is a C-contiguous array of m n values that
+    receives the product in the layout above and backs the returned array,
+    so a caller can hold one buffer across products.  A row holding a
+    non-finite value gives a NaN row, as the dense product's 0 * inf terms
+    would.  It is spelled as one ``@`` with the dense operator on the right
+    so that a wrapper of the operator that observes ``x @ A.T`` (as the
+    benchmark's tracer does) sees one product of m rows.
     """
 
-    __slots__ = ("values", "tiles")
+    __slots__ = ("values", "tiles", "out")
 
-    def __init__(self, values: np.ndarray, tiles: BandTiles):
+    def __init__(self, values: np.ndarray, tiles: BandTiles, out: np.ndarray | None = None):
         self.values = values
         self.tiles = tiles
+        self.out = out
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.values, dtype=dtype)
@@ -271,17 +278,19 @@ class BandRows:
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is not np.matmul or method != "__call__" or kwargs or inputs[0] is not self:
             return NotImplemented
-        plan, values, at = self.tiles, self.values, np.asarray(inputs[1])
+        plan, values, at, out = self.tiles, self.values, np.asarray(inputs[1]), self.out
         if plan.step == 1:
             x = np.ascontiguousarray(values)
-            out = np.empty(x.shape[:-1] + at.shape[-1:])
+            shape = x.shape[:-1] + at.shape[-1:]
+            out = np.empty(shape) if out is None else out.reshape(shape)
             for rows, cols in plan.tiles:
                 np.matmul(x[..., cols], at[cols, rows], out=out[..., rows])
         else:
             x = values.reshape(-1, values.shape[-1])
             if x.strides[0] != x.itemsize or x.strides[1] < x.shape[0] * x.itemsize:
                 x = np.ascontiguousarray(x.T).T
-            by_step = np.empty((at.shape[-1], x.shape[0]))
+            shape = (at.shape[-1], x.shape[0])
+            by_step = np.empty(shape) if out is None else out.reshape(shape)
             for (rows, cols), block in zip(plan.tiles, plan.blocks):
                 np.matmul(x[:, cols], block, out=by_step[rows].T)
             by_step[: plan.column0.size] += np.multiply.outer(plan.column0, x[:, 0])

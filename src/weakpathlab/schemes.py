@@ -38,7 +38,7 @@ __all__ = [
 
 
 def euler_scan(
-    model: SdeModel, grid: TimeGrid, x0, dw, start: int = 0, keep=None
+    model: SdeModel, grid: TimeGrid, x0, dw, start: int = 0, keep=None, out=None
 ) -> np.ndarray:
     """The Euler recursion from node ``start`` to the last node of ``grid``.
 
@@ -52,9 +52,12 @@ def euler_scan(
 
     The result is (m, len(keep)), stored step-major: it is the transpose of
     a C-contiguous (len(keep), m) buffer that receives one contiguous row
-    per kept node, so its columns, not its rows, are contiguous.  Row
-    reductions that must not depend on memory layout take a C-ordered copy
-    (``_feps_batch`` does).  Non-finite values propagate; nothing is checked
+    per kept node, so its columns, not its rows, are contiguous.  ``out``,
+    when given, is that buffer, so a caller can hold one across scans.
+    Row reductions whose bits must not depend on memory layout read
+    C-ordered rows: the nested estimators copy each continuation into a
+    C-ordered buffer they hold, and ``_feps_batch`` copies any other
+    step-major input.  Non-finite values propagate; nothing is checked
     here.
 
     Each step runs the model's fused step (:class:`~weakpathlab.models.EulerStep`)
@@ -65,7 +68,8 @@ def euler_scan(
     cols = range(start, dt.size + 1) if keep is None else _checked_keep(keep, start, dt.size)
     increments = map(dw, range(start, dt.size)) if callable(dw) else iter(dw.T)
     slot = {c: j for j, c in enumerate(cols)}
-    out = np.empty((len(slot), np.shape(x0)[0] if np.ndim(x0) else dw.shape[0]))
+    if out is None:
+        out = np.empty((len(slot), np.shape(x0)[0] if np.ndim(x0) else dw.shape[0]))
     scratch = np.empty(out.shape[1])  # the current row while its node is not kept
     scratch[...] = x0
     x = scratch

@@ -1,4 +1,5 @@
 import dataclasses
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from weakpathlab.functionals import (
 from weakpathlab.models import SdeModel, constant_model, ou_model, sine_model
 from weakpathlab.mollifier import MollifierSpec, band_tiles, mollify, mollify_operator
 from weakpathlab.randomness import SeedSpec, sample_brownian
-from weakpathlab.schemes import euler_values_batch, stochastic_interpolation_batch
+from weakpathlab.schemes import euler_scan, euler_values_batch, stochastic_interpolation_batch
 
 FINE = make_uniform_grid(1.0, 128)
 EPS = 2.0 / 128
@@ -368,6 +369,134 @@ class TestHorizontalDerivative:
         assert np.isfinite(est.value)
 
 
+def reference_stencil(model, f, spec, prefix_values, offsets, dw, mode=PathMode.LINEAR):
+    """f_eps of the continued paths built one offset at a time: euler_scan
+    from the prefix's moved endpoint, glued after the prefix into a fresh
+    C-ordered path, then evaluated."""
+    i = prefix_values.shape[-1] - 1
+    out = []
+    for o in offsets:
+        path = np.empty((len(dw), FINE.nodes.size))
+        path[:, :i] = prefix_values[..., :i]
+        path[:, i:] = euler_scan(model, FINE, prefix_values[..., -1] + o, dw, start=i)
+        out.append(fc._feps_batch(f, spec, FINE, path, mode))
+    return out
+
+
+class TestStencil:
+    """``_stencil`` on a held workspace gives the bits of the reference for
+    every model kind, functional kind, prefix kind and start node."""
+
+    ROWS = 48
+    MODELS = {
+        "ou": OU,
+        "sine": SINE,
+        "constant": constant_model(0.3, 0.7, 1.0),
+        "generic": dataclasses.replace(SINE, b=lambda x: -np.sin(x)),
+    }
+    FUNCTIONALS = [
+        point_functional(0.7), product_functional(0.3, 1.0), SQUARE_INTEGRAL,
+        smooth_max_functional(2.0),
+    ]
+
+    def prefix(self, i, per_row):
+        rng = np.random.default_rng(90 + i)
+        shape = (self.ROWS, i + 1) if per_row else (i + 1,)
+        return np.cumsum(rng.standard_normal(shape) * 0.1, axis=-1)
+
+    @staticmethod
+    def draws(i, rows, seed):
+        """The reference's increments and the workspace holding its own
+        draw of the same stream."""
+        ws = fc._Workspace(FINE, rows)
+        dw = ws.draw(SeedSpec(seed).rng(), i)
+        want = fc._draw_dw(FINE, i, rows, SeedSpec(seed).rng())
+        assert np.array_equal(dw, want)
+        return ws, want
+
+    @pytest.mark.parametrize("eps", [None, EPS], ids=["raw", "mollified"])
+    @pytest.mark.parametrize("f", FUNCTIONALS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("model", MODELS.values(), ids=MODELS.keys())
+    @pytest.mark.parametrize(
+        "i, per_row", [(64, False), (64, True), (128, False)], ids=["shared", "per-row", "t=T"]
+    )
+    def test_matches_the_reference_bit_for_bit(self, model, f, eps, i, per_row):
+        spec, offsets = fc._spec(eps), (0.01, 0.0, -0.01)
+        prefix = self.prefix(i, per_row)
+        rows = 1 if i == FINE.n_intervals else self.ROWS
+        ws, dw = self.draws(i, rows, 91)
+        ws.hold(prefix)
+        got = fc._stencil(model, f, spec, FINE, ws, prefix[..., -1], offsets, dw)
+        want = reference_stencil(model, f, spec, prefix, offsets, dw)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("eps", [None, EPS], ids=["raw", "mollified"])
+    @pytest.mark.parametrize("f", FUNCTIONALS, ids=lambda f: f.name)
+    def test_kolmogorov_extension(self, f, eps):
+        # the bumped stencil, then the flat extension by one step that
+        # starts at i + 1, as the Kolmogorov batch runs them on one workspace
+        spec, i = fc._spec(eps), 64
+        prefix = self.prefix(i, False)
+        x0 = prefix[-1]
+        ws, dw = self.draws(i, self.ROWS, 92)
+        ws.hold(prefix)
+        got = fc._stencil(SINE, f, spec, FINE, ws, x0, (0.01, 0.0, -0.01), dw)
+        ws.paths[:, i] = x0
+        got += fc._stencil(SINE, f, spec, FINE, ws, x0, (0.0,), dw[:, 1:])
+        want = reference_stencil(SINE, f, spec, prefix, (0.01, 0.0, -0.01), dw)
+        want += reference_stencil(SINE, f, spec, np.append(prefix, x0), (0.0,), dw[:, 1:])
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("eps", [None, EPS], ids=["raw", "mollified"])
+    def test_overflow_stays_non_finite_and_raises(self, eps):
+        # |1 - theta dt| = 389 per step: the continuation from 0 overflows
+        stiff, f, spec = ou_model(50000.0, 1.0, 1.0), SQUARE_INTEGRAL, fc._spec(eps)
+        prefix = np.array([1.0])
+        ws, dw = self.draws(0, self.ROWS, 93)
+        ws.hold(prefix)
+        (got,) = fc._stencil(stiff, f, spec, FINE, ws, prefix[-1], (0.0,), dw)
+        (want,) = reference_stencil(stiff, f, spec, prefix, (0.0,), dw)
+        assert not np.isfinite(got).any()
+        assert np.array_equal(got, want, equal_nan=True)
+        with pytest.raises(NumericalOverflowError):
+            estimate_F(stiff, constant_prefix(0.0, 1.0), f, eps, self.ROWS, SeedSpec(93), FINE)
+
+
+class TestWorkspaceOwnership:
+    """A workspace belongs to one estimator call: concurrent calls and a
+    call after one that raised see nothing of the others."""
+
+    @staticmethod
+    def configs():
+        # the two Kolmogorov checks of the nested-checks benchmark workload
+        return [
+            (SINE, constant_prefix(0.5, 0.5), SQUARE_INTEGRAL, EPS, 1000, SeedSpec(7, 0), FINE),
+            (OU, constant_prefix(0.25, 1.0), product_functional(0.6, 1.0), EPS, 1000,
+             SeedSpec(7, 1), FINE),
+        ]
+
+    @staticmethod
+    def run(args):
+        return kolmogorov_residual(*args, n_outer=3)
+
+    def test_two_threads_return_the_serial_reports(self):
+        serial = [self.run(args) for args in self.configs()]
+        with ThreadPoolExecutor(2) as pool:
+            threaded = list(pool.map(self.run, self.configs()))
+        assert threaded == serial
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_call_after_an_overflow_is_a_fresh_call(self):
+        fine = make_uniform_grid(1.0, 1024)
+        prefix = constant_prefix(0.5, 1.0, fine)
+        args = (prefix, point_functional(1.0), 2.0 * fine.mesh, 4, SeedSpec(8), fine)
+        fresh = kolmogorov_residual(OU, *args, n_outer=2)
+        with pytest.raises(NumericalOverflowError):
+            kolmogorov_residual(ou_model(50000.0, 1.0, 1.0), *args, n_outer=2)
+        assert kolmogorov_residual(OU, *args, n_outer=2) == fresh
+
+
 class TestKolmogorovResidual:
     def test_ou_point_passes(self):
         prefix = constant_prefix(0.5, 1.0)
@@ -669,6 +798,23 @@ class TestOuOracles:
         assert second.std_error <= 1e-11
         # the same draws: the two first-derivative estimates agree to rounding
         assert abs(vd.central.value - vd.pairing.value) <= 1e-13
+
+    def kolmogorov(self, f):
+        prefix, rows, beta = self.oracle(f)
+        rep = kolmogorov_residual(
+            OU, prefix, f, EPS, 200, SeedSpec(67), FINE, n_outer=4, bump=self.BUMP
+        )
+        return rep.components, beta[self.I_T]
+
+    def test_kolmogorov_point_terms(self):
+        # every bump difference of the affine F is beta up to rounding
+        components, beta = self.kolmogorov(point_functional(1.0))
+        assert abs(components["grad_F"] - beta[0]) <= 1e-13
+        assert abs(components["second_grad_F"]) <= 1e-11
+
+    def test_kolmogorov_product_curvature(self):
+        components, beta = self.kolmogorov(product_functional(0.5, 1.0))
+        assert abs(components["second_grad_F"] - 2 * beta[0] * beta[1]) <= 1e-11
 
     @pytest.mark.parametrize(
         "f", [point_functional(1.0), product_functional(0.5, 1.0)], ids=["point", "product"]

@@ -232,6 +232,28 @@ class TestBandTiles:
         a = mollify_operator(spec, grid, PathMode.LINEAR)
         assert np.array_equal(band_product(spec, grid, PathMode.LINEAR, x), x @ a.T)
 
+    @pytest.mark.parametrize(
+        "nodes, eps, step, n_tiles",
+        [(33, 0.25, 1, 1), (129, 2.0 / 128, 1, 4), (513, 0.25, 2, None), (1025, 0.25, 4, None)],
+    )
+    @pytest.mark.parametrize("rows", [1, 3, 16, 300])
+    def test_step_major_rows_into_a_held_buffer(self, nodes, eps, step, n_tiles, rows):
+        # the nested estimators hand BandRows step-major rows and a held
+        # buffer; neither may move a bit of the C-ordered product
+        spec, grid = MollifierSpec(eps), make_uniform_grid(1.0, nodes - 1)
+        plan = band_tiles(spec, grid, PathMode.LINEAR)
+        assert plan.step == step and len(plan.tiles) == (n_tiles or len(plan.tiles))
+        at = mollify_operator(spec, grid, PathMode.LINEAR).T
+        x = self.paths(67, rows, nodes)
+        want = BandRows(x, plan) @ at
+        buf = np.full(rows * nodes, np.nan).reshape(nodes, rows)
+        for values in (x, step_major(x)):
+            assert np.array_equal(BandRows(values, plan) @ at, want)
+            held = BandRows(values, plan, buf) @ at
+            assert np.array_equal(held, want) and np.shares_memory(held, buf)
+            assert (held.T if step > 1 else held).flags.c_contiguous
+            buf[...] = np.nan
+
 
 class TestCaches:
     """Both caches are LRU caches of CACHE_CAPACITY entries."""
