@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -482,8 +483,13 @@ class TestWorkspaceOwnership:
 
     def test_two_threads_return_the_serial_reports(self):
         serial = [self.run(args) for args in self.configs()]
-        with ThreadPoolExecutor(2) as pool:
-            threaded = list(pool.map(self.run, self.configs()))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two calls as finely as possible
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                threaded = list(pool.map(self.run, self.configs(), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
         assert threaded == serial
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -800,7 +806,7 @@ class TestOuOracles:
         assert abs(vd.central.value - vd.pairing.value) <= 1e-13
 
     def kolmogorov(self, f):
-        prefix, rows, beta = self.oracle(f)
+        prefix, _, beta = self.oracle(f)
         rep = kolmogorov_residual(
             OU, prefix, f, EPS, 200, SeedSpec(67), FINE, n_outer=4, bump=self.BUMP
         )
