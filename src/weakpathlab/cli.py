@@ -34,7 +34,7 @@ import numpy as np
 import yaml
 
 from . import __version__, blas
-from .core_paths import DiscretePath, PathMode, TimeGrid, make_uniform_grid, refine_grid
+from .core_paths import DiscretePath, TimeGrid, make_uniform_grid, refine_grid
 from .errors import (
     BudgetExceededError,
     ConfigError,
@@ -65,6 +65,7 @@ from .weak_error import (
     RateExperiment,
     covariance_bias,
     interpolation_gap_stats,
+    ladder_steps,
     weak_rate_experiment,
 )
 
@@ -86,7 +87,8 @@ _MESH_EPSILON = {"epsilon": None, "epsilon_mesh_multiple": 2.0}
 
 # every key of grid, mollifier, budget, check and reference that a command
 # reads, with its default (None: off), and its default model; parse_config
-# fills them in key by key and rejects every other key of those sections.  A
+# fills them in key by key, checks each value against its default's shape
+# and rejects every other key of those sections.  A
 # config with no ``functional`` section gets the command's whole default
 # functional below, so a user's functional never mixes with another
 # functional's parameters
@@ -232,16 +234,16 @@ def _as_default_type(value, default, key_path: str):
 _PAIRS = ("rate_range", "ratio_range", "times")
 
 
-def _check_shape(key: str, value, default):
-    """Raise ``ConfigError`` unless ``check.<key>`` has its default's shape:
-    a list of numbers (two for a pair, else at least two), a bool, a number,
-    or a number or null where the default is None.  Where the default, or
-    each of its entries, is an integer, the value must be an integer >= 1."""
-    key_path = f"check.{key}"
+def _check_shape(key_path: str, value, default):
+    """Raise ``ConfigError`` unless the value at ``key_path`` (section.key)
+    has its default's shape: a list of numbers (two for a pair, else at
+    least two), a bool, a string, a number, or a number or null where the
+    default is None.  Where the default, or each of its entries, is an
+    integer, the value must be an integer >= 1."""
     if isinstance(default, bool):
         want, ok = "true or false", isinstance(value, bool)
     elif isinstance(default, list):
-        pair = key in _PAIRS
+        pair = key_path.split(".")[-1] in _PAIRS
         want = "a list of two numbers" if pair else "a list of at least two numbers"
         ok = (isinstance(value, list) and all(map(_is_number, value))
               and (len(value) == 2 if pair else len(value) >= 2))
@@ -251,6 +253,8 @@ def _check_shape(key: str, value, default):
     elif isinstance(default, int):
         _integer(value, key_path, 1)
         return
+    elif isinstance(default, str):
+        want, ok = "a string", isinstance(value, str)
     elif default is None:
         want, ok = "a number or null", value is None or _is_number(value)
     else:
@@ -292,11 +296,9 @@ def parse_config(text: str) -> ExperimentConfig:
         target.update(sub)
         for key, value in defaults.items():
             given = target.setdefault(key, list(value) if isinstance(value, list) else value)
-            if section == "check":
-                _check_shape(key, given, value)
+            if section in _SCALAR_SECTIONS:
+                _check_shape(f"{section}.{key}", given, value)
             target[key] = _as_default_type(given, value, f"{section}.{key}")
-    for key, value in cfg.budget.items():
-        _integer(value, f"budget.{key}", 1)
     # build eagerly so typos and invalid parameter values fail at parse time
     try:
         if cfg.model:
@@ -448,8 +450,8 @@ def _run_covariance_bias(cfg: ExperimentConfig):
     horizon = float(cfg.grid["T"])
     n_base = int(cfg.budget["n_samples"])
     rows, signal = [], []
-    for k, delta in enumerate(deltas):
-        grid = make_uniform_grid(horizon, round(horizon / delta))
+    for k, (delta, n_steps) in enumerate(zip(deltas, ladder_steps(horizon, deltas))):
+        grid = make_uniform_grid(horizon, n_steps)
         n = int(np.ceil(n_base * (deltas[0] / delta) ** 2))
         point = covariance_bias(
             model, t1, t2, grid, n, SeedSpec(cfg.seed, k),
@@ -525,11 +527,7 @@ def _run_kolmogorov(cfg: ExperimentConfig):
     model = build_model(cfg.model)
     fine = make_uniform_grid(float(cfg.grid["T"]), int(cfg.grid["n_steps"]))
     i_t = fine.index_near(float(cfg.check["t"]))
-    prefix = DiscretePath(
-        TimeGrid(fine.nodes[: i_t + 1]),
-        np.full(i_t + 1, model.xi0),
-        PathMode.LINEAR,
-    )
+    prefix = DiscretePath(TimeGrid(fine.nodes[: i_t + 1]), np.full(i_t + 1, model.xi0))
     report = kolmogorov_residual(
         model, prefix, command_functional(cfg), _epsilon(cfg, fine.mesh),
         int(cfg.budget["n_inner"]),

@@ -1,11 +1,10 @@
 """Time grids and discrete path representations.
 
 A path on [0, T] is a row of values at the nodes of a :class:`TimeGrid`,
-read through an interpolation mode; :func:`interpolate_values` reads a batch
-of rows at any times.  ``Linear`` realizes continuous piecewise-affine paths
-(the linearly interpolated Euler scheme is exactly of this form);
-``CadlagStep`` realizes right-continuous step paths, which arise from
-vertical perturbations of a path's endpoint.
+read as the continuous piecewise-affine path through them: the linearly
+interpolated Euler scheme is exactly of this form, and a vertical bump of a
+path's endpoint moves the continuation's start value, not the path.
+:func:`interpolate_values` reads a batch of rows at any times.
 """
 
 from __future__ import annotations
@@ -28,8 +27,9 @@ __all__ = [
 
 
 class PathMode(Enum):
+    """How a path is read between nodes; affine is the only way."""
+
     LINEAR = "linear"
-    CADLAG_STEP = "cadlag"
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -142,7 +142,8 @@ def refine_grid(grid: TimeGrid, factor: int) -> TimeGrid:
 
 @dataclass(frozen=True)
 class DiscretePath:
-    """Values on a TimeGrid plus an interpolation mode."""
+    """Values on a TimeGrid, read affinely between nodes (``mode`` is
+    always ``PathMode.LINEAR``)."""
 
     grid: TimeGrid
     values: np.ndarray
@@ -159,18 +160,12 @@ class DiscretePath:
             raise InvalidArgumentError("path values must be finite")
 
 
-def interpolate_values(
-    nodes: np.ndarray, values: np.ndarray, t: np.ndarray, mode: PathMode
-) -> np.ndarray:
-    """Path values at times ``t`` for every row of ``values``: affine between
-    the bracketing nodes in Linear mode, the value at the largest node <= t
-    in CadlagStep mode.  ``values`` may be (n,) or (m, n); ``t`` must lie in
-    [nodes[0], nodes[-1]].  Exact node values are reproduced in both modes.
+def interpolate_values(nodes: np.ndarray, values: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Path values at times ``t`` for every row of ``values``, affine
+    between the bracketing nodes.  ``values`` may be (n,) or (m, n); ``t``
+    must lie in [nodes[0], nodes[-1]].  Exact node values are reproduced.
     """
     t = np.asarray(t, dtype=np.float64)
-    if mode is PathMode.CADLAG_STEP:
-        idx = np.searchsorted(nodes, t, side="right") - 1
-        return values[..., idx]
     idx = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, nodes.size - 2)
     left = nodes[idx]
     gap = nodes[idx + 1] - left
@@ -183,8 +178,7 @@ def interpolate_values(
 def sup_norm(p: DiscretePath) -> float:
     """Uniform norm over [0, T].
 
-    Exact for both modes: affine pieces and steps attain their extrema at
-    nodes.
+    Exact: affine pieces attain their extrema at nodes.
     """
     return float(np.abs(p.values).max())
 

@@ -33,6 +33,7 @@ identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .errors import (
 )
 from .functionals import PathFunctional
 from .models import SdeModel
-from .mollifier import BandRows, LruCache, MollifierSpec, band_tiles, mollify_operator
+from .mollifier import CACHE_CAPACITY, BandRows, MollifierSpec, band_tiles, mollify_operator
 from .parallel import Moments, batch_layout
 from .randomness import SeedSpec
 from .schemes import (
@@ -72,7 +73,6 @@ __all__ = [
     "default_bump",
 ]
 
-_PROBE_ROW_CACHE = LruCache()
 # bytes of raw rows per mollified row block in _feps_batch; 4096 x 2049
 # gemm rows run fastest in blocks of 1024-2048 rows
 _BLOCK_BYTES = 1 << 24
@@ -82,6 +82,11 @@ _TAG_CONTINUATION = 3
 _TAG_OUTER = 4
 _TAG_INNER = 5
 _TAG_QUAD = 6
+
+# outer paths per martingale_gap batch and samples per ito_rms_study batch;
+# both fix the batch layout, and so the streams drawn
+_MARTINGALE_CHUNK = 32
+_ITO_BATCH = 65536
 
 
 @dataclass(frozen=True)
@@ -138,34 +143,31 @@ def _probe_times(grid: TimeGrid, times) -> np.ndarray:
     return t
 
 
-def _probe_rows(
-    spec: MollifierSpec, grid: TimeGrid, mode: PathMode, probes: tuple[float, ...]
-) -> np.ndarray:
+def _probe_rows(spec: MollifierSpec, grid: TimeGrid, probes: tuple[float, ...]) -> np.ndarray:
     """Rows r_t with r_t . v = (M x)(t) for node values v; one row per probe.
 
     The mollified path is continuous, so probe times between nodes combine
     the two bracketing rows of the mollifier matrix affinely.
     """
-
-    def build():
-        a = mollify_operator(spec, grid, mode)
-        rows = np.ascontiguousarray(interpolate_values(grid.nodes, a.T, probes, PathMode.LINEAR).T)
-        rows.flags.writeable = False
-        return rows
-
-    key = (grid.nodes.tobytes(), spec.epsilon, spec.kernel_samples, mode, probes)
-    return _PROBE_ROW_CACHE.get(key, build)
+    return _build_probe_rows(grid.nodes.tobytes(), spec, probes)
 
 
-def _at_probes(
-    f: PathFunctional, spec: MollifierSpec | None, grid: TimeGrid, mode: PathMode, values
-) -> np.ndarray:
+@lru_cache(maxsize=CACHE_CAPACITY)
+def _build_probe_rows(nodes: bytes, spec: MollifierSpec, probes: tuple[float, ...]) -> np.ndarray:
+    grid = TimeGrid(np.frombuffer(nodes))
+    a = mollify_operator(spec, grid, PathMode.LINEAR)
+    rows = np.ascontiguousarray(interpolate_values(grid.nodes, a.T, probes).T)
+    rows.flags.writeable = False
+    return rows
+
+
+def _at_probes(f: PathFunctional, spec: MollifierSpec | None, grid: TimeGrid, values) -> np.ndarray:
     """(M x)(t) at f's probe times for every row of ``values``; x(t) when
     spec is None."""
     t = _probe_times(grid, f.probe_times)
     if spec is None:
-        return interpolate_values(grid.nodes, values, t, mode)
-    return np.ascontiguousarray(values) @ _probe_rows(spec, grid, mode, f.probe_times).T
+        return interpolate_values(grid.nodes, values, t)
+    return np.ascontiguousarray(values) @ _probe_rows(spec, grid, f.probe_times).T
 
 
 def _feps_batch(
@@ -173,7 +175,6 @@ def _feps_batch(
     spec: MollifierSpec | None,
     grid: TimeGrid,
     values: np.ndarray,
-    mode: PathMode = PathMode.LINEAR,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """f(M x) for every row of ``values``; f(x) when spec is None.
@@ -187,14 +188,14 @@ def _feps_batch(
     ``BandRows``).
     """
     if f.probe_times is not None:
-        return f.probe_eval(_at_probes(f, spec, grid, mode, values))
+        return f.probe_eval(_at_probes(f, spec, grid, values))
     if spec is None:
-        return f.batch_eval(np.ascontiguousarray(values), grid, mode)
-    mollified = _mollifier(spec, grid, mode)
+        return f.batch_eval(np.ascontiguousarray(values), grid)
+    mollified = _mollifier(spec, grid)
     if values.nbytes > _BLOCK_BYTES:
         return _mollified_blocks(f, mollified, grid, values)
     values = mollified(values, out)  # frees the raw rows before the hook runs
-    return f.batch_eval(values, grid, PathMode.LINEAR)
+    return f.batch_eval(values, grid)
 
 
 def _fd1_batch(
@@ -203,39 +204,36 @@ def _fd1_batch(
     grid: TimeGrid,
     values: np.ndarray,
     directions: np.ndarray,
-    mode: PathMode = PathMode.LINEAR,
 ) -> np.ndarray:
     """Df(M x)(M h) rowwise (mollification is linear, so it commutes into
     the direction)."""
     if f.probe_times is not None:
-        return f.probe_d1(
-            _at_probes(f, spec, grid, mode, values), _at_probes(f, spec, grid, mode, directions)
-        )
+        return f.probe_d1(_at_probes(f, spec, grid, values), _at_probes(f, spec, grid, directions))
     if spec is None:
         values, directions = np.ascontiguousarray(values), np.ascontiguousarray(directions)
     else:
-        mollified = _mollifier(spec, grid, mode)
-        values, directions, mode = mollified(values), mollified(directions), PathMode.LINEAR
-    return f.batch_d1(values, directions, grid, mode)
+        mollified = _mollifier(spec, grid)
+        values, directions = mollified(values), mollified(directions)
+    return f.batch_d1(values, directions, grid)
 
 
-def _mollifier(spec: MollifierSpec, grid: TimeGrid, mode: PathMode):
+def _mollifier(spec: MollifierSpec, grid: TimeGrid):
     """The map from rows of node values to rows of M_eps values on ``grid``:
     the operator, looked up once, applied by band tiles, into ``out`` when
     given (see ``BandRows``)."""
-    at = mollify_operator(spec, grid, mode).T
-    tiles = band_tiles(spec, grid, mode)
+    at = mollify_operator(spec, grid, PathMode.LINEAR).T
+    tiles = band_tiles(spec, grid)
     return lambda values, out=None: BandRows(values, tiles, out) @ at
 
 
 def _mollified_blocks(f: PathFunctional, mollified, grid: TimeGrid, values: np.ndarray):
-    """``f.batch_eval(mollified(values), grid, LINEAR)`` over near-equal row
-    blocks of at most ``_BLOCK_BYTES``, concatenated; valid because the hook
-    is row-wise.  No full-size mollified copy or hook temporary is alive."""
+    """``f.batch_eval(mollified(values), grid)`` over near-equal row blocks
+    of at most ``_BLOCK_BYTES``, concatenated; valid because the hook is
+    row-wise.  No full-size mollified copy or hook temporary is alive."""
     rows = max(1, _BLOCK_BYTES // (values.itemsize * values.shape[-1]))
     return np.concatenate(
         [
-            f.batch_eval(mollified(block), grid, PathMode.LINEAR)
+            f.batch_eval(mollified(block), grid)
             for block in np.array_split(values, -(-len(values) // rows))
         ]
     )
@@ -267,20 +265,15 @@ class _Workspace:
 
     def __init__(self, fine: TimeGrid, m: int):
         n = fine.nodes.size
+        self.fine = fine
         self.m = m
-        self._sqrt_dt = np.sqrt(np.diff(fine.nodes))
         self._dw = np.empty(m * (n - 1))
         self.paths = np.empty((m, n))
         self.scan = np.empty((n, m))
 
     def draw(self, rng: np.random.Generator, i_t: int) -> np.ndarray:
-        """Increments of steps i_t..N-1 for the m paths, drawn into the held
-        buffer and scaled in place: the stream and bits of ``_draw_dw``."""
-        scale = self._sqrt_dt[i_t:]
-        dw = self._dw[: self.m * scale.size].reshape(self.m, scale.size)
-        rng.standard_normal(out=dw)
-        dw *= scale
-        return dw
+        """``_draw_dw`` of the m paths from node i_t, into the held buffer."""
+        return _draw_dw(self.fine, i_t, self.m, rng, self._dw)
 
     def hold(self, prefix_values: np.ndarray, repeats: int = 1) -> None:
         """Write columns [:i] of ``paths``, i the prefix's last node (the
@@ -313,7 +306,6 @@ def _stencil(
     x0,
     offsets,
     dw: np.ndarray,
-    mode: PathMode = PathMode.LINEAR,
 ) -> list[np.ndarray]:
     """f_eps of the paths of ``ws`` continued from ``x0`` moved by each of
     ``offsets``: one array per offset, one sample per row of ``dw``.
@@ -326,14 +318,23 @@ def _stencil(
     (t = T) each path is the prefix with its endpoint moved.
     """
     return [
-        _feps_batch(f, spec, fine, _continue(model, fine, ws, x0 + o, dw), mode, ws.scan)
+        _feps_batch(f, spec, fine, _continue(model, fine, ws, x0 + o, dw), ws.scan)
         for o in offsets
     ]
 
 
-def _draw_dw(fine: TimeGrid, i_t: int, n_inner: int, rng: np.random.Generator) -> np.ndarray:
-    dt = np.diff(fine.nodes)[i_t:]
-    return np.sqrt(dt) * rng.standard_normal((n_inner, dt.size))
+def _draw_dw(
+    fine: TimeGrid, i_t: int, n: int, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Brownian increments of fine steps i_t..N-1 for n paths, an (n, N - i_t)
+    array: standard normals in row order, scaled in place by sqrt(dt).  With
+    ``out``, a flat buffer of at least that size, they fill its front."""
+    scale = np.sqrt(np.diff(fine.nodes)[i_t:])
+    shape = (n, scale.size)
+    dw = np.empty(shape) if out is None else out[: n * scale.size].reshape(shape)
+    rng.standard_normal(out=dw)
+    dw *= scale
+    return dw
 
 
 def _inner(
@@ -405,7 +406,7 @@ def estimate_F(
     _prefix_index(prefix, fine)
     cfg = _config(spec, fine, seed, t=float(prefix.grid.horizon))
     ws, dw = _inner(fine, prefix.values, n_inner, seed)
-    (vals,) = _stencil(model, f, spec, fine, ws, prefix.values[-1], (0.0,), dw, prefix.mode)
+    (vals,) = _stencil(model, f, spec, fine, ws, prefix.values[-1], (0.0,), dw)
     return _estimate(vals, dw, cfg)
 
 
@@ -434,7 +435,7 @@ def vertical_derivative(
     cfg = _config(spec, fine, seed, t=float(prefix.grid.horizon), bump=float(bump))
     ws, dw = _inner(fine, prefix.values, n_inner, seed)
     x0 = prefix.values[-1]
-    up, down = _stencil(model, f, spec, fine, ws, x0, (bump, -bump), dw, prefix.mode)
+    up, down = _stencil(model, f, spec, fine, ws, x0, (bump, -bump), dw)
     central = _estimate((up - down) / (2 * bump), dw, cfg)
 
     combined = _continue(model, fine, ws, x0, dw)
@@ -443,7 +444,7 @@ def vertical_derivative(
     variation = variation_values_batch(model, combined, fine, full_dw, start=i_t)
     direction = np.zeros_like(combined)
     direction[:, i_t:] = variation[:, i_t:]
-    pairing = _estimate(_fd1_batch(f, spec, fine, combined, direction, prefix.mode), dw, cfg)
+    pairing = _estimate(_fd1_batch(f, spec, fine, combined, direction), dw, cfg)
     return VerticalDerivative(central, pairing)
 
 
@@ -466,9 +467,7 @@ def second_vertical_derivative(
     _prefix_index(prefix, fine)
     cfg = _config(spec, fine, seed, t=float(prefix.grid.horizon), bump=float(bump))
     ws, dw = _inner(fine, prefix.values, n_inner, seed)
-    up, mid, down = _stencil(
-        model, f, spec, fine, ws, prefix.values[-1], (bump, 0.0, -bump), dw, prefix.mode
-    )
+    up, mid, down = _stencil(model, f, spec, fine, ws, prefix.values[-1], (bump, 0.0, -bump), dw)
     return _estimate((up - 2 * mid + down) / bump**2, dw, cfg)
 
 
@@ -511,11 +510,9 @@ def horizontal_derivative(
 
     ws, dw = _inner(fine, prefix.values, n_inner, seed)
     x0 = prefix.values[-1]
-    (base_vals,) = _stencil(model, f, spec, fine, ws, x0, (0.0,), dw, prefix.mode)
+    (base_vals,) = _stencil(model, f, spec, fine, ws, x0, (0.0,), dw)
     ws.paths[:, i_t:i_ext] = x0  # the flat extension up to t + h
-    (ext_vals,) = _stencil(
-        model, f, spec, fine, ws, x0, (0.0,), dw[:, i_ext - i_t :], prefix.mode
-    )
+    (ext_vals,) = _stencil(model, f, spec, fine, ws, x0, (0.0,), dw[:, i_ext - i_t :])
     return _estimate((ext_vals - base_vals) / h_actual, dw, cfg)
 
 
@@ -539,12 +536,9 @@ def kolmogorov_residual(
     """Residual of the backward equation  D_t F + b grad F + (1/2) sigma^2 grad^2 F = 0.
 
     All three derivative estimates share each batch's continuation noise.
-    The prefix must be a continuous path started at xi0 (the equation only
-    holds on such paths).  The tolerance is 4 SE plus an explicit relative
+    The prefix must start at xi0 (the equation only holds on such paths).  The tolerance is 4 SE plus an explicit relative
     allowance for finite bump, horizontal step and fine-grid bias.
     """
-    if prefix.mode is not PathMode.LINEAR:
-        raise InvalidArgumentError("prefix must be continuous (Linear mode)")
     if prefix.values[0] != model.xi0:
         raise InvalidArgumentError(
             f"prefix must start at xi0={model.xi0}; the equation is only valid there"
@@ -563,11 +557,9 @@ def kolmogorov_residual(
 
     def _batch(bi: int) -> tuple[float, float, float, float]:
         dw = ws.draw(seed.rng(_TAG_INNER, bi), i_t)
-        f_up, f_mid, f_down = _stencil(
-            model, f, spec, fine, ws, x0, (h, 0.0, -h), dw, prefix.mode
-        )
+        f_up, f_mid, f_down = _stencil(model, f, spec, fine, ws, x0, (h, 0.0, -h), dw)
         ws.paths[:, i_t] = x0  # the flat extension by one step
-        (f_ext,) = _stencil(model, f, spec, fine, ws, x0, (0.0,), dw[:, 1:], prefix.mode)
+        (f_ext,) = _stencil(model, f, spec, fine, ws, x0, (0.0,), dw[:, 1:])
 
         dt_term = _mean_se((f_ext - f_mid) / h_t)[0]
         grad = _mean_se((f_up - f_down) / (2 * h))[0]
@@ -607,7 +599,6 @@ def martingale_gap(
     seed: SeedSpec,
     fine: TimeGrid,
     n_inner: int = 256,
-    chunk: int = 32,
 ) -> ResidualReport:
     """E[F_t(X on [0,t]) - F_s(X on [0,s])] along common outer paths.
 
@@ -624,7 +615,7 @@ def martingale_gap(
         return ResidualReport.make(0.0, 0.0, {"note": "s = t, gap vanishes identically"})
 
     gaps, ws = [], None
-    for ci, (_, m) in enumerate(batch_layout(n_samples, chunk)):
+    for ci, (_, m) in enumerate(batch_layout(n_samples, _MARTINGALE_CHUNK)):
         outer = euler_values_batch(model, fine, _draw_dw(fine, 0, m, seed.rng(_TAG_OUTER, ci)))
         if ws is None or ws.m != m * n_inner:
             ws = _Workspace(fine, m * n_inner)
@@ -648,9 +639,7 @@ def martingale_gap(
     )
 
 
-def ito_rms_study(
-    T: float, steps_list, n_samples: int, seed: SeedSpec, batch: int = 65536
-) -> dict:
+def ito_rms_study(T: float, steps_list, n_samples: int, seed: SeedSpec) -> dict:
     """RMS of the Ito residual for x(t)^2 across meshes.
 
     The discrete Ito formula W(T)^2 = sum 2 W(tau_k) dW_k + T holds up to a
@@ -661,7 +650,7 @@ def ito_rms_study(
     for si, n_steps in enumerate(steps_list):
         dt = T / n_steps
         total = 0.0
-        for bi, (_, m) in enumerate(batch_layout(n_samples, batch)):
+        for bi, (_, m) in enumerate(batch_layout(n_samples, _ITO_BATCH)):
             z = seed.rng(_TAG_INNER, si, bi).standard_normal((m, n_steps))
             w = np.cumsum(np.sqrt(dt) * z, axis=1)
             ito_sum = 2.0 * np.sum(np.concatenate([np.zeros((m, 1)), w[:, :-1]], axis=1) * np.sqrt(dt) * z, axis=1)

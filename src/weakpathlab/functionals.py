@@ -6,8 +6,8 @@ through them.  Functionals that read the path at a few times carry
 ``probe_times`` with ``probe_eval(v)``, ``probe_d1(v, h)`` and
 ``probe_d2(v, h1, h2)``, where the last axis of each argument holds the path
 values at those times.  Functionals of the whole path carry
-``batch_eval(v, grid, mode)``, ``batch_d1(v, h, grid, mode)`` and
-``batch_d2(v, h1, h2, grid, mode)`` on rows of node values.  ``*_d1`` is the
+``batch_eval(v, grid)``, ``batch_d1(v, h, grid)`` and
+``batch_d2(v, h1, h2, grid)`` on rows of node values.  ``*_d1`` is the
 directional derivative of ``*_eval`` at v in direction h and ``*_d2`` the
 symmetric second derivative; the paper's weak-error formula needs f twice
 differentiable, and ``*_d2`` is the closed form that certifies it for the
@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core_paths import PathMode, TimeGrid
+from .core_paths import TimeGrid
 from .errors import InvalidArgumentError
 
 __all__ = [
@@ -47,13 +47,9 @@ class PathFunctional:
     probe_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
     probe_d1: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     probe_d2: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
-    batch_eval: Optional[Callable[[np.ndarray, TimeGrid, PathMode], np.ndarray]] = None
-    batch_d1: Optional[
-        Callable[[np.ndarray, np.ndarray, TimeGrid, PathMode], np.ndarray]
-    ] = None
-    batch_d2: Optional[
-        Callable[[np.ndarray, np.ndarray, np.ndarray, TimeGrid, PathMode], np.ndarray]
-    ] = None
+    batch_eval: Optional[Callable[[np.ndarray, TimeGrid], np.ndarray]] = None
+    batch_d1: Optional[Callable[[np.ndarray, np.ndarray, TimeGrid], np.ndarray]] = None
+    batch_d2: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray, TimeGrid], np.ndarray]] = None
 
     def __post_init__(self):
         probe = [
@@ -128,13 +124,13 @@ def integral_functional(
     smoothness.
     """
 
-    def _batch_eval(v: np.ndarray, grid: TimeGrid, mode: PathMode) -> np.ndarray:
+    def _batch_eval(v: np.ndarray, grid: TimeGrid) -> np.ndarray:
         return trapezoid(g(v), grid.nodes)
 
-    def _batch_d1(v, hv, grid: TimeGrid, mode: PathMode) -> np.ndarray:
+    def _batch_d1(v, hv, grid: TimeGrid) -> np.ndarray:
         return trapezoid(dg(v) * hv, grid.nodes)
 
-    def _batch_d2(v, h1, h2, grid: TimeGrid, mode: PathMode) -> np.ndarray:
+    def _batch_d2(v, h1, h2, grid: TimeGrid) -> np.ndarray:
         return trapezoid(d2g(v) * h1 * h2, grid.nodes)
 
     return PathFunctional(
@@ -159,13 +155,13 @@ def smooth_max_functional(beta: float) -> PathFunctional:
         raise InvalidArgumentError(f"beta must be finite and positive, got {beta!r}")
     bf = float(beta)
 
-    def _batch_eval(v: np.ndarray, grid: TimeGrid, mode: PathMode) -> np.ndarray:
+    def _batch_eval(v: np.ndarray, grid: TimeGrid) -> np.ndarray:
         m = v.max(axis=-1, keepdims=True)
         t_span = grid.horizon
         integral = trapezoid(np.exp(bf * (v - m)), grid.nodes)
         return m[..., 0] + np.log(integral / t_span) / bf
 
-    def _weighted(v: np.ndarray, payload: np.ndarray, grid: TimeGrid, mode=None) -> np.ndarray:
+    def _weighted(v: np.ndarray, payload: np.ndarray, grid: TimeGrid) -> np.ndarray:
         # weighted trapezoid mean of payload, weights exp(beta x): f's batch_d1
         m = v.max(axis=-1, keepdims=True)
         w = np.exp(bf * (v - m))
@@ -173,7 +169,7 @@ def smooth_max_functional(beta: float) -> PathFunctional:
         den = trapezoid(w, grid.nodes)
         return num / den
 
-    def _batch_d2(v, h1, h2, grid: TimeGrid, mode: PathMode) -> np.ndarray:
+    def _batch_d2(v, h1, h2, grid: TimeGrid) -> np.ndarray:
         # beta times the weighted covariance of h1 and h2
         both = _weighted(v, h1 * h2, grid)
         return bf * (both - _weighted(v, h1, grid) * _weighted(v, h2, grid))

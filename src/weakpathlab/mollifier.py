@@ -10,7 +10,7 @@ with xbar the constant extension of x by x(0) to the left of 0.  Only values
 of x at times <= t enter, so editing a path strictly after t never changes
 the smoothed path at t.
 
-For a fixed (grid, mode, eps) the map from node values to smoothed node
+For a fixed (grid, eps) the map from node values to smoothed node
 values is linear; it is materialized once as a lower-triangular matrix and
 reused, which is what makes the nested Monte-Carlo estimators affordable.
 Row j is nonzero only on the band of nodes in [tau_j - eps, tau_j], so
@@ -22,15 +22,14 @@ on its node), output j reads only the columns c > 0 in one residue class
 mod g, so the band splits into g classes and the tiles skip the zeros
 inside it too (``BandTiles``).  g is read off the nonzeros of the built
 operator, never assumed.  The last ``CACHE_CAPACITY`` operators are kept
-with their tile plans.
+with their tile plans (``functools.lru_cache``).
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,35 +55,6 @@ CACHE_CAPACITY = 8
 # narrowest band tile, in output columns: narrower BLAS products cost more
 # per column in call overhead than they save in skipped zeros
 _MIN_TILE = 32
-
-
-class LruCache:
-    """Thread-safe map of at most ``CACHE_CAPACITY`` entries; the least
-    recently used entry is dropped first."""
-
-    def __init__(self):
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key, build):
-        """The entry for ``key``, made by ``build()`` when absent."""
-        with self._lock:
-            value = self._entries.get(key)
-            if value is not None:
-                self._entries.move_to_end(key)
-                return value
-        value = build()
-        with self._lock:
-            self._entries[key] = value
-            if len(self._entries) > CACHE_CAPACITY:
-                self._entries.popitem(last=False)
-        return value
-
-
-_OPERATOR_CACHE = LruCache()  # key -> (operator, band tiles)
 
 
 @dataclass(frozen=True)
@@ -135,18 +105,19 @@ def kernel_weights(spec: MollifierSpec, grid_step: float) -> np.ndarray:
 
 
 def mollify_operator(spec: MollifierSpec, grid: TimeGrid, mode: PathMode) -> np.ndarray:
-    """Matrix A with (A v)_j = (M x)(tau_j) for node values v of x.
+    """Matrix A with (A v)_j = (M x)(tau_j) for node values v of x, the
+    path read affinely between nodes (``mode`` is ``PathMode.LINEAR``).
 
     A is lower triangular with nonnegative entries and rows summing to 1:
     each output is a convex combination of values at times <= tau_j.
     """
-    return _cached(spec, grid, mode)[0]
+    return _build(grid.nodes.tobytes(), spec)[0]
 
 
-def band_tiles(spec: MollifierSpec, grid: TimeGrid, mode: PathMode) -> "BandTiles":
+def band_tiles(spec: MollifierSpec, grid: TimeGrid) -> "BandTiles":
     """The tile plan of ``mollify_operator``'s A for ``BandRows``: band
     tiles within the residue classes mod g of its nonzeros (``BandTiles``)."""
-    return _cached(spec, grid, mode)[1]
+    return _build(grid.nodes.tobytes(), spec)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,12 +149,10 @@ class BandTiles:
     column0: np.ndarray
 
 
-def _cached(spec: MollifierSpec, grid: TimeGrid, mode: PathMode) -> tuple:
-    key = (grid.nodes.tobytes(), spec.epsilon, spec.kernel_samples, mode)
-    return _OPERATOR_CACHE.get(key, lambda: _build(spec, grid, mode))
-
-
-def _build(spec: MollifierSpec, grid: TimeGrid, mode: PathMode) -> tuple:
+@lru_cache(maxsize=CACHE_CAPACITY)
+def _build(nodes: bytes, spec: MollifierSpec) -> tuple:
+    """(A, its tile plan) on the grid whose node array has these bytes."""
+    grid = TimeGrid(np.frombuffer(nodes))
     kernel_weights(spec, grid.mesh if grid.mesh > 0 else spec.epsilon)
 
     nodes = grid.nodes
@@ -200,12 +169,9 @@ def _build(spec: MollifierSpec, grid: TimeGrid, mode: PathMode) -> tuple:
             si = s[inside]
             wi = w[inside]
             k = np.searchsorted(nodes, si, side="right") - 1
-            if mode is PathMode.CADLAG_STEP:
-                np.add.at(a[j], k, wi)
-            else:
-                lam = (si - nodes[k]) / (nodes[k + 1] - nodes[k])
-                np.add.at(a[j], k, wi * (1.0 - lam))
-                np.add.at(a[j], k + 1, wi * lam)
+            lam = (si - nodes[k]) / (nodes[k + 1] - nodes[k])
+            np.add.at(a[j], k, wi * (1.0 - lam))
+            np.add.at(a[j], k + 1, wi * lam)
     a.flags.writeable = False
     return a, _plan(a)
 
@@ -302,11 +268,11 @@ class BandRows:
 
 @one_thread()
 def mollify(spec: MollifierSpec, p: DiscretePath) -> DiscretePath:
-    """Smoothed path sampled on p's grid; the output is continuous (Linear)."""
+    """Smoothed path sampled on p's grid."""
     if p.grid.nodes.size < 2:
-        return DiscretePath(p.grid, p.values, PathMode.LINEAR)
-    a = mollify_operator(spec, p.grid, p.mode)
-    return DiscretePath(p.grid, a @ p.values, PathMode.LINEAR)
+        return p
+    a = mollify_operator(spec, p.grid, PathMode.LINEAR)
+    return DiscretePath(p.grid, a @ p.values)
 
 
 @dataclass(frozen=True)
@@ -323,7 +289,7 @@ class MollifierAudit:
 @one_thread()
 def audit(spec: MollifierSpec, grid: TimeGrid, seed: SeedSpec, n_paths: int) -> MollifierAudit:
     """Measure contraction, linearity, non-anticipativity and the ramp shift
-    of the Linear-mode mollifier on ``grid``.
+    of the mollifier on ``grid``.
 
     The paths p_i are ``sample_brownian`` on streams i < ``n_paths``;
     linearity pairs the first min(32, n_paths) of them with q_i on streams

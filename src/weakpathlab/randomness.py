@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_paths import DiscretePath, PathMode, TimeGrid
+from .core_paths import DiscretePath, TimeGrid
 from .errors import InvalidArgumentError
 
 __all__ = [
@@ -55,8 +55,6 @@ class BrownianPath:
     def __post_init__(self):
         if self.path.values[0] != 0.0:
             raise InvalidArgumentError("Brownian path must start at 0")
-        if self.path.mode is not PathMode.LINEAR:
-            raise InvalidArgumentError("Brownian path must use Linear mode")
 
     @property
     def grid(self) -> TimeGrid:
@@ -74,7 +72,7 @@ def sample_brownian(grid: TimeGrid, seed: SeedSpec) -> BrownianPath:
     values = np.empty(grid.nodes.size)
     values[0] = 0.0
     np.cumsum(np.sqrt(gaps) * z, out=values[1:])
-    return BrownianPath(DiscretePath(grid, values, PathMode.LINEAR))
+    return BrownianPath(DiscretePath(grid, values))
 
 
 def _dyadic_subgrid(w: BrownianPath, coarse: TimeGrid, interval_index: int, levels: int):
@@ -175,4 +173,4 @@ def schauder_reconstruct(
             )
             values += coeffs[k] * root_len * tent
             k += 1
-    return DiscretePath(grid, values, PathMode.LINEAR)
+    return DiscretePath(grid, values)

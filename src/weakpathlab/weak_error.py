@@ -28,11 +28,11 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core_paths import PathMode, TimeGrid, interpolate_values, make_uniform_grid, refine_grid
+from .core_paths import TimeGrid, interpolate_values, make_uniform_grid, refine_grid
 from .errors import InsufficientSignalError, InvalidArgumentError
 from .functionals import PathFunctional
 from .models import SdeModel, ou_exact_moments
-from .functional_calculus import _fd1_batch, _feps_batch, _probe_times, _spec, _within
+from .functional_calculus import _draw_dw, _fd1_batch, _feps_batch, _probe_times, _spec, _within
 from .mollifier import MollifierSpec
 from .mollifier import mollify_operator  # noqa: F401  (wrapped by name in perfbench/tracing.py)
 from .parallel import Moments, batch_layout, deterministic_batch_map
@@ -53,11 +53,16 @@ __all__ = [
     "covariance_bias",
     "interpolation_gap_stats",
     "closed_form_expectation",
+    "ladder_steps",
 ]
 
 _TAG_RATE = 11
 _TAG_COV = 12
 _TAG_GAP = 13
+
+# samples per interpolation_gap_stats batch; it fixes the batch layout, and
+# so the streams drawn
+_GAP_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -77,9 +82,26 @@ class FineGridReference:
 Reference = Union[ClosedFormReference, FineGridReference]
 
 
+def ladder_steps(horizon: float, deltas) -> list[int]:
+    """Step counts T / delta of a mesh ladder, one per rung.  Every delta
+    must be finite and positive, the ladder strictly decreasing, and each
+    delta must divide the horizon T."""
+    d = np.asarray(deltas, dtype=np.float64)
+    if d.ndim != 1 or not np.all(np.isfinite(d) & (d > 0)) or np.any(np.diff(d) >= 0):
+        raise InvalidArgumentError(
+            f"delta ladder {deltas!r} must be finite, positive and strictly decreasing"
+        )
+    steps = np.rint(horizon / d)
+    for delta, n in zip(d, steps):
+        if not (n >= 1 and abs(n * delta - horizon) <= 1e-9 * horizon):
+            raise InvalidArgumentError(f"delta {delta} does not divide the horizon {horizon}")
+    return [int(n) for n in steps]
+
+
 @dataclass(frozen=True)
 class RateExperiment:
-    """A bias-versus-mesh study over a strictly decreasing delta ladder.
+    """A bias-versus-mesh study over a delta ladder of at least three rungs
+    (see :func:`ladder_steps`).
 
     ``n_base`` samples are used at the coarsest rung and scaled by
     (delta_0 / delta)^2 below it, keeping the relative noise level
@@ -98,19 +120,15 @@ class RateExperiment:
     threads: int = 1
 
     def __post_init__(self):
-        d = np.asarray(self.deltas, dtype=np.float64)
-        if d.size < 3 or np.any(np.diff(d) >= 0):
-            raise InvalidArgumentError("delta ladder must be strictly decreasing with >= 3 rungs")
+        if len(self.deltas) < 3:
+            raise InvalidArgumentError(f"delta ladder {self.deltas!r} needs >= 3 rungs")
+        ladder_steps(self.horizon, self.deltas)
         if self.n_base < 2:
             raise InvalidArgumentError("n_base must be >= 2")
         if self.eps is not None and isinstance(self.reference, ClosedFormReference):
             raise InvalidArgumentError(
                 "a mollified functional has no closed-form reference; use FineGridReference"
             )
-        for delta in d:
-            steps = round(self.horizon / delta)
-            if steps < 1 or abs(steps * delta - self.horizon) > 1e-9 * self.horizon:
-                raise InvalidArgumentError(f"delta {delta} does not divide the horizon")
 
     def grid(self, rung: int) -> TimeGrid:
         return make_uniform_grid(self.horizon, round(self.horizon / self.deltas[rung]))
@@ -198,7 +216,7 @@ def _at_times(model: SdeModel, grid: TimeGrid, m: int, dw, times) -> np.ndarray:
     k = np.clip(np.searchsorted(grid.nodes, t, side="right") - 1, 0, grid.n_intervals - 1)
     keep = np.union1d(k, k + 1)
     vals = euler_scan(model, grid, np.broadcast_to(model.xi0, (m,)), dw, keep=keep)
-    return interpolate_values(grid.nodes[keep], vals, t, PathMode.LINEAR)
+    return interpolate_values(grid.nodes[keep], vals, t)
 
 
 def _f_on_scheme(
@@ -390,7 +408,6 @@ def interpolation_gap_stats(
     seed: SeedSpec,
     functional: Optional[PathFunctional] = None,
     n_probes: int = 16,
-    batch_size: int = 4096,
     threads: int = 1,
 ) -> GapStatsReport:
     """Nodewise mean, fourth-moment and pairing statistics of X~ - Y.
@@ -406,18 +423,18 @@ def interpolation_gap_stats(
     factor = fine.n_intervals // grid.n_intervals
     n_fine = fine.n_intervals
     probe_idx = np.unique(np.round(np.linspace(1, n_fine - 1, n_probes)).astype(int))
-    layout = batch_layout(n_samples, batch_size)
+    layout = batch_layout(n_samples, _GAP_BATCH)
     delta = grid.mesh
 
     def worker(bi: int):
         off, m = layout[bi]
         rng = seed.rng(_TAG_GAP, bi)
-        dw_fine = np.sqrt(np.diff(fine.nodes)) * rng.standard_normal((m, n_fine))
+        dw_fine = _draw_dw(fine, 0, m, rng)
         w = np.concatenate([np.zeros((m, 1)), np.cumsum(dw_fine, axis=1)], axis=1)
         dw = dw_fine.reshape(m, grid.n_intervals, factor).sum(axis=2)
         y = euler_values_batch(model, grid, dw)
         x_tilde = stochastic_interpolation_batch(model, grid, fine, y, w)
-        y_interp = interpolate_values(grid.nodes, y, fine.nodes, PathMode.LINEAR)
+        y_interp = interpolate_values(grid.nodes, y, fine.nodes)
         gap = x_tilde - y_interp
         cols = [gap[:, probe_idx], np.abs(gap).max(axis=1)[:, None] ** 4]
         if functional is not None:

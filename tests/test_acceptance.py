@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import weakpathlab as wpl
-from weakpathlab.core_paths import DiscretePath, PathMode, TimeGrid
+from weakpathlab.core_paths import DiscretePath, TimeGrid
 from weakpathlab.functional_calculus import ito_rms_study
 from weakpathlab.randomness import SeedSpec
 
@@ -52,7 +52,7 @@ def euler_product_moment(theta, sigma, xi0, delta, t1, t2):
 
 def constant_prefix(fine, t, value):
     i = fine.index_of(t)
-    return DiscretePath(TimeGrid(fine.nodes[: i + 1]), np.full(i + 1, value), PathMode.LINEAR)
+    return DiscretePath(TimeGrid(fine.nodes[: i + 1]), np.full(i + 1, value))
 
 
 def test_criterion_01_weak_rate_order_one():
@@ -157,7 +157,7 @@ def test_criterion_05_mollifier_property_suite():
     for i in range(50):
         p = wpl.sample_brownian(grid, seed.with_stream(2000 + i)).path
         q = wpl.sample_brownian(grid, seed.with_stream(3000 + i)).path
-        combo = DiscretePath(grid, 1.7 * p.values - 0.4 * q.values, PathMode.LINEAR)
+        combo = DiscretePath(grid, 1.7 * p.values - 0.4 * q.values)
         direct = wpl.mollify(spec, combo).values
         parts = 1.7 * wpl.mollify(spec, p).values - 0.4 * wpl.mollify(spec, q).values
         linearity = max(linearity, float(np.abs(direct - parts).max()))
@@ -169,11 +169,11 @@ def test_criterion_05_mollifier_property_suite():
     non_anticipative = bool(
         np.array_equal(
             wpl.mollify(spec, p).values[: cut + 1],
-            wpl.mollify(spec, DiscretePath(grid, edited, PathMode.LINEAR)).values[: cut + 1],
+            wpl.mollify(spec, DiscretePath(grid, edited)).values[: cut + 1],
         )
     )
 
-    ramp = DiscretePath(grid, grid.nodes.copy(), PathMode.LINEAR)
+    ramp = DiscretePath(grid, grid.nodes.copy())
     out = wpl.mollify(spec, ramp).values
     inside = grid.nodes >= spec.epsilon
     ramp_err = float(np.abs(out[inside] - (grid.nodes[inside] - spec.epsilon / 2)).max())

@@ -11,7 +11,7 @@ import pytest
 
 import weakpathlab
 from weakpathlab import blas, mollifier
-from weakpathlab.core_paths import DiscretePath, PathMode, TimeGrid, make_uniform_grid
+from weakpathlab.core_paths import DiscretePath, TimeGrid, make_uniform_grid
 from weakpathlab.errors import InvalidArgumentError
 from weakpathlab.functional_calculus import estimate_F, kolmogorov_residual
 from weakpathlab.functionals import integral_functional, point_functional
@@ -22,7 +22,7 @@ from weakpathlab.weak_error import FineGridReference, RateExperiment, coupled_bi
 
 FINE = make_uniform_grid(1.0, 16)
 OU = ou_model(1.0, 1.0, 1.0)
-PREFIX = DiscretePath(TimeGrid(FINE.nodes[:5]), np.ones(5), PathMode.LINEAR)
+PREFIX = DiscretePath(TimeGrid(FINE.nodes[:5]), np.ones(5))
 
 
 @pytest.fixture
@@ -73,7 +73,7 @@ class TestOneThread:
         with pytest.raises(RuntimeError, match="hook failed"):
             estimate(recording(seen, fail=True))
         assert seen == [1] and getter() == 2
-        off_start = DiscretePath(PREFIX.grid, np.full(5, 2.0), PathMode.LINEAR)
+        off_start = DiscretePath(PREFIX.grid, np.full(5, 2.0))
         with pytest.raises(InvalidArgumentError):
             kolmogorov_residual(OU, off_start, point_functional(1.0), None, 8, SeedSpec(2), FINE)
         assert getter() == 2
@@ -165,8 +165,7 @@ class TestEveryProduct:
         ("sample_brownian",
          lambda spec: mollifier.audit(spec, FINE, SeedSpec(4), 4)),
         ("mollify_operator",
-         lambda spec: mollifier.mollify(spec, DiscretePath(FINE, np.sin(FINE.nodes),
-                                                           PathMode.LINEAR))),
+         lambda spec: mollifier.mollify(spec, DiscretePath(FINE, np.sin(FINE.nodes)))),
     ], ids=["audit", "mollify"])
     def test_mollifier_entry_point(self, controls, monkeypatch, patched, call):
         setter, getter = controls

@@ -276,6 +276,52 @@ class TestRun:
         assert key_path in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, section, key_path",
+        [
+            ("kolmogorov-check", "mollifier: {epsilon: abc}", "mollifier.epsilon"),
+            ("weak-rate", "mollifier: {epsilon: abc}", "mollifier.epsilon"),
+            ("mollifier-audit", "mollifier: {epsilon: abc}", "mollifier.epsilon"),
+            ("mollifier-audit", "mollifier: {kernel_samples: 2.5}", "mollifier.kernel_samples"),
+            ("gap-stats", "grid: {T: abc}", "grid.T"),
+            ("weak-rate", "grid: {deltas: abc}", "grid.deltas"),
+            ("covariance-bias", "grid: {deltas: [0.5, x]}", "grid.deltas"),
+            ("error-representation", "grid: {n_steps: 0}", "grid.n_steps"),
+            ("gap-stats", "grid: {fine_factor: true}", "grid.fine_factor"),
+            ("weak-rate", "reference: {kind: 5}", "reference.kind"),
+            ("weak-rate", "reference: {factor: 0}", "reference.factor"),
+        ],
+    )
+    def test_section_value_of_the_wrong_shape_exits_2(self, tmp_path, capsys, command, section,
+                                                      key_path):
+        # every value of grid, mollifier, budget, check and reference has
+        # its default's shape, checked before anything runs
+        cfg = write_config(tmp_path, f"command: {command}\n{section}\n")
+        out = tmp_path / "run"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert key_path in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["weak-rate", "covariance-bias"])
+    @pytest.mark.parametrize(
+        "deltas",
+        [[0.5, 0.25, 0.0], [0.5, 0.25, -0.125], [0.25, 0.5, 0.125], [0.5, 0.25, 0.25],
+         [0.5, 0.25, ".nan"], [0.3, 0.2, 0.1], [2.0, 0.5, 0.25]],
+        ids=["zero", "negative", "increasing", "repeated", "nan", "not-dividing", "above-T"],
+    )
+    def test_delta_ladder_rule_exits_2(self, tmp_path, command, deltas):
+        # every delta finite and > 0, strictly decreasing and dividing T,
+        # checked before any rung runs and without a warning
+        cfg = write_config(tmp_path, f"command: {command}\nbudget: {{n_samples: 20}}\n"
+                           f"grid: {{deltas: [{', '.join(map(str, deltas))}]}}\n")
+        out = tmp_path / "run"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "invalid-experiment"
+        assert "delta" in summary["detail"]
+        assert not (out / "report.csv").exists()
+
     def test_command_mismatch(self, tmp_path):
         cfg = write_config(tmp_path, "command: ito-check\nseed: 7\n")
         assert main(["weak-rate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2

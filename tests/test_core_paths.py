@@ -3,7 +3,6 @@ import pytest
 
 from weakpathlab.core_paths import (
     DiscretePath,
-    PathMode,
     TimeGrid,
     interpolate_values,
     make_uniform_grid,
@@ -13,10 +12,10 @@ from weakpathlab.core_paths import (
 from weakpathlab.errors import InvalidArgumentError
 
 
-def path(values, T=None, mode=PathMode.LINEAR):
+def path(values, T=None):
     values = np.asarray(values, dtype=float)
     grid = make_uniform_grid(T if T is not None else 1.0, values.size - 1)
-    return DiscretePath(grid, values, mode)
+    return DiscretePath(grid, values)
 
 
 class TestMakeUniformGrid:
@@ -60,20 +59,16 @@ class TestRefineGrid:
 
 def at(p, t):
     """Path ``p`` read at times ``t``."""
-    return interpolate_values(p.grid.nodes, p.values, t, p.mode)
+    return interpolate_values(p.grid.nodes, p.values, t)
 
 
 class TestInterpolateValues:
     def test_linear_midpoint(self):
         assert at(path([0.0, 1.0]), 0.5) == 0.5
 
-    def test_cadlag_left_value(self):
-        assert at(path([0.0, 1.0], mode=PathMode.CADLAG_STEP), 0.5) == 0.0
-
-    @pytest.mark.parametrize("mode", [PathMode.LINEAR, PathMode.CADLAG_STEP])
-    def test_node_values_exact(self, mode):
+    def test_node_values_exact(self):
         rng = np.random.default_rng(0)
-        p = path(rng.standard_normal(9), mode=mode)
+        p = path(rng.standard_normal(9))
         assert np.array_equal(at(p, p.grid.nodes), p.values)
 
     def test_vectorized(self):
@@ -81,23 +76,13 @@ class TestInterpolateValues:
         out = at(p, np.array([0.25, 0.5, 0.75]))
         assert np.allclose(out, [1.0, 2.0, 1.0])
 
-    @pytest.mark.parametrize("mode", [PathMode.LINEAR, PathMode.CADLAG_STEP])
-    def test_batch_rows_match_np_interp(self, mode):
+    def test_batch_rows_match_np_interp(self):
         rng = np.random.default_rng(3)
         nodes = make_uniform_grid(1.0, 8).nodes
         rows = rng.standard_normal((4, 9))
         t = np.sort(rng.uniform(0.0, 1.0, 11))
-        want = [np.interp(t, nodes, r) if mode is PathMode.LINEAR
-                else [r[nodes <= s][-1] for s in t] for r in rows]
-        assert np.allclose(interpolate_values(nodes, rows, t, mode), want, rtol=1e-15, atol=1e-15)
-
-    def test_cadlag_endpoint_bump_changes_only_final_time(self):
-        # the step path of a vertical bump of x at T: x before T, x(T) + h at T
-        p = path([1.0, 2.0, -1.0, 0.5], mode=PathMode.CADLAG_STEP)
-        bumped = path([1.0, 2.0, -1.0, 3.5], mode=PathMode.CADLAG_STEP)
-        before_last = np.linspace(0.0, 1.0, 41)[:-1]
-        assert np.array_equal(at(p, before_last), at(bumped, before_last))
-        assert at(bumped, 1.0) == at(p, 1.0) + 3.0
+        want = [np.interp(t, nodes, r) for r in rows]
+        assert np.allclose(interpolate_values(nodes, rows, t), want, rtol=1e-15, atol=1e-15)
 
 
 class TestSupNorm:

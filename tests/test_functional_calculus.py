@@ -63,7 +63,7 @@ def frozen_model(xi0):
 
 def constant_prefix(t, value, fine=FINE):
     i = fine.index_of(t)
-    return DiscretePath(TimeGrid(fine.nodes[: i + 1]), np.full(i + 1, value), PathMode.LINEAR)
+    return DiscretePath(TimeGrid(fine.nodes[: i + 1]), np.full(i + 1, value))
 
 
 SQUARE_INTEGRAL = integral_functional(lambda u: u**2, lambda u: 2.0 * u, lambda u: 2.0 + 0.0 * u)
@@ -115,7 +115,7 @@ class TestMollifiedBlocks:
         got = fc._feps_batch(self.recording(f, sizes), self.SPEC, grid, x)
         assert sizes == [88, 88, 87, 87]
         one_shot = x @ op
-        want = f.batch_eval(one_shot, grid, PathMode.LINEAR)
+        want = f.batch_eval(one_shot, grid)
         # two summation orders of a 513-term dot product differ by at most
         # 2 n u |x| |a|; f carries that through its sup-norm Lipschitz
         # constant, and its own trapezoid adds n u |f|
@@ -130,9 +130,9 @@ class TestMollifiedBlocks:
         x = self.paths(51, 513)
         sizes = []
         got = fc._feps_batch(self.recording(SQUARE_INTEGRAL, sizes), self.SPEC, grid, x)
-        mollified = fc._mollifier(self.SPEC, grid, PathMode.LINEAR)(x)
+        mollified = fc._mollifier(self.SPEC, grid)(x)
         assert sizes == [self.ROWS]
-        assert np.array_equal(got, SQUARE_INTEGRAL.batch_eval(mollified, grid, PathMode.LINEAR))
+        assert np.array_equal(got, SQUARE_INTEGRAL.batch_eval(mollified, grid))
 
     def test_nan_row_changes_only_its_own_output(self, small_blocks):
         f = smooth_max_functional(5.0)
@@ -155,22 +155,21 @@ class TestNonFiniteRows:
     @pytest.mark.parametrize(
         "nodes, eps, step", [(129, 2.0 / 128, 1), (129, 0.25, 1), (513, 0.25, 2), (1025, 0.25, 4)]
     )
-    @pytest.mark.parametrize("mode", list(PathMode))
     @pytest.mark.parametrize(
         "f", [smooth_max_functional(4.0), SQUARE_INTEGRAL], ids=["smooth-max", "integral-square"]
     )
-    def test_same_rows_non_finite_as_dense(self, nodes, eps, step, mode, f):
+    def test_same_rows_non_finite_as_dense(self, nodes, eps, step, f):
         spec, grid = MollifierSpec(eps), make_uniform_grid(1.0, nodes - 1)
-        assert band_tiles(spec, grid, mode).step == step
+        assert band_tiles(spec, grid).step == step
         rng = np.random.default_rng(53)
         x = np.cumsum(rng.standard_normal((nodes + 3, nodes)), axis=1) * 0.1
         # row k is -inf or +inf at node k alone (the first and last nodes
         # included); the last three rows stay finite
         x[np.arange(nodes), np.arange(nodes)] = np.where(np.arange(nodes) % 2, np.inf, -np.inf)
         with np.errstate(invalid="ignore"):
-            got = fc._feps_batch(f, spec, grid, x, mode)
-            by_step = fc._feps_batch(f, spec, grid, np.ascontiguousarray(x.T).T, mode)
-            dense = f.batch_eval(x @ mollify_operator(spec, grid, mode).T, grid, PathMode.LINEAR)
+            got = fc._feps_batch(f, spec, grid, x)
+            by_step = fc._feps_batch(f, spec, grid, np.ascontiguousarray(x.T).T)
+            dense = f.batch_eval(x @ mollify_operator(spec, grid, PathMode.LINEAR).T, grid)
         assert np.array_equal(np.isfinite(got), np.arange(nodes + 3) >= nodes)
         assert np.array_equal(np.isfinite(got), np.isfinite(dense))
         assert np.array_equal(got, by_step, equal_nan=True)
@@ -272,7 +271,7 @@ class TestEstimateF:
 
     def test_prefix_must_match_fine_grid(self):
         other = make_uniform_grid(0.5, 32)
-        prefix = DiscretePath(other, np.ones(33), PathMode.LINEAR)
+        prefix = DiscretePath(other, np.ones(33))
         with pytest.raises(InvalidArgumentError):
             estimate_F(OU, prefix, point_functional(1.0), EPS, 16, SeedSpec(6), FINE)
 
@@ -345,7 +344,7 @@ class TestHorizontalDerivative:
     def test_frozen_dynamics_zero_exactly(self):
         model = frozen_model(0.9)
         w = sample_brownian(make_uniform_grid(0.5, 64), SeedSpec(15))
-        prefix = DiscretePath(TimeGrid(FINE.nodes[:65]), 0.9 + w.values, PathMode.LINEAR)
+        prefix = DiscretePath(TimeGrid(FINE.nodes[:65]), 0.9 + w.values)
         est = horizontal_derivative(model, prefix, point_functional(1.0), EPS, 64, None, SeedSpec(16), FINE)
         assert est.value == 0.0
 
@@ -370,7 +369,7 @@ class TestHorizontalDerivative:
         assert np.isfinite(est.value)
 
 
-def reference_stencil(model, f, spec, prefix_values, offsets, dw, mode=PathMode.LINEAR):
+def reference_stencil(model, f, spec, prefix_values, offsets, dw):
     """f_eps of the continued paths built one offset at a time: euler_scan
     from the prefix's moved endpoint, glued after the prefix into a fresh
     C-ordered path, then evaluated."""
@@ -380,7 +379,7 @@ def reference_stencil(model, f, spec, prefix_values, offsets, dw, mode=PathMode.
         path = np.empty((len(dw), FINE.nodes.size))
         path[:, :i] = prefix_values[..., :i]
         path[:, i:] = euler_scan(model, FINE, prefix_values[..., -1] + o, dw, start=i)
-        out.append(fc._feps_batch(f, spec, FINE, path, mode))
+        out.append(fc._feps_batch(f, spec, FINE, path))
     return out
 
 
@@ -537,12 +536,6 @@ class TestKolmogorovResidual:
         with pytest.raises(InvalidArgumentError):
             kolmogorov_residual(OU, bad, point_functional(1.0), EPS, 16, SeedSpec(23), FINE, n_outer=2)
 
-    def test_prefix_must_be_continuous(self):
-        prefix = constant_prefix(0.5, 1.0)
-        jumpy = DiscretePath(prefix.grid, prefix.values, PathMode.CADLAG_STEP)
-        with pytest.raises(InvalidArgumentError):
-            kolmogorov_residual(OU, jumpy, point_functional(1.0), EPS, 16, SeedSpec(24), FINE, n_outer=2)
-
 
 class TestMartingaleGap:
     def test_equal_times_vanish(self):
@@ -626,7 +619,7 @@ def ou_expected_diff(f, coarse, eps, rule, theta=1.0, factor=64, q=4):
     y = euler_values_batch(model, coarse, dw.reshape(n_fine + 1, coarse.n_intervals, -1).sum(2))
     w = np.hstack([np.zeros((n_fine + 1, 1)), np.cumsum(dw, axis=1)])
     x_tilde = stochastic_interpolation_batch(model, coarse, fine, y, w)
-    rows = fc._probe_rows(MollifierSpec(eps), fine, PathMode.LINEAR, f.probe_times)
+    rows = fc._probe_rows(MollifierSpec(eps), fine, f.probe_times)
     beta = ou_beta(rows, dt, theta)
 
     def expect(a, b):
@@ -750,11 +743,11 @@ class TestOuOracles:
 
     def oracle(self, f):
         """The prefix up to node I_T, the probe rows and beta."""
-        rows = fc._probe_rows(MollifierSpec(EPS), FINE, PathMode.LINEAR, f.probe_times)
+        rows = fc._probe_rows(MollifierSpec(EPS), FINE, f.probe_times)
         dw = np.sqrt(FINE.mesh) * SeedSpec(60).rng().standard_normal((1, FINE.n_intervals))
         x = euler_values_batch(OU, FINE, dw)[0]
         i = self.I_T
-        prefix = DiscretePath(TimeGrid(FINE.nodes[: i + 1]), x[: i + 1], PathMode.LINEAR)
+        prefix = DiscretePath(TimeGrid(FINE.nodes[: i + 1]), x[: i + 1])
         return prefix, rows, ou_beta(rows, FINE.mesh)
 
     @staticmethod
@@ -863,7 +856,7 @@ class TestTerminalTime:
     @staticmethod
     def path():
         dw = np.sqrt(FINE.mesh) * SeedSpec(70).rng().standard_normal((1, FINE.n_intervals))
-        return DiscretePath(FINE, euler_values_batch(SINE, FINE, dw)[0], PathMode.LINEAR)
+        return DiscretePath(FINE, euler_values_batch(SINE, FINE, dw)[0])
 
     def run(self, f, eps):
         args = (SINE, self.path(), f, eps, 64)

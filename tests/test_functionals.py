@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import weakpathlab.functional_calculus as fc
-from weakpathlab.core_paths import PathMode, TimeGrid, interpolate_values, make_uniform_grid
+from weakpathlab.core_paths import TimeGrid, interpolate_values, make_uniform_grid
 from weakpathlab.errors import InvalidArgumentError
 from weakpathlab.functionals import (
     PathFunctional,
@@ -59,9 +59,9 @@ def hook(f, kind, *rows):
     GRID; probe hooks get the rows at their probe times."""
     if f.probe_times is not None:
         probes = np.asarray(f.probe_times)
-        args = [interpolate_values(NODES, r, probes, PathMode.LINEAR) for r in rows]
+        args = [interpolate_values(NODES, r, probes) for r in rows]
         return getattr(f, f"probe_{kind}")(*args)
-    return getattr(f, f"batch_{kind}")(*rows, GRID, PathMode.LINEAR)
+    return getattr(f, f"batch_{kind}")(*rows, GRID)
 
 
 class TestProductFunctional:
@@ -252,8 +252,8 @@ class TestTrapezoidKernel:
         v, h = kernel_batch(grid), kernel_batch(grid, seed=1)
         f = square_integral()
         for got, integrand in (
-            (f.batch_eval(v, grid, PathMode.LINEAR), v**2),
-            (f.batch_d1(v, h, grid, PathMode.LINEAR), 2.0 * v * h),
+            (f.batch_eval(v, grid), v**2),
+            (f.batch_d1(v, h, grid), 2.0 * v * h),
             (trapezoid(np.exp(v), grid.nodes), np.exp(v)),
         ):
             want = np.trapezoid(integrand, grid.nodes, axis=-1)
@@ -266,11 +266,11 @@ class TestTrapezoidKernel:
     def test_non_finite_row_changes_only_its_own_output(self, f):
         grid = KERNEL_GRIDS[1]
         v, h = kernel_batch(grid), kernel_batch(grid, seed=1)
-        clean = f.batch_eval(v, grid, PathMode.LINEAR), f.batch_d1(v, h, grid, PathMode.LINEAR)
+        clean = f.batch_eval(v, grid), f.batch_d1(v, h, grid)
         for bad in (np.nan, np.inf):
             dirty = v.copy()
             dirty[3, 17] = bad
-            out = f.batch_eval(dirty, grid, PathMode.LINEAR), f.batch_d1(dirty, h, grid, PathMode.LINEAR)
+            out = f.batch_eval(dirty, grid), f.batch_d1(dirty, h, grid)
             for got, want in zip(out, clean):
                 assert not np.isfinite(got[3])
                 assert np.array_equal(np.delete(got, 3), np.delete(want, 3))
@@ -280,11 +280,9 @@ class TestTrapezoidKernel:
     @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=["uniform", "non-uniform"])
     def test_one_row_batch_equals_its_row_bitwise(self, f, grid):
         v, h1, h2 = kernel_batch(grid), kernel_batch(grid, seed=1), kernel_batch(grid, seed=2)
-        mode = PathMode.LINEAR
-        batch = (f.batch_eval(v, grid, mode), f.batch_d1(v, h1, grid, mode),
-                 f.batch_d2(v, h1, h2, grid, mode))
+        batch = (f.batch_eval(v, grid), f.batch_d1(v, h1, grid), f.batch_d2(v, h1, h2, grid))
         for i in range(v.shape[0]):
             row = slice(i, i + 1)
-            one_row = (f.batch_eval(v[row], grid, mode), f.batch_d1(v[row], h1[row], grid, mode),
-                       f.batch_d2(v[row], h1[row], h2[row], grid, mode))
+            one_row = (f.batch_eval(v[row], grid), f.batch_d1(v[row], h1[row], grid),
+                       f.batch_d2(v[row], h1[row], h2[row], grid))
             assert all(a[0] == b[i] for a, b in zip(one_row, batch))

@@ -48,12 +48,12 @@ class TestKernelWeights:
 
 class TestMollify:
     def test_constant_preserved(self):
-        p = DiscretePath(GRID, np.full(201, 3.7), PathMode.LINEAR)
+        p = DiscretePath(GRID, np.full(201, 3.7))
         assert np.abs(mollify(SPEC, p).values - 3.7).max() < 1e-13
 
     def test_ramp_shifts_by_half_window(self):
         # analytic convolution of t with a kernel of mean eps/2
-        p = DiscretePath(GRID, GRID.nodes.copy(), PathMode.LINEAR)
+        p = DiscretePath(GRID, GRID.nodes.copy())
         out = mollify(SPEC, p).values
         inside = GRID.nodes >= SPEC.epsilon
         assert np.abs(out[inside] - (GRID.nodes[inside] - SPEC.epsilon / 2)).max() < 1e-6
@@ -69,7 +69,7 @@ class TestMollify:
         for i in range(20):
             p = sample_brownian(GRID, seed.with_stream(i)).path
             q = sample_brownian(GRID, seed.with_stream(1000 + i)).path
-            combo = DiscretePath(GRID, 2.0 * p.values - 3.0 * q.values, PathMode.LINEAR)
+            combo = DiscretePath(GRID, 2.0 * p.values - 3.0 * q.values)
             direct = mollify(SPEC, combo).values
             assembled = 2.0 * mollify(SPEC, p).values - 3.0 * mollify(SPEC, q).values
             assert np.abs(direct - assembled).max() < 1e-10
@@ -81,7 +81,7 @@ class TestMollify:
         edited = p.values.copy()
         edited[cut + 1 :] -= 11.0
         out_a = mollify(SPEC, p).values
-        out_b = mollify(SPEC, DiscretePath(GRID, edited, PathMode.LINEAR)).values
+        out_b = mollify(SPEC, DiscretePath(GRID, edited)).values
         assert np.array_equal(out_a[: cut + 1], out_b[: cut + 1])
 
     def test_operator_lower_triangular(self):
@@ -90,7 +90,7 @@ class TestMollify:
 
     def test_lipschitz_convergence(self):
         # sup |M x - x| <= L eps for Lipschitz x; exactly eps/2 on [eps, T] for x = t
-        p = DiscretePath(GRID, GRID.nodes.copy(), PathMode.LINEAR)
+        p = DiscretePath(GRID, GRID.nodes.copy())
         for eps in (0.2, 0.1, 0.05):
             out = mollify(MollifierSpec(eps, 64), p).values
             assert np.abs(out - GRID.nodes).max() <= eps + 1e-12
@@ -106,25 +106,15 @@ class TestMollify:
             errs.append(np.abs(mollify(MollifierSpec(eps, 64), p).values - p.values).max())
         assert errs[0] > errs[1] > errs[2]
 
-    def test_cadlag_input_smoothed(self):
-        values = np.where(GRID.nodes < 0.5, 0.0, 1.0)
-        p = DiscretePath(GRID, values, PathMode.CADLAG_STEP)
-        out = mollify(SPEC, p)
-        assert out.mode is PathMode.LINEAR
-        # backward window: the smoothed jump trails the raw jump
-        at = np.interp([0.5, 0.5 + SPEC.epsilon], GRID.nodes, out.values)
-        assert at[0] <= 0.5 + 1e-12
-        assert at[1] == pytest.approx(1.0, abs=1e-12)
-
     def test_mesh_guard_on_mollify(self):
         coarse = make_uniform_grid(1.0, 4)
-        p = DiscretePath(coarse, np.zeros(5), PathMode.LINEAR)
+        p = DiscretePath(coarse, np.zeros(5))
         with pytest.raises(ResolutionTooCoarseError):
             mollify(MollifierSpec(0.3), p)
 
 
-def band_product(spec, grid, mode, x):
-    return BandRows(x, band_tiles(spec, grid, mode)) @ mollify_operator(spec, grid, mode).T
+def band_product(spec, grid, x):
+    return BandRows(x, band_tiles(spec, grid)) @ mollify_operator(spec, grid, PathMode.LINEAR).T
 
 
 def step_major(x):
@@ -182,14 +172,14 @@ class TestBandTiles:
             for (rows, cols), block in zip(plan.tiles, plan.blocks):
                 assert block.flags.c_contiguous and np.array_equal(block, a[rows, cols].T)
 
-    def check(self, spec, grid, mode, rows, seed):
-        a, plan = mollify_operator(spec, grid, mode), band_tiles(spec, grid, mode)
+    def check(self, spec, grid, rows, seed):
+        a, plan = mollify_operator(spec, grid, PathMode.LINEAR), band_tiles(spec, grid)
         self.assert_plan_covers_every_nonzero_once(a, plan)
         x = self.paths(seed, rows, grid.nodes.size)
-        got = band_product(spec, grid, mode, x)
+        got = band_product(spec, grid, x)
         self.assert_within_rounding(got, x, a)
         # step-major rows give the same bits; class tiles return step-major rows
-        assert np.array_equal(band_product(spec, grid, mode, step_major(x)), got)
+        assert np.array_equal(band_product(spec, grid, step_major(x)), got)
         assert (got.T if plan.step > 1 else got).flags.c_contiguous
         return plan
 
@@ -201,36 +191,31 @@ class TestBandTiles:
         # eps N / kernel_samples = 0.25 N / 64 puts every kernel sample on a
         # node at N = 512, 1024 and 2048: g = 2, 4 and 8
         spec, grid = MollifierSpec(eps), make_uniform_grid(1.0, nodes - 1)
-        plan = self.check(spec, grid, PathMode.LINEAR, rows, nodes)
+        plan = self.check(spec, grid, rows, nodes)
         assert plan.step == step and len(plan.tiles) > 1
 
     def test_non_uniform_grid(self):
         rng = np.random.default_rng(61)
         nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 599)), [1.0]])
         grid = TimeGrid(nodes)
-        plan = self.check(MollifierSpec(4 * grid.mesh), grid, PathMode.LINEAR, 50, 62)
+        plan = self.check(MollifierSpec(4 * grid.mesh), grid, 50, 62)
         assert plan.step == 1 and len(plan.tiles) > 1
-
-    def test_cadlag_step_mode(self):
-        spec, grid = MollifierSpec(0.25), make_uniform_grid(1.0, 512)
-        assert self.check(spec, grid, PathMode.CADLAG_STEP, 50, 63).step == 2
-        assert self.check(spec, make_uniform_grid(1.0, 128), PathMode.CADLAG_STEP, 50, 65).step == 1
 
     @pytest.mark.parametrize("nodes, eps", [(129, 2.0 / 128), (129, 0.25), (201, 0.1)])
     def test_step_one_is_the_contiguous_band_tiles(self, nodes, eps):
         spec, grid = MollifierSpec(eps), make_uniform_grid(1.0, nodes - 1)
         a = mollify_operator(spec, grid, PathMode.LINEAR)
-        assert band_tiles(spec, grid, PathMode.LINEAR).step == 1
+        assert band_tiles(spec, grid).step == 1
         x = self.paths(66, 300, nodes)
-        assert np.array_equal(band_product(spec, grid, PathMode.LINEAR, x), contiguous_tiles_product(x, a))
+        assert np.array_equal(band_product(spec, grid, x), contiguous_tiles_product(x, a))
 
     def test_one_tile_is_the_dense_product(self):
         spec, grid = MollifierSpec(0.25), make_uniform_grid(1.0, 32)
-        plan = band_tiles(spec, grid, PathMode.LINEAR)
+        plan = band_tiles(spec, grid)
         assert plan.step == 1 and plan.tiles == ((slice(0, 33, 1), slice(0, 33, 1)),)
         x = self.paths(64, 1000, 33)
         a = mollify_operator(spec, grid, PathMode.LINEAR)
-        assert np.array_equal(band_product(spec, grid, PathMode.LINEAR, x), x @ a.T)
+        assert np.array_equal(band_product(spec, grid, x), x @ a.T)
 
     @pytest.mark.parametrize(
         "nodes, eps, step, n_tiles",
@@ -241,7 +226,7 @@ class TestBandTiles:
         # the nested estimators hand BandRows step-major rows and a held
         # buffer; neither may move a bit of the C-ordered product
         spec, grid = MollifierSpec(eps), make_uniform_grid(1.0, nodes - 1)
-        plan = band_tiles(spec, grid, PathMode.LINEAR)
+        plan = band_tiles(spec, grid)
         assert plan.step == step and len(plan.tiles) == (n_tiles or len(plan.tiles))
         at = mollify_operator(spec, grid, PathMode.LINEAR).T
         x = self.paths(67, rows, nodes)
@@ -265,22 +250,22 @@ class TestCaches:
     def test_operator_cache_stays_within_capacity(self):
         for i in range(mol.CACHE_CAPACITY + 3):
             mollify_operator(self.spec(i), GRID, PathMode.LINEAR)
-            assert len(mol._OPERATOR_CACHE) <= mol.CACHE_CAPACITY
+            assert mol._build.cache_info().currsize <= mol.CACHE_CAPACITY
 
     def test_probe_row_cache_stays_within_capacity(self):
         for i in range(mol.CACHE_CAPACITY + 3):
-            fc._probe_rows(SPEC, GRID, PathMode.LINEAR, (0.5 + 0.01 * i,))
-            assert len(fc._PROBE_ROW_CACHE) <= mol.CACHE_CAPACITY
+            fc._probe_rows(SPEC, GRID, (0.5 + 0.01 * i,))
+            assert fc._build_probe_rows.cache_info().currsize <= mol.CACHE_CAPACITY
 
     def test_evicted_operator_rebuilds_bit_for_bit(self):
         first = mollify_operator(self.spec(100), GRID, PathMode.LINEAR)
-        tiles = band_tiles(self.spec(100), GRID, PathMode.LINEAR)
+        tiles = band_tiles(self.spec(100), GRID)
         for i in range(101, 101 + mol.CACHE_CAPACITY):
             mollify_operator(self.spec(i), GRID, PathMode.LINEAR)
         again = mollify_operator(self.spec(100), GRID, PathMode.LINEAR)
         assert again is not first
         assert np.array_equal(again, first)
-        rebuilt = band_tiles(self.spec(100), GRID, PathMode.LINEAR)
+        rebuilt = band_tiles(self.spec(100), GRID)
         assert (rebuilt.step, rebuilt.tiles) == (tiles.step, tiles.tiles)
 
     def test_recent_use_keeps_an_operator(self):
@@ -300,17 +285,17 @@ def audit_loop(spec, grid, seed, n_paths):
         contraction &= sup_norm(mp) <= sup_norm(p)
         if i < 32:
             q = sample_brownian(grid, seed.with_stream(n_paths + i)).path
-            combo = DiscretePath(grid, 2.0 * p.values - 3.0 * q.values, PathMode.LINEAR)
+            combo = DiscretePath(grid, 2.0 * p.values - 3.0 * q.values)
             parts = 2.0 * mp.values - 3.0 * mollify(spec, q).values
             linearity = max(linearity, float(np.abs(mollify(spec, combo).values - parts).max()))
             scale = max(scale, 2.0 * sup_norm(p) + 3.0 * sup_norm(q))
     w = sample_brownian(grid, seed.with_stream(2 * n_paths)).path
     cut = grid.n_intervals // 2
-    edited = DiscretePath(grid, w.values + 7.0 * (np.arange(grid.nodes.size) > cut), PathMode.LINEAR)
+    edited = DiscretePath(grid, w.values + 7.0 * (np.arange(grid.nodes.size) > cut))
     non_anticipative = np.array_equal(
         mollify(spec, w).values[: cut + 1], mollify(spec, edited).values[: cut + 1]
     )
-    ramp = mollify(spec, DiscretePath(grid, grid.nodes.copy(), PathMode.LINEAR)).values
+    ramp = mollify(spec, DiscretePath(grid, grid.nodes.copy())).values
     inside = grid.nodes >= spec.epsilon
     ramp_err = float(np.abs(ramp[inside] - (grid.nodes[inside] - spec.epsilon / 2)).max())
     return contraction, linearity, non_anticipative, ramp_err, scale

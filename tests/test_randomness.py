@@ -68,12 +68,12 @@ class TestHaarCoefficients:
         assert c[1] == pytest.approx(2 * half - w.values[-1], rel=1e-12)
 
     def test_zero_path_zero_coefficients(self):
-        from weakpathlab.core_paths import DiscretePath, PathMode
+        from weakpathlab.core_paths import DiscretePath
         from weakpathlab.randomness import BrownianPath
 
         coarse = make_uniform_grid(1.0, 1)
         fine = refine_grid(coarse, 16)
-        w = BrownianPath(DiscretePath(fine, np.zeros(17), PathMode.LINEAR))
+        w = BrownianPath(DiscretePath(fine, np.zeros(17)))
         assert np.all(haar_coefficients(w, coarse, 0, 3) == 0.0)
 
     def test_non_dyadic_rejected(self):

@@ -6,7 +6,6 @@ import pytest
 from weakpathlab import schemes
 from weakpathlab.core_paths import (
     DiscretePath,
-    PathMode,
     interpolate_values,
     make_uniform_grid,
     refine_grid,
@@ -37,7 +36,7 @@ def degenerate_model(b_const, sigma_const, xi0):
 def euler_path(model, w):
     """The Euler path Y along the increments of the Brownian path ``w``."""
     values = euler_values_batch(model, w.grid, np.diff(w.values)[None, :])[0]
-    return DiscretePath(w.grid, values, PathMode.LINEAR)
+    return DiscretePath(w.grid, values)
 
 
 def reference_euler(model, grid, x0, dw, start=0):
@@ -202,7 +201,7 @@ class TestLinearInterpolation:
         grid = make_uniform_grid(1.0, 4)
         w = sample_brownian(grid, SeedSpec(5))
         y = euler_path(ou_model(1.0, 1.0, 1.0), w)
-        at = interpolate_values(grid.nodes, y.values, np.append(grid.nodes, 0.125), y.mode)
+        at = interpolate_values(grid.nodes, y.values, np.append(grid.nodes, 0.125))
         assert np.array_equal(at[:-1], y.values)
         assert at[-1] == pytest.approx(0.5 * (y.values[0] + y.values[1]), rel=1e-14)
 
@@ -210,7 +209,7 @@ class TestLinearInterpolation:
         grid = make_uniform_grid(1.0, 4)
         w = sample_brownian(grid, SeedSpec(6))
         y = euler_path(degenerate_model(0.0, 0.0, 1.5), w)
-        assert interpolate_values(grid.nodes, y.values, 0.3, y.mode) == 1.5
+        assert interpolate_values(grid.nodes, y.values, 0.3) == 1.5
 
 
 class TestStochasticInterpolation:
@@ -232,13 +231,13 @@ class TestStochasticInterpolation:
 
     def test_zero_diffusion_reduces_to_linear(self):
         y, x_tilde = self.scheme(degenerate_model(1.3, 0.0, 0.2), self.w_fine.values[None, :])
-        expect = interpolate_values(self.coarse.nodes, y, self.fine.nodes, PathMode.LINEAR)
+        expect = interpolate_values(self.coarse.nodes, y, self.fine.nodes)
         assert np.allclose(x_tilde, expect, atol=1e-12)
 
     def test_pure_noise_bridge_identity(self):
         # X~(t) - Y(t) = (W(t)-W(tau_n)) - (t-tau_n)/(tau_{n+1}-tau_n) (W(tau_{n+1})-W(tau_n))
         y, x_tilde = self.scheme(degenerate_model(0.0, 1.0, 0.0), self.w_fine.values[None, :])
-        y_fine = interpolate_values(self.coarse.nodes, y[0], self.fine.nodes, PathMode.LINEAR)
+        y_fine = interpolate_values(self.coarse.nodes, y[0], self.fine.nodes)
         w = self.w_fine.values
         for j, t in enumerate(self.fine.nodes):
             n = min(np.searchsorted(self.coarse.nodes, t, side="right") - 1, 3)
@@ -256,7 +255,7 @@ class TestStochasticInterpolation:
         )
         y, x_tilde = self.scheme(model, w_fine)
         t = self.fine.nodes[7]
-        gaps = x_tilde[:, 7] - interpolate_values(self.coarse.nodes, y, [t], PathMode.LINEAR)[:, 0]
+        gaps = x_tilde[:, 7] - interpolate_values(self.coarse.nodes, y, [t])[:, 0]
         se = gaps.std(ddof=1) / np.sqrt(n)
         assert abs(gaps.mean()) <= 4 * se
 

@@ -180,7 +180,7 @@ class TestProbeColumns:
         times = [0.0, 0.3, 1.0 / 3.0, 0.5, 0.77, 1.0]
         dw = np.sqrt(grid.mesh) * SeedSpec(n_steps).rng().standard_normal((300, n_steps))
         full = euler_values_batch(model, grid, dw)
-        want = interpolate_values(grid.nodes, full, np.asarray(times), PathMode.LINEAR)
+        want = interpolate_values(grid.nodes, full, np.asarray(times))
         assert np.array_equal(_at_times(model, grid, 300, dw, times), want)
 
     def test_probe_outside_horizon_rejected(self):
@@ -265,7 +265,7 @@ def integral_square():
 
 
 def band_tiled(spec, g, values):
-    return _mollifier(spec, g, PathMode.LINEAR)(values)
+    return _mollifier(spec, g)(values)
 
 
 def dense(spec, g, values):
@@ -283,10 +283,10 @@ def materialised_bias(exp, rung, mollified=band_tiled):
 
     def f_on(g, values):
         if exp.eps is not None:
-            return f.batch_eval(mollified(MollifierSpec(exp.eps), g, values), g, PathMode.LINEAR)
+            return f.batch_eval(mollified(MollifierSpec(exp.eps), g, values), g)
         if f.probe_times is not None:
-            return f.probe_eval(interpolate_values(g.nodes, values, f.probe_times, PathMode.LINEAR))
-        return f.batch_eval(values, g, PathMode.LINEAR)
+            return f.probe_eval(interpolate_values(g.nodes, values, f.probe_times))
+        return f.batch_eval(values, g)
 
     batch = max(1, min(exp.batch_size, (1 << 23) // fine.n_intervals))
     parts = []
