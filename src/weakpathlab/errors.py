@@ -18,7 +18,7 @@ class NumericalOverflowError(ArithmeticError):
 
 
 class InsufficientSignalError(RuntimeError):
-    """Too few statistically significant data points for a rate fit."""
+    """Too little signal for a rate fit, or a check that would test nothing."""
 
 
 class BudgetExceededError(RuntimeError):

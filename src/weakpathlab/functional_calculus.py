@@ -16,10 +16,9 @@ the same stencil.  At t = T the continuation has zero steps: one row of
 increments with no columns, so each sample is f_eps of the prefix with its
 endpoint moved, and the estimate is that number with no inner samples.
 Each estimator call holds one :class:`_Workspace` for all its offsets and
-outer batches: the increments are drawn into it, the prefix is written
-into its C-ordered paths once, and each continuation is scanned into its
-step-major buffer and copied after the prefix, so a batch allocates no
-path-sized array.
+outer batches: the increments are drawn into it, and its step-major paths
+hold the prefix rows, written once, and each continuation, scanned in
+after them, so a batch allocates no path-sized array.
 Vertical derivatives are common-random-number central differences over
 endpoint bumps, cross-checked by pairing f's directional derivative with a
 simulated first-variation path (at t = T, the endpoint indicator).  The
@@ -41,6 +40,7 @@ from .core_paths import DiscretePath, PathMode, TimeGrid, interpolate_values, re
 from .blas import one_thread
 from .errors import (
     BudgetExceededError,
+    InsufficientSignalError,
     InvalidArgumentError,
     NumericalOverflowError,
     OutOfRangeError,
@@ -167,7 +167,7 @@ def _at_probes(f: PathFunctional, spec: MollifierSpec | None, grid: TimeGrid, va
     t = _probe_times(grid, f.probe_times)
     if spec is None:
         return interpolate_values(grid.nodes, values, t)
-    return np.ascontiguousarray(values) @ _probe_rows(spec, grid, f.probe_times).T
+    return values @ _probe_rows(spec, grid, f.probe_times).T
 
 
 def _feps_batch(
@@ -179,18 +179,15 @@ def _feps_batch(
 ) -> np.ndarray:
     """f(M x) for every row of ``values``; f(x) when spec is None.
 
-    The result does not depend on the layout of ``values``: step-major rows
-    from ``euler_scan`` give the same bits as C-ordered ones.  The probe
-    product and unmollified hooks read C-ordered rows (a copy of any other
-    layout), and ``BandRows`` fixes the layout of the mollified rows it
-    returns.  ``out``, when given, is a C-contiguous buffer of as many
-    values as ``values`` that receives the mollified rows (see
-    ``BandRows``).
+    ``values`` are read as they are, step-major rows from ``euler_scan``
+    included, and the mollified rows are step-major (see ``BandRows``).
+    ``out``, when given, is a C-contiguous buffer of as many values as
+    ``values`` that receives the mollified rows.
     """
     if f.probe_times is not None:
         return f.probe_eval(_at_probes(f, spec, grid, values))
     if spec is None:
-        return f.batch_eval(np.ascontiguousarray(values), grid)
+        return f.batch_eval(values, grid)
     mollified = _mollifier(spec, grid)
     if values.nbytes > _BLOCK_BYTES:
         return _mollified_blocks(f, mollified, grid, values)
@@ -209,12 +206,21 @@ def _fd1_batch(
     the direction)."""
     if f.probe_times is not None:
         return f.probe_d1(_at_probes(f, spec, grid, values), _at_probes(f, spec, grid, directions))
-    if spec is None:
-        values, directions = np.ascontiguousarray(values), np.ascontiguousarray(directions)
-    else:
+    if spec is not None:
         mollified = _mollifier(spec, grid)
         values, directions = mollified(values), mollified(directions)
     return f.batch_d1(values, directions, grid)
+
+
+def _reads_after(f: PathFunctional, spec: MollifierSpec | None, grid: TimeGrid, i: int) -> bool:
+    """Whether f_eps reads any node after node i, from the last nonzero
+    column of the operator or, as every weight is nonnegative, from f's
+    probes of the indicator of the nodes after i."""
+    if f.probe_times is not None:
+        return bool(_at_probes(f, spec, grid, (np.arange(grid.nodes.size) > i) * 1.0).any())
+    if spec is None:
+        return i < grid.n_intervals
+    return bool(mollify_operator(spec, grid, PathMode.LINEAR)[:, i + 1 :].any())
 
 
 def _mollifier(spec: MollifierSpec, grid: TimeGrid):
@@ -254,12 +260,10 @@ class _Workspace:
     """The buffers of one estimator call on the fine grid, for m paths,
     reused by all its offsets and outer batches:
     - ``draw`` fills a held (m, n_steps) array with scaled increments;
-    - ``paths`` holds the m paths C-ordered, one row per path: ``hold``
-      writes the prefix columns once, and ``_continue`` copies each
-      continuation after them;
-    - ``scan`` is the step-major (N+1, m) buffer ``euler_scan`` writes
-      into.  Once a continuation is copied into ``paths`` it is dead, so
-      it also receives the mollified rows.
+    - ``scan`` holds the m paths step-major, one (m,) row per node:
+      ``hold`` writes the prefix rows once, and ``_continue`` scans each
+      continuation into the rows after them;
+    - ``out`` is a flat buffer of m (N+1) values for the mollified rows.
     Every call builds its own, so calls in other threads share none.
     """
 
@@ -268,33 +272,29 @@ class _Workspace:
         self.fine = fine
         self.m = m
         self._dw = np.empty(m * (n - 1))
-        self.paths = np.empty((m, n))
         self.scan = np.empty((n, m))
+        self.out = np.empty(n * m)
 
     def draw(self, rng: np.random.Generator, i_t: int) -> np.ndarray:
         """``_draw_dw`` of the m paths from node i_t, into the held buffer."""
         return _draw_dw(self.fine, i_t, self.m, rng, self._dw)
 
-    def hold(self, prefix_values: np.ndarray, repeats: int = 1) -> None:
-        """Write columns [:i] of ``paths``, i the prefix's last node (the
-        continuations start there).  ``prefix_values`` is shared (i+1,),
-        or (m / repeats, i+1) with each row held by ``repeats`` consecutive
-        paths."""
-        i = prefix_values.shape[-1] - 1
-        if prefix_values.ndim == 1:
-            self.paths[:, :i] = prefix_values[:i]
-        else:
-            by_row = self.paths.reshape(-1, repeats, self.paths.shape[1])
-            by_row[:, :, :i] = prefix_values[:, None, :i]
+    def hold(self, prefix_values: np.ndarray) -> None:
+        """Write rows [:i] of ``scan``, i the prefix's last node (the
+        continuations start there).  ``prefix_values`` is shared (i+1,), or
+        (k, i+1) with each row held by m / k consecutive paths."""
+        rows = np.reshape(prefix_values, (-1, prefix_values.shape[-1]))[:, :-1].T  # (i, k)
+        self.scan[: len(rows)].reshape(*rows.shape, self.m // rows.shape[1])[...] = rows[:, :, None]
 
 
 def _continue(model: SdeModel, fine: TimeGrid, ws: _Workspace, x0, dw: np.ndarray) -> np.ndarray:
-    """``ws.paths`` continued from node i = N - (columns of ``dw``) by Euler
-    from ``x0`` (shared, or one value per path) over the increments ``dw``
-    of steps i..N-1; columns before i keep what the caller wrote there."""
+    """The paths of ``ws`` continued from node i = N - (columns of ``dw``)
+    by Euler from ``x0`` (shared, or one value per path) over the
+    increments ``dw`` of steps i..N-1: the (m, N+1) view ``ws.scan.T``,
+    whose rows before i keep what the caller wrote there."""
     start = fine.n_intervals - dw.shape[1]
-    ws.paths[:, start:] = euler_scan(model, fine, x0, dw, start=start, out=ws.scan[start:])
-    return ws.paths
+    euler_scan(model, fine, x0, dw, start=start, out=ws.scan[start:])
+    return ws.scan.T
 
 
 def _stencil(
@@ -313,12 +313,12 @@ def _stencil(
     Every f_eps sample of a continued path in this module comes from here.
     The offsets share ``dw``, so differences of the arrays are the
     common-random-number bump differences of the estimators.  The
-    continuation starts at node i = N - (columns of ``dw``), and columns
-    [:i] of ``ws.paths`` must hold the prefix; with no columns in ``dw``
+    continuation starts at node i = N - (columns of ``dw``), and rows
+    [:i] of ``ws.scan`` must hold the prefix; with no columns in ``dw``
     (t = T) each path is the prefix with its endpoint moved.
     """
     return [
-        _feps_batch(f, spec, fine, _continue(model, fine, ws, x0 + o, dw), ws.scan)
+        _feps_batch(f, spec, fine, _continue(model, fine, ws, x0 + o, dw), ws.out)
         for o in offsets
     ]
 
@@ -439,11 +439,8 @@ def vertical_derivative(
     central = _estimate((up - down) / (2 * bump), dw, cfg)
 
     combined = _continue(model, fine, ws, x0, dw)
-    full_dw = np.pad(dw, ((0, 0), (i_t, 0)))  # no noise before t
-    # Z = 1 at node i_t: at t = T, the endpoint indicator
-    variation = variation_values_batch(model, combined, fine, full_dw, start=i_t)
-    direction = np.zeros_like(combined)
-    direction[:, i_t:] = variation[:, i_t:]
+    # Z = 0 on the prefix and 1 at node i_t: at t = T, the endpoint indicator
+    direction = variation_values_batch(model, combined, fine, dw, start=i_t)
     pairing = _estimate(_fd1_batch(f, spec, fine, combined, direction), dw, cfg)
     return VerticalDerivative(central, pairing)
 
@@ -511,7 +508,7 @@ def horizontal_derivative(
     ws, dw = _inner(fine, prefix.values, n_inner, seed)
     x0 = prefix.values[-1]
     (base_vals,) = _stencil(model, f, spec, fine, ws, x0, (0.0,), dw)
-    ws.paths[:, i_t:i_ext] = x0  # the flat extension up to t + h
+    ws.scan[i_t:i_ext] = x0  # the flat extension up to t + h
     (ext_vals,) = _stencil(model, f, spec, fine, ws, x0, (0.0,), dw[:, i_ext - i_t :])
     return _estimate((ext_vals - base_vals) / h_actual, dw, cfg)
 
@@ -547,6 +544,8 @@ def kolmogorov_residual(
     i_t = _prefix_index(prefix, fine)
     if i_t >= fine.nodes.size - 1:
         raise OutOfRangeError("the check needs t < T")
+    if not _reads_after(f, spec, fine, i_t):
+        raise InsufficientSignalError("f_eps reads no node after t, so the residual is 0")
     x0 = float(prefix.values[-1])
     h = default_bump(x0) if bump is None else float(bump)
     h_t = float(fine.nodes[i_t + 1] - fine.nodes[i_t])
@@ -558,7 +557,7 @@ def kolmogorov_residual(
     def _batch(bi: int) -> tuple[float, float, float, float]:
         dw = ws.draw(seed.rng(_TAG_INNER, bi), i_t)
         f_up, f_mid, f_down = _stencil(model, f, spec, fine, ws, x0, (h, 0.0, -h), dw)
-        ws.paths[:, i_t] = x0  # the flat extension by one step
+        ws.scan[i_t] = x0  # the flat extension by one step
         (f_ext,) = _stencil(model, f, spec, fine, ws, x0, (0.0,), dw[:, 1:])
 
         dt_term = _mean_se((f_ext - f_mid) / h_t)[0]
@@ -611,8 +610,8 @@ def martingale_gap(
         raise InvalidArgumentError(f"need 0 <= s <= t <= T, got {times!r}")
     spec = _spec(eps)
     i_s, i_t = fine.index_near(s), fine.index_near(t)
-    if s == t:
-        return ResidualReport.make(0.0, 0.0, {"note": "s = t, gap vanishes identically"})
+    if i_s == i_t or not _reads_after(f, spec, fine, i_s):
+        raise InsufficientSignalError("s and t are one fine node, or f_eps reads none after s")
 
     gaps, ws = [], None
     for ci, (_, m) in enumerate(batch_layout(n_samples, _MARTINGALE_CHUNK)):
@@ -620,10 +619,10 @@ def martingale_gap(
         if ws is None or ws.m != m * n_inner:
             ws = _Workspace(fine, m * n_inner)
         dw_in = ws.draw(seed.rng(_TAG_INNER, ci), i_s)
-        ws.hold(outer[:, : i_t + 1], repeats=n_inner)
+        ws.hold(outer[:, : i_t + 1])
 
         means = {}
-        # t first: the continuation from s then overwrites the columns
+        # t first: the continuation from s then overwrites the rows
         # [i_s, i_t) of the outer paths that the one from t reads
         for i_u in (i_t, i_s):
             x0 = np.repeat(outer[:, i_u], n_inner)

@@ -71,13 +71,10 @@ def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
 
 def trapezoid(y: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Trapezoid rule along the last axis of ``y``, one contraction with
-    ``trapezoid_weights(nodes)``.  Every C-contiguous row is summed by the
-    same loop, so a row's result does not depend on the rows batched with
-    it: a one-row batch equals its row in a C-ordered batch bit for bit.
-    Step-major rows (the transpose of a C-contiguous array, which
-    class-tiled mollifiers return) are summed in node order by another
-    loop, the same for every batch of two or more rows; they agree with
-    C-ordered rows to rounding."""
+    ``trapezoid_weights(nodes)``.  Step-major rows, the package's one path
+    layout, are summed in node order, the same for every batch of two or
+    more rows; a one-row batch is summed by another loop, which agrees to
+    rounding."""
     return np.einsum("...j,j->...", y, trapezoid_weights(nodes))
 
 

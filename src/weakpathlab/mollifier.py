@@ -65,8 +65,8 @@ class MollifierSpec:
     kernel_samples: int = 64
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise InvalidArgumentError(f"epsilon must be positive, got {self.epsilon!r}")
+        if not 0 < self.epsilon < math.inf:
+            raise InvalidArgumentError(f"epsilon must be finite and positive, got {self.epsilon!r}")
         if self.kernel_samples < 2:
             raise InvalidArgumentError("need at least 2 kernel samples")
 
@@ -134,13 +134,12 @@ class BandTiles:
     ``rows`` read the inputs ``cols`` and no other column above 0.  The
     tiles of a class are near-equal and at least max(32, band / 2) rows
     long, band being the widest row span in class units, so a tile of w
-    rows reads at most w + band - 1 columns instead of n / g.
-    - g = 1: one class; column 0 is inside the tiles, and the products read
-      the dense A.T, as the plain contiguous band tiles always did.
-    - g > 1: ``blocks`` holds each tile's A[rows, cols].T, C-contiguous, and
-      column 0, which carries the constant extension of x(0) to the left
-      of 0 and breaks the classes, is the rank-one term
-      ``column0[:, None] * x[:, 0]`` on the first ``column0.size`` outputs.
+    rows reads at most w + band - 1 columns instead of n / g.  ``blocks``
+    holds each tile's A[rows, cols].T: views of A.T for g = 1, with column 0
+    inside the tiles and ``column0`` empty; C-contiguous copies for g > 1,
+    where column 0, which carries the constant extension of x(0) to the left
+    of 0 and breaks the classes, is the rank-one term
+    ``column0[:, None] * x[:, 0]`` on the first ``column0.size`` outputs.
     """
 
     step: int
@@ -200,7 +199,7 @@ def _plan(a: np.ndarray) -> BandTiles:
             c0 = min(int(first[js[e0:e1]].min()), end)
             tiles.append((slice(int(js[e0]), end, g), slice(c0, end, g)))
     if g == 1:
-        return BandTiles(1, tuple(tiles), (), np.zeros(0))
+        return BandTiles(1, tuple(tiles), tuple(a.T[cs, rs] for rs, cs in tiles), np.zeros(0))
     blocks = tuple(np.ascontiguousarray(a[rs, cs].T) for rs, cs in tiles)
     column0 = a[: np.flatnonzero(a[:, 0])[-1] + 1, 0].copy()
     return BandTiles(g, tuple(tiles), blocks, column0)
@@ -211,24 +210,18 @@ class BandRows:
     @ A.T``, with A a mollifier operator and ``tiles`` its ``band_tiles``.
 
     The product is computed one band tile at a time and equals
-    ``values @ A.T`` up to rounding; one tile is exactly that product.  It
-    does not depend on the layout of ``values``:
-    - g = 1: C-ordered rows (a copy of any other layout) are multiplied by
-      contiguous tiles of A.T, and the result is C-ordered.  Step-major
-      rows are copied because the BLAS sums them in another order at some
-      row counts: on OpenBLAS 0.3.31 (Haswell kernels) tiles of 2 to 16
-      step-major rows differ from the C-ordered product in the last bit.
-    - g > 1: the tiles read step-major rows (the transpose of a C-contiguous
-      (n, m) array, as ``euler_scan`` returns them; a copy of any other
-      layout), where each class slice is a BLAS-strided row block, and
-      write step-major rows, which are returned as they are.
-    ``out``, when given, is a C-contiguous array of m n values that
-    receives the product in the layout above and backs the returned array,
-    so a caller can hold one buffer across products.  A row holding a
-    non-finite value gives a NaN row, as the dense product's 0 * inf terms
-    would.  It is spelled as one ``@`` with the dense operator on the right
-    so that a wrapper of the operator that observes ``x @ A.T`` (as the
-    benchmark's tracer does) sees one product of m rows.
+    ``values @ A.T`` up to rounding; one tile is exactly the product
+    ``(A @ x.T).T`` of the step-major rows x.  Rows are read and returned
+    step-major (the transpose of a C-contiguous (n, m) array, as
+    ``euler_scan`` returns them; any other layout is copied into it), so
+    each tile is one BLAS product of strided row blocks.  ``out``, when
+    given, is a C-contiguous array of m n values that receives the
+    (n, m) product and backs the returned array, so a caller can hold one
+    buffer across products.  A row holding a non-finite value gives a NaN
+    row, as the dense product's 0 * inf terms would.  It is spelled as one
+    ``@`` with the dense operator on the right so that a wrapper of the
+    operator that observes ``x @ A.T`` (as the benchmark's tracer does)
+    sees one product of m rows.
     """
 
     __slots__ = ("values", "tiles", "out")
@@ -244,26 +237,17 @@ class BandRows:
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is not np.matmul or method != "__call__" or kwargs or inputs[0] is not self:
             return NotImplemented
-        plan, values, at, out = self.tiles, self.values, np.asarray(inputs[1]), self.out
-        if plan.step == 1:
-            x = np.ascontiguousarray(values)
-            shape = x.shape[:-1] + at.shape[-1:]
-            out = np.empty(shape) if out is None else out.reshape(shape)
-            for rows, cols in plan.tiles:
-                np.matmul(x[..., cols], at[cols, rows], out=out[..., rows])
-        else:
-            x = values.reshape(-1, values.shape[-1])
-            if x.strides[0] != x.itemsize or x.strides[1] < x.shape[0] * x.itemsize:
-                x = np.ascontiguousarray(x.T).T
-            shape = (at.shape[-1], x.shape[0])
-            by_step = np.empty(shape) if out is None else out.reshape(shape)
-            for (rows, cols), block in zip(plan.tiles, plan.blocks):
-                np.matmul(x[:, cols], block, out=by_step[rows].T)
-            by_step[: plan.column0.size] += np.multiply.outer(plan.column0, x[:, 0])
-            out = by_step.T.reshape(values.shape[:-1] + at.shape[-1:])
+        plan, x, at = self.tiles, self.values, np.asarray(inputs[1])
+        if x.strides[0] != x.itemsize or x.strides[1] < x.shape[0] * x.itemsize:
+            x = np.ascontiguousarray(x.T).T
+        shape = (at.shape[-1], x.shape[0])
+        by_step = np.empty(shape) if self.out is None else self.out.reshape(shape)
+        for (rows, cols), block in zip(plan.tiles, plan.blocks):
+            np.matmul(x[:, cols], block, out=by_step[rows].T)
+        by_step[: plan.column0.size] += np.multiply.outer(plan.column0, x[:, 0])
         if len(plan.tiles) > 1:
-            out[~np.isfinite(values).all(axis=-1)] = np.nan
-        return out
+            by_step[:, ~np.isfinite(x).all(axis=1)] = np.nan
+        return by_step.T
 
 
 @one_thread()

@@ -52,13 +52,10 @@ def euler_scan(
 
     The result is (m, len(keep)), stored step-major: it is the transpose of
     a C-contiguous (len(keep), m) buffer that receives one contiguous row
-    per kept node, so its columns, not its rows, are contiguous.  ``out``,
-    when given, is that buffer, so a caller can hold one across scans.
-    Row reductions whose bits must not depend on memory layout read
-    C-ordered rows: the nested estimators copy each continuation into a
-    C-ordered buffer they hold, and ``_feps_batch`` copies any other
-    step-major input.  Non-finite values propagate; nothing is checked
-    here.
+    per kept node.  This is the one path layout of the package; every
+    consumer reads it as it is.  ``out``, when given, is that buffer, so a
+    caller can hold one across scans.  Non-finite values propagate;
+    nothing is checked here.
 
     Each step runs the model's fused step (:class:`~weakpathlab.models.EulerStep`)
     while ``model.b`` and ``model.sigma`` are the evaluators it was built from,
@@ -135,21 +132,24 @@ def euler_values_batch(model: SdeModel, grid: TimeGrid, dw: np.ndarray) -> np.nd
 def variation_values_batch(
     model: SdeModel, base: np.ndarray, grid: TimeGrid, dw: np.ndarray, start: int = 0
 ) -> np.ndarray:
-    """First-variation recursion along given base paths.
+    """First variation Z = dX / dX(tau_start) along given base paths.
 
-    dZ = b'(X) Z dt + sigma'(X) Z dW with Z = 1 at node ``start``; columns
-    before ``start`` are filled with 1.  ``base`` and the output share shape
-    (m, N+1).
+    dZ = b'(X) Z dt + sigma'(X) Z dW with Z = 1 at node ``start`` and 0
+    before it, where the path does not move with X(tau_start).  ``dw``
+    holds the increments of steps ``start``..N-1, as for ``euler_scan``.
+    ``base`` and the output are (m, N+1); the output is stored step-major,
+    as ``euler_scan`` stores paths.
     """
     dt = np.diff(grid.nodes)
-    out = np.ones_like(base)
-    z = out[:, start].copy()
+    out = np.zeros(base.shape[::-1])
+    out[start] = 1.0
+    z = out[start]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(start, dt.size):
             xk = base[:, k]
-            z = z * (1.0 + model.db(xk) * dt[k] + model.dsigma(xk) * dw[:, k])
-            out[:, k + 1] = z
-    return out
+            z = z * (1.0 + model.db(xk) * dt[k] + model.dsigma(xk) * dw[:, k - start])
+            out[k + 1] = z
+    return out.T
 
 
 def stochastic_interpolation_batch(

@@ -389,6 +389,33 @@ class TestRun:
             assert summary["checks"][0]["tolerance"] == float("inf")
             assert summary["checks"][0]["passed"] is False
 
+    @pytest.mark.parametrize(
+        "command, text, code, status",
+        [
+            ("kolmogorov-check", "mollifier: {epsilon: .inf}", 2, "invalid-experiment"),
+            ("kolmogorov-check", "mollifier: {epsilon: 1.0e+300}", 3, "insufficient-signal"),
+            ("kolmogorov-check", "mollifier: {epsilon: 100.0}", 3, "insufficient-signal"),
+            ("kolmogorov-check", "functional: {name: point, t1: 0.25}", 3, "insufficient-signal"),
+            ("martingale-check", "mollifier: {epsilon: .inf}", 2, "invalid-experiment"),
+            ("martingale-check", "check: {times: [0.5, 0.5]}", 3, "insufficient-signal"),
+            ("martingale-check", "functional: {name: point, t1: 0.25}\n"
+             "check: {times: [0.5, 0.75]}", 3, "insufficient-signal"),
+        ],
+        ids=["kolmogorov-eps-inf", "kolmogorov-eps-1e300", "kolmogorov-eps-100",
+             "kolmogorov-probe-before-t", "martingale-eps-inf", "martingale-s=t",
+             "martingale-probe-before-s"],
+    )
+    def test_a_check_that_tests_nothing_does_not_pass(self, tmp_path, command, text, code,
+                                                      status):
+        # each of these once printed PASS value=0 tolerance=0 and exited 0:
+        # f_eps read no node after the conditioning time
+        cfg = write_config(tmp_path, f"command: {command}\nseed: 1\n"
+                           f"{_MATRIX_BASE[command]}{text}\n")
+        out = tmp_path / "run"
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == status and summary["detail"]
+
     def test_invalid_experiment_writes_summary(self, tmp_path):
         # t1 = 1 lies beyond the default T = 0.25
         cfg = write_config(tmp_path,

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,6 +17,7 @@ from weakpathlab.core_paths import (
 )
 from weakpathlab.errors import (
     BudgetExceededError,
+    InsufficientSignalError,
     InvalidArgumentError,
     NumericalOverflowError,
     OutOfRangeError,
@@ -176,8 +178,14 @@ class TestNonFiniteRows:
 
 
 class TestLayout:
-    """f_eps and its derivative give the same bits for the step-major rows
-    euler_scan returns as for C-ordered rows."""
+    """Step-major rows, as euler_scan returns them, are the one layout; rows
+    in C order give f_eps and its derivative to rounding.
+
+    Each of these functionals is a polynomial with nonnegative coefficients
+    in path values, and the probe rows, the operator and the trapezoid
+    weights are nonnegative.  A summation order then errs by at most
+    gamma_{3n} times the same evaluation on |x| (and |h|), so two orders
+    differ by at most 8 n u times it."""
 
     @pytest.mark.parametrize("nodes, eps", [(129, None), (129, 2.0 / 128), (513, 0.25)])
     @pytest.mark.parametrize(
@@ -185,16 +193,35 @@ class TestLayout:
         [point_functional(0.7), product_functional(0.3, 1.0), SQUARE_INTEGRAL],
         ids=["point", "product", "integral-square"],
     )
-    def test_step_major_rows_give_the_same_bits(self, nodes, eps, f):
+    def test_c_ordered_rows_agree_to_rounding(self, nodes, eps, f):
         spec = None if eps is None else MollifierSpec(eps)
         grid = make_uniform_grid(1.0, nodes - 1)
         rng = np.random.default_rng(54)
         x = np.cumsum(rng.standard_normal((300, nodes)), axis=1) * 0.1
         h = rng.standard_normal((300, nodes))
         by_step = [np.ascontiguousarray(v.T).T for v in (x, h)]
-        want = fc._feps_batch(f, spec, grid, x), fc._fd1_batch(f, spec, grid, x, h)
-        got = fc._feps_batch(f, spec, grid, by_step[0]), fc._fd1_batch(f, spec, grid, *by_step)
-        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+        bound = 8 * nodes * np.finfo(np.float64).eps / 2
+        for evaluate, args in ((fc._feps_batch, (x,)), (fc._fd1_batch, (x, h))):
+            want = evaluate(f, spec, grid, *by_step[: len(args)])
+            got = evaluate(f, spec, grid, *args)
+            tol = bound * evaluate(f, spec, grid, *(np.abs(v) for v in args))
+            assert np.all(np.abs(got - want) <= tol)
+            assert np.all(np.abs(got + 1e-9 - want) > tol)  # the bound sees a 1e-9 shift
+
+    def test_mollified_probes_copy_no_path(self):
+        # the probe product reads the step-major rows as they are
+        spec, grid, f = MollifierSpec(0.25), make_uniform_grid(1.0, 512), product_functional(0.5, 1.0)
+        dw = fc._draw_dw(grid, 0, 2000, SeedSpec(55).rng())
+        x = euler_scan(OU, grid, OU.xi0, dw)
+        want = fc._feps_batch(f, spec, grid, x)  # builds and caches the probe rows
+        tracemalloc.start()
+        try:
+            got = fc._feps_batch(f, spec, grid, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < x.nbytes / 4
 
 
 class TestHookRouting:
@@ -372,14 +399,14 @@ class TestHorizontalDerivative:
 def reference_stencil(model, f, spec, prefix_values, offsets, dw):
     """f_eps of the continued paths built one offset at a time: euler_scan
     from the prefix's moved endpoint, glued after the prefix into a fresh
-    C-ordered path, then evaluated."""
+    step-major path, then evaluated."""
     i = prefix_values.shape[-1] - 1
     out = []
     for o in offsets:
-        path = np.empty((len(dw), FINE.nodes.size))
-        path[:, :i] = prefix_values[..., :i]
-        path[:, i:] = euler_scan(model, FINE, prefix_values[..., -1] + o, dw, start=i)
-        out.append(fc._feps_batch(f, spec, FINE, path))
+        path = np.empty((FINE.nodes.size, len(dw)))
+        path[:i] = np.reshape(prefix_values, (-1, i + 1))[:, :i].T
+        path[i:] = euler_scan(model, FINE, prefix_values[..., -1] + o, dw, start=i).T
+        out.append(fc._feps_batch(f, spec, FINE, path.T))
     return out
 
 
@@ -441,7 +468,7 @@ class TestStencil:
         ws, dw = self.draws(i, self.ROWS, 92)
         ws.hold(prefix)
         got = fc._stencil(SINE, f, spec, FINE, ws, x0, (0.01, 0.0, -0.01), dw)
-        ws.paths[:, i] = x0
+        ws.scan[i] = x0
         got += fc._stencil(SINE, f, spec, FINE, ws, x0, (0.0,), dw[:, 1:])
         want = reference_stencil(SINE, f, spec, prefix, (0.01, 0.0, -0.01), dw)
         want += reference_stencil(SINE, f, spec, np.append(prefix, x0), (0.0,), dw[:, 1:])
@@ -531,6 +558,18 @@ class TestKolmogorovResidual:
         fault = rep.residual + rep.components["diffusion_term"]  # drop the 1/2 factor
         assert abs(fault) > rep.tolerance
 
+    @pytest.mark.parametrize(
+        "f, eps",
+        [(point_functional(0.25), EPS), (point_functional(0.5), None), (SQUARE_INTEGRAL, 100.0),
+         (point_functional(1.0), 1e300)],
+        ids=["mollified-probe-before-t", "probe-at-t", "wide-window", "huge-window"],
+    )
+    def test_a_check_that_reads_no_continuation_is_no_pass(self, f, eps):
+        # f_eps reads no node after t = 0.5, so every term would be 0
+        prefix = constant_prefix(0.5, 1.0)
+        with pytest.raises(InsufficientSignalError):
+            kolmogorov_residual(OU, prefix, f, eps, 16, SeedSpec(24), FINE, n_outer=2)
+
     def test_prefix_support_condition(self):
         bad = constant_prefix(0.5, 2.0)  # does not start at xi0 = 1
         with pytest.raises(InvalidArgumentError):
@@ -538,9 +577,15 @@ class TestKolmogorovResidual:
 
 
 class TestMartingaleGap:
-    def test_equal_times_vanish(self):
-        rep = martingale_gap(OU, point_functional(1.0), EPS, (0.5, 0.5), 8, SeedSpec(25), FINE)
-        assert rep.residual == 0.0 and rep.passed
+    @pytest.mark.parametrize(
+        "f, times",
+        [(point_functional(1.0), (0.5, 0.5)), (point_functional(0.25), (0.5, 0.75)),
+         (SQUARE_INTEGRAL, (1.0, 1.0))],
+        ids=["s=t", "probe-before-s", "whole-path-s=t=T"],
+    )
+    def test_a_gap_that_vanishes_identically_is_no_pass(self, f, times):
+        with pytest.raises(InsufficientSignalError):
+            martingale_gap(OU, f, EPS, times, 8, SeedSpec(25), FINE)
 
     def test_ou_point(self):
         rep = martingale_gap(OU, point_functional(1.0), EPS, (0.25, 0.75), 128, SeedSpec(26), FINE, n_inner=128)

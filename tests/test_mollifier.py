@@ -37,9 +37,12 @@ class TestKernelWeights:
         with pytest.raises(ResolutionTooCoarseError):
             kernel_weights(MollifierSpec(0.005), GRID.mesh)
 
-    def test_invalid_spec(self):
+    @pytest.mark.parametrize("eps", [0.0, -0.1, np.inf, np.nan])
+    def test_epsilon_must_be_finite_and_positive(self, eps):
         with pytest.raises(InvalidArgumentError):
-            MollifierSpec(0.0)
+            MollifierSpec(eps)
+
+    def test_invalid_spec(self):
         with pytest.raises(InvalidArgumentError):
             MollifierSpec(0.1, kernel_samples=1)
         with pytest.raises(InvalidArgumentError):
@@ -124,18 +127,18 @@ def step_major(x):
 
 
 def contiguous_tiles_product(x, a):
-    """The plain band-tile product: near-equal row tiles of A, each at least
-    max(32, band / 2) rows long, reading the columns from the leftmost
-    nonzero of its first row, column 0 included."""
+    """The plain band-tile product on step-major rows: near-equal row tiles
+    of A, each at least max(32, band / 2) rows long, reading the columns
+    from the leftmost nonzero of its first row, column 0 included."""
     n = a.shape[0]
     first = np.argmax(a != 0, axis=1)
     band = int((np.arange(n) - first).max()) + 1
     count = max(1, n // max(32, band // 2))
     edges = [i * n // count for i in range(count + 1)]
-    out = np.empty((x.shape[0], n))
+    x, out = step_major(x), np.empty((n, x.shape[0])).T
     for j0, j1 in zip(edges[:-1], edges[1:]):
         c0 = first[j0]
-        np.matmul(x[:, c0:j1], a.T[c0:j1, j0:j1], out=out[:, j0:j1])
+        out[:, j0:j1] = (a[j0:j1, c0:j1] @ x[:, c0:j1].T).T
     return out
 
 
@@ -169,8 +172,11 @@ class TestBandTiles:
         if plan.step > 1:
             assert np.array_equal(plan.column0, a[: plan.column0.size, 0])
             assert not a[plan.column0.size :, 0].any()
-            for (rows, cols), block in zip(plan.tiles, plan.blocks):
-                assert block.flags.c_contiguous and np.array_equal(block, a[rows, cols].T)
+        for (rows, cols), block in zip(plan.tiles, plan.blocks):
+            assert np.array_equal(block, a[rows, cols].T)
+            # g = 1 tiles are views of the cached operator, never copies
+            assert np.shares_memory(block, a) == (plan.step == 1)
+            assert block.flags.c_contiguous or plan.step == 1
 
     def check(self, spec, grid, rows, seed):
         a, plan = mollify_operator(spec, grid, PathMode.LINEAR), band_tiles(spec, grid)
@@ -178,9 +184,10 @@ class TestBandTiles:
         x = self.paths(seed, rows, grid.nodes.size)
         got = band_product(spec, grid, x)
         self.assert_within_rounding(got, x, a)
-        # step-major rows give the same bits; class tiles return step-major rows
+        # C-ordered rows are copied into the one layout, step-major, which
+        # every g returns
         assert np.array_equal(band_product(spec, grid, step_major(x)), got)
-        assert (got.T if plan.step > 1 else got).flags.c_contiguous
+        assert got.T.flags.c_contiguous
         return plan
 
     @pytest.mark.parametrize(
@@ -213,9 +220,9 @@ class TestBandTiles:
         spec, grid = MollifierSpec(0.25), make_uniform_grid(1.0, 32)
         plan = band_tiles(spec, grid)
         assert plan.step == 1 and plan.tiles == ((slice(0, 33, 1), slice(0, 33, 1)),)
-        x = self.paths(64, 1000, 33)
+        x = step_major(self.paths(64, 1000, 33))
         a = mollify_operator(spec, grid, PathMode.LINEAR)
-        assert np.array_equal(band_product(spec, grid, x), x @ a.T)
+        assert np.array_equal(band_product(spec, grid, x), (a @ x.T).T)
 
     @pytest.mark.parametrize(
         "nodes, eps, step, n_tiles",
@@ -224,19 +231,20 @@ class TestBandTiles:
     @pytest.mark.parametrize("rows", [1, 3, 16, 300])
     def test_step_major_rows_into_a_held_buffer(self, nodes, eps, step, n_tiles, rows):
         # the nested estimators hand BandRows step-major rows and a held
-        # buffer; neither may move a bit of the C-ordered product
+        # buffer; the buffer may not move a bit, and C-ordered rows are
+        # copied into the step-major layout first
         spec, grid = MollifierSpec(eps), make_uniform_grid(1.0, nodes - 1)
         plan = band_tiles(spec, grid)
         assert plan.step == step and len(plan.tiles) == (n_tiles or len(plan.tiles))
         at = mollify_operator(spec, grid, PathMode.LINEAR).T
         x = self.paths(67, rows, nodes)
-        want = BandRows(x, plan) @ at
-        buf = np.full(rows * nodes, np.nan).reshape(nodes, rows)
+        want = BandRows(step_major(x), plan) @ at
+        buf = np.full(rows * nodes, np.nan)
         for values in (x, step_major(x)):
             assert np.array_equal(BandRows(values, plan) @ at, want)
             held = BandRows(values, plan, buf) @ at
             assert np.array_equal(held, want) and np.shares_memory(held, buf)
-            assert (held.T if step > 1 else held).flags.c_contiguous
+            assert held.T.flags.c_contiguous
             buf[...] = np.nan
 
 

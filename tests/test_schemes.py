@@ -292,7 +292,8 @@ class TestFineReference:
 def variation_path(model, fine, w, start=0):
     """Z along the Euler path of ``w``, with Z = 1 at node ``start``."""
     dw = np.diff(w.values)[None, :]
-    return variation_values_batch(model, euler_values_batch(model, fine, dw), fine, dw, start)[0]
+    base = euler_values_batch(model, fine, dw)
+    return variation_values_batch(model, base, fine, dw[:, start:], start)[0]
 
 
 class TestFirstVariation:
@@ -325,6 +326,17 @@ class TestFirstVariation:
                 model.sigma(restart)
             ) * dw[j]
             assert restart == x[j + 1]
+
+    def test_zero_on_the_frozen_prefix(self):
+        # X before node k does not move with X(tau_k); the output is stored
+        # step-major, as euler_scan stores paths
+        model = sine_model(0.5, 1.0, 0.3)
+        fine = make_uniform_grid(1.0, 64)
+        dw = np.diff(sample_brownian(fine, SeedSpec(18)).values)[None, :]
+        k = 24
+        z = variation_values_batch(model, euler_values_batch(model, fine, dw), fine, dw[:, k:], k)
+        assert np.all(z[0, :k] == 0.0) and z[0, k] == 1.0
+        assert z.T.flags.c_contiguous
 
     def test_chain_rule_exact_on_common_noise(self):
         # Z^0(T) = Z^t(T) Z^0(t): per-step factors telescope exactly
