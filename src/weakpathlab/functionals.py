@@ -12,7 +12,7 @@ directional derivative of ``*_eval`` at v in direction h and ``*_d2`` the
 symmetric second derivative; the paper's weak-error formula needs f twice
 differentiable, and ``*_d2`` is the closed form that certifies it for the
 shipped functionals.  Every hook is row-wise: a row's result does not depend
-on the rows batched with it.
+on the rows batched with it beyond rounding (see ``trapezoid``).
 """
 
 from __future__ import annotations

@@ -184,8 +184,8 @@ class TestLayout:
     Each of these functionals is a polynomial with nonnegative coefficients
     in path values, and the probe rows, the operator and the trapezoid
     weights are nonnegative.  A summation order then errs by at most
-    gamma_{3n} times the same evaluation on |x| (and |h|), so two orders
-    differ by at most 8 n u times it."""
+    gamma_{3n+1}, about 3 n u, times the same evaluation on |x| (and |h|),
+    so two orders differ by at most 8 n u times it."""
 
     @pytest.mark.parametrize("nodes, eps", [(129, None), (129, 2.0 / 128), (513, 0.25)])
     @pytest.mark.parametrize(
