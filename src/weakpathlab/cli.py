@@ -65,6 +65,7 @@ from .weak_error import (
     RateExperiment,
     covariance_bias,
     interpolation_gap_stats,
+    ladder_samples,
     ladder_steps,
     weak_rate_experiment,
 )
@@ -450,11 +451,10 @@ def _run_covariance_bias(cfg: ExperimentConfig):
     horizon = float(cfg.grid["T"])
     n_base = int(cfg.budget["n_samples"])
     rows, signal = [], []
-    for k, (delta, n_steps) in enumerate(zip(deltas, ladder_steps(horizon, deltas))):
-        grid = make_uniform_grid(horizon, n_steps)
-        n = int(np.ceil(n_base * (deltas[0] / delta) ** 2))
+    ladder = zip(ladder_steps(horizon, deltas), ladder_samples(n_base, deltas))
+    for k, (n_steps, n) in enumerate(ladder):
         point = covariance_bias(
-            model, t1, t2, grid, n, SeedSpec(cfg.seed, k),
+            model, t1, t2, make_uniform_grid(horizon, n_steps), n, SeedSpec(cfg.seed, k),
             batch_size=int(cfg.budget["batch_size"]), threads=cfg.threads,
         )
         rows.append([point.delta, point.n_samples, point.bias, point.std_error, point.excluded])

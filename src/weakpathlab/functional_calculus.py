@@ -12,9 +12,11 @@ offsets, over one shared set of increments, glued onto the prefix and
 evaluated by the one batch evaluator of f o M_eps.  ``estimate_F`` takes the
 offsets (0,), the first vertical derivative (+h, -h) and the second
 (+h, 0, -h); the horizontal derivative and the consistency checks build on
-the same stencil.  At t = T the continuation has zero steps: one row of
-increments with no columns, so each sample is f_eps of the prefix with its
-endpoint moved, and the estimate is that number with no inner samples.
+the same stencil.  The checks take their derivative samples from the same two
+difference rules as the public estimators: :func:`_bump_differences` and
+:func:`_flat_extension`.  At t = T the continuation has zero steps: one row
+of increments with no columns, so each sample is f_eps of the prefix with
+its endpoint moved, and the estimate is that number with no inner samples.
 Each estimator call holds one :class:`_Workspace` for all its offsets and
 outer batches: the increments are drawn into it, and its step-major paths
 hold the prefix rows, written once, and each continuation, scanned in
@@ -94,7 +96,6 @@ class NestedEstimate:
     value: float
     std_error: float
     inner_samples: int
-    config: dict
 
 
 @dataclass(frozen=True)
@@ -182,17 +183,24 @@ def _feps_batch(
     ``values`` are read as they are, step-major rows from ``euler_scan``
     included, and the mollified rows are step-major (see ``BandRows``).
     ``out``, when given, is a C-contiguous buffer of as many values as
-    ``values`` that receives the mollified rows.
+    ``values`` that receives the mollified rows, one row block at a time.
     """
     if f.probe_times is not None:
         return f.probe_eval(_at_probes(f, spec, grid, values))
     if spec is None:
         return f.batch_eval(values, grid)
+    # near-equal row blocks of at most _BLOCK_BYTES, one at a time (the hook
+    # is row-wise); each block's raw rows are dropped before its hook runs
     mollified = _mollifier(spec, grid)
-    if values.nbytes > _BLOCK_BYTES:
-        return _mollified_blocks(f, mollified, grid, values)
-    values = mollified(values, out)  # frees the raw rows before the hook runs
-    return f.batch_eval(values, grid)
+    rows = max(1, _BLOCK_BYTES // (values.itemsize * values.shape[-1]))
+    blocks = np.array_split(values, -(-len(values) // rows))
+    del values
+    evals = []
+    while blocks:
+        block = blocks.pop(0)
+        block = mollified(block, None if out is None else out[: block.size])
+        evals.append(f.batch_eval(block, grid))
+    return np.concatenate(evals)
 
 
 def _fd1_batch(
@@ -230,19 +238,6 @@ def _mollifier(spec: MollifierSpec, grid: TimeGrid):
     at = mollify_operator(spec, grid, PathMode.LINEAR).T
     tiles = band_tiles(spec, grid)
     return lambda values, out=None: BandRows(values, tiles, out) @ at
-
-
-def _mollified_blocks(f: PathFunctional, mollified, grid: TimeGrid, values: np.ndarray):
-    """``f.batch_eval(mollified(values), grid)`` over near-equal row blocks
-    of at most ``_BLOCK_BYTES``, concatenated; valid because the hook is
-    row-wise.  No full-size mollified copy or hook temporary is alive."""
-    rows = max(1, _BLOCK_BYTES // (values.itemsize * values.shape[-1]))
-    return np.concatenate(
-        [
-            f.batch_eval(mollified(block), grid)
-            for block in np.array_split(values, -(-len(values) // rows))
-        ]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +318,35 @@ def _stencil(
     ]
 
 
+def _bump_differences(
+    model: SdeModel, f: PathFunctional, spec: MollifierSpec | None, fine: TimeGrid,
+    ws: _Workspace, x0, h: float, dw: np.ndarray, second: bool,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Per-sample central differences of f_eps over endpoint bumps, from
+    one ``_stencil`` call over (h, -h), or (h, 0, -h) with ``second``: the
+    first (up - down) / 2h, then (up - 2 mid + down) / h^2 and the unbumped
+    samples mid with ``second``, else None and None."""
+    offsets = (h, 0.0, -h) if second else (h, -h)
+    up, *mid, down = _stencil(model, f, spec, fine, ws, x0, offsets, dw)
+    first = (up - down) / (2 * h)
+    if not second:
+        return first, None, None
+    return first, (up - 2 * mid[0] + down) / h**2, mid[0]
+
+
+def _flat_extension(
+    model: SdeModel, f: PathFunctional, spec: MollifierSpec | None, fine: TimeGrid,
+    ws: _Workspace, x0, base: np.ndarray, dw: np.ndarray, i_t: int, i_ext: int,
+) -> np.ndarray:
+    """Per-sample forward time differences (f_ext - base) / (t_ext - t):
+    the paths of ``ws`` stay at ``x0`` on nodes i_t..i_ext (written into
+    ``ws.scan``) and continue after t_ext over the increments of ``dw``
+    that follow, so f_ext shares the noise of ``base``, drawn from t."""
+    ws.scan[i_t:i_ext] = x0
+    (ext,) = _stencil(model, f, spec, fine, ws, x0, (0.0,), dw[:, i_ext - i_t :])
+    return (ext - base) / (fine.nodes[i_ext] - fine.nodes[i_t])
+
+
 def _draw_dw(
     fine: TimeGrid, i_t: int, n: int, rng: np.random.Generator, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -338,15 +362,17 @@ def _draw_dw(
 
 
 def _inner(
-    fine: TimeGrid, prefix_values: np.ndarray, n_inner: int, seed: SeedSpec
-) -> tuple[_Workspace, np.ndarray]:
-    """The workspace of a public estimator, holding the prefix, and the
+    prefix: DiscretePath, fine: TimeGrid, eps, n_inner: int, seed: SeedSpec
+) -> tuple[MollifierSpec | None, int, _Workspace, np.ndarray]:
+    """The set-up of a public estimator: the mollifier spec, the prefix's
+    last node i_t on ``fine``, the workspace holding the prefix, and the
     continuation increments: ``n_inner`` rows, or at t = T one row with no
     columns, whose continuation is the prefix itself."""
-    i_t = prefix_values.size - 1
+    spec = _spec(eps)
+    i_t = _prefix_index(prefix, fine)
     ws = _Workspace(fine, n_inner if i_t < fine.n_intervals else 1)
-    ws.hold(prefix_values)
-    return ws, ws.draw(seed.rng(_TAG_CONTINUATION), i_t)
+    ws.hold(prefix.values)
+    return spec, i_t, ws, ws.draw(seed.rng(_TAG_CONTINUATION), i_t)
 
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:
@@ -357,21 +383,18 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
     return float(mom.mean), float(mom.se)
 
 
-def _estimate(samples: np.ndarray, dw: np.ndarray, cfg: dict) -> NestedEstimate:
+def _estimate(samples: np.ndarray, dw: np.ndarray) -> NestedEstimate:
     """The mean of ``samples`` with its SE; a continuation over no steps
     (t = T) counts no inner samples."""
     mean, se = _mean_se(samples)
-    return NestedEstimate(mean, se, len(dw) if dw.shape[1] else 0, cfg)
+    return NestedEstimate(mean, se, len(dw) if dw.shape[1] else 0)
 
 
-def _config(eps, fine: TimeGrid, seed: SeedSpec, **extra) -> dict:
-    cfg = {
-        "epsilon": None if eps is None else float(eps.epsilon),
-        "fine_nodes": int(fine.nodes.size),
-        "seed": [seed.master_seed, seed.stream_id],
-    }
-    cfg.update(extra)
-    return cfg
+def _checked_bump(bump) -> float | None:
+    """A caller's bump: None (the default bump) or a float, finite and > 0."""
+    if bump is not None and not (np.isfinite(bump) and bump > 0):
+        raise InvalidArgumentError(f"bump must be finite and positive, got {bump!r}")
+    return None if bump is None else float(bump)
 
 
 def _spec(eps) -> MollifierSpec | None:
@@ -402,12 +425,9 @@ def estimate_F(
     continuation is Euler on the remaining fine nodes started from x(t).
     At t = T it has no steps, so the value is f_eps(x) with SE 0.
     """
-    spec = _spec(eps)
-    _prefix_index(prefix, fine)
-    cfg = _config(spec, fine, seed, t=float(prefix.grid.horizon))
-    ws, dw = _inner(fine, prefix.values, n_inner, seed)
+    spec, _, ws, dw = _inner(prefix, fine, eps, n_inner, seed)
     (vals,) = _stencil(model, f, spec, fine, ws, prefix.values[-1], (0.0,), dw)
-    return _estimate(vals, dw, cfg)
+    return _estimate(vals, dw)
 
 
 @one_thread()
@@ -428,20 +448,16 @@ def vertical_derivative(
     the simulated first-variation path started at t.  They agree up to
     Monte-Carlo noise and an O(bump^2) difference bias.
     """
-    if not bump > 0:
-        raise InvalidArgumentError(f"bump must be positive, got {bump!r}")
-    spec = _spec(eps)
-    i_t = _prefix_index(prefix, fine)
-    cfg = _config(spec, fine, seed, t=float(prefix.grid.horizon), bump=float(bump))
-    ws, dw = _inner(fine, prefix.values, n_inner, seed)
+    bump = _checked_bump(bump)
+    spec, i_t, ws, dw = _inner(prefix, fine, eps, n_inner, seed)
     x0 = prefix.values[-1]
-    up, down = _stencil(model, f, spec, fine, ws, x0, (bump, -bump), dw)
-    central = _estimate((up - down) / (2 * bump), dw, cfg)
+    first, _, _ = _bump_differences(model, f, spec, fine, ws, x0, bump, dw, second=False)
+    central = _estimate(first, dw)
 
     combined = _continue(model, fine, ws, x0, dw)
     # Z = 0 on the prefix and 1 at node i_t: at t = T, the endpoint indicator
     direction = variation_values_batch(model, combined, fine, dw, start=i_t)
-    pairing = _estimate(_fd1_batch(f, spec, fine, combined, direction), dw, cfg)
+    pairing = _estimate(_fd1_batch(f, spec, fine, combined, direction), dw)
     return VerticalDerivative(central, pairing)
 
 
@@ -458,14 +474,10 @@ def second_vertical_derivative(
 ) -> NestedEstimate:
     """Second central difference (F(x+h) - 2 F(x) + F(x-h)) / h^2 with common
     random numbers; invariant under h -> -h by construction."""
-    if not bump > 0:
-        raise InvalidArgumentError(f"bump must be positive, got {bump!r}")
-    spec = _spec(eps)
-    _prefix_index(prefix, fine)
-    cfg = _config(spec, fine, seed, t=float(prefix.grid.horizon), bump=float(bump))
-    ws, dw = _inner(fine, prefix.values, n_inner, seed)
-    up, mid, down = _stencil(model, f, spec, fine, ws, prefix.values[-1], (bump, 0.0, -bump), dw)
-    return _estimate((up - 2 * mid + down) / bump**2, dw, cfg)
+    bump = _checked_bump(bump)
+    spec, _, ws, dw = _inner(prefix, fine, eps, n_inner, seed)
+    x0 = prefix.values[-1]
+    return _estimate(_bump_differences(model, f, spec, fine, ws, x0, bump, dw, second=True)[1], dw)
 
 
 @one_thread()
@@ -485,32 +497,23 @@ def horizontal_derivative(
     per-interval Brownian increments so most of the variance cancels.  ``h``
     must land on a fine node; None selects one fine interval.
     """
-    spec = _spec(eps)
-    i_t = _prefix_index(prefix, fine)
-    nodes = fine.nodes
-    t = prefix.grid.horizon
-    if i_t >= nodes.size - 1:
+    spec, i_t, ws, dw = _inner(prefix, fine, eps, n_inner, seed)
+    if i_t >= fine.n_intervals:
         raise OutOfRangeError("t + h exceeds the horizon")
     if h_step is None:
         i_ext = i_t + 1
     else:
         if not h_step > 0:
             raise InvalidArgumentError(f"h_step must be positive, got {h_step!r}")
-        target = t + h_step
+        target = prefix.grid.horizon + h_step
         if target > fine.horizon * (1 + 1e-12):
             raise OutOfRangeError(f"t + h = {target} exceeds horizon {fine.horizon}")
         i_ext = fine.index_near(target)
         if i_ext <= i_t:
             raise InvalidArgumentError(f"t + h = {target} is not a fine node after t")
-    h_actual = float(nodes[i_ext] - t)
-    cfg = _config(spec, fine, seed, t=float(t), h_step=h_actual)
-
-    ws, dw = _inner(fine, prefix.values, n_inner, seed)
     x0 = prefix.values[-1]
-    (base_vals,) = _stencil(model, f, spec, fine, ws, x0, (0.0,), dw)
-    ws.scan[i_t:i_ext] = x0  # the flat extension up to t + h
-    (ext_vals,) = _stencil(model, f, spec, fine, ws, x0, (0.0,), dw[:, i_ext - i_t :])
-    return _estimate((ext_vals - base_vals) / h_actual, dw, cfg)
+    (base,) = _stencil(model, f, spec, fine, ws, x0, (0.0,), dw)
+    return _estimate(_flat_extension(model, f, spec, fine, ws, x0, base, dw, i_t, i_ext), dw)
 
 
 # ---------------------------------------------------------------------------
@@ -533,13 +536,18 @@ def kolmogorov_residual(
     """Residual of the backward equation  D_t F + b grad F + (1/2) sigma^2 grad^2 F = 0.
 
     All three derivative estimates share each batch's continuation noise.
-    The prefix must start at xi0 (the equation only holds on such paths).  The tolerance is 4 SE plus an explicit relative
-    allowance for finite bump, horizontal step and fine-grid bias.
+    The prefix must start at xi0 (the equation only holds on such paths).
+    The tolerance is 4 SE plus an explicit relative allowance for finite
+    bump, horizontal step and fine-grid bias; ``bump`` (None:
+    ``default_bump``) must be finite and > 0, ``allowance_rel`` finite and >= 0.
     """
     if prefix.values[0] != model.xi0:
         raise InvalidArgumentError(
             f"prefix must start at xi0={model.xi0}; the equation is only valid there"
         )
+    bump = _checked_bump(bump)
+    if not (np.isfinite(allowance_rel) and allowance_rel >= 0):
+        raise InvalidArgumentError(f"allowance_rel must be finite and >= 0, got {allowance_rel!r}")
     spec = _spec(eps)
     i_t = _prefix_index(prefix, fine)
     if i_t >= fine.nodes.size - 1:
@@ -547,8 +555,7 @@ def kolmogorov_residual(
     if not _reads_after(f, spec, fine, i_t):
         raise InsufficientSignalError("f_eps reads no node after t, so the residual is 0")
     x0 = float(prefix.values[-1])
-    h = default_bump(x0) if bump is None else float(bump)
-    h_t = float(fine.nodes[i_t + 1] - fine.nodes[i_t])
+    h = default_bump(x0) if bump is None else bump
     b0 = float(model.b(x0))
     s0 = float(model.sigma(x0))
     ws = _Workspace(fine, n_inner)
@@ -556,13 +563,9 @@ def kolmogorov_residual(
 
     def _batch(bi: int) -> tuple[float, float, float, float]:
         dw = ws.draw(seed.rng(_TAG_INNER, bi), i_t)
-        f_up, f_mid, f_down = _stencil(model, f, spec, fine, ws, x0, (h, 0.0, -h), dw)
-        ws.scan[i_t] = x0  # the flat extension by one step
-        (f_ext,) = _stencil(model, f, spec, fine, ws, x0, (0.0,), dw[:, 1:])
-
-        dt_term = _mean_se((f_ext - f_mid) / h_t)[0]
-        grad = _mean_se((f_up - f_down) / (2 * h))[0]
-        second = _mean_se((f_up - 2 * f_mid + f_down) / h**2)[0]
+        first, second, mid = _bump_differences(model, f, spec, fine, ws, x0, h, dw, second=True)
+        dt = _flat_extension(model, f, spec, fine, ws, x0, mid, dw, i_t, i_t + 1)
+        dt_term, grad, second = (_mean_se(d)[0] for d in (dt, first, second))
         resid = dt_term + b0 * grad + 0.5 * s0**2 * second
         return resid, dt_term, grad, second
 
@@ -722,8 +725,9 @@ def error_representation_sides(
 
     ``freeze=False`` is the degenerate control: the tilde coefficients are
     the instantaneous ones, so the scheme path coincides with the reference
-    and both sides vanish identically.
+    and both sides vanish identically.  A ``bump`` must be finite and > 0.
     """
+    bump = _checked_bump(bump)
     T = coarse.horizon
     n_coarse = coarse.n_intervals
     if T > 0.5 or n_coarse > 4:
@@ -780,7 +784,7 @@ def error_representation_sides(
                     continue
                 prefix = x_tilde[0, : k + 2].copy()
                 prefix[-1] = end
-                h = default_bump(end) if bump is None else float(bump)
+                h = default_bump(end) if bump is None else bump
                 grad, second = _grad_pair_at(
                     model, f, spec, fine, ws, prefix,
                     seed.rng(_TAG_INNER, oi, n, j), h, need_second=delta_s2 != 0.0,
@@ -792,10 +796,9 @@ def error_representation_sides(
     lhs_mean, lhs_se = _mean_se(lhs_samples)
     rhs_mean, rhs_se = _mean_se(rhs_samples)
     diff_mean, diff_se = _mean_se(lhs_samples - rhs_samples)
-    cfg = _config(spec, fine, seed, n_outer=int(n_outer), quad_per_interval=quad_per_interval)
     return ErrorRepresentationReport(
-        lhs=NestedEstimate(lhs_mean, lhs_se, int(n_inner), cfg),
-        rhs=NestedEstimate(rhs_mean, rhs_se, int(n_inner), cfg),
+        lhs=NestedEstimate(lhs_mean, lhs_se, int(n_inner)),
+        rhs=NestedEstimate(rhs_mean, rhs_se, int(n_inner)),
         diff=diff_mean,
         diff_std_error=diff_se,
         rounding_floor=4 * np.finfo(np.float64).eps * float(np.mean(lhs_scale)),
@@ -822,22 +825,16 @@ def _one_step(model: SdeModel, x_tilde: np.ndarray, k: int, b_frozen, s2_frozen,
 
 
 def _grad_pair_at(
-    model: SdeModel,
-    f: PathFunctional,
-    spec: MollifierSpec | None,
-    fine: TimeGrid,
-    ws: _Workspace,
-    prefix_values: np.ndarray,
-    rng: np.random.Generator,
-    bump: float,
+    model: SdeModel, f: PathFunctional, spec: MollifierSpec | None, fine: TimeGrid,
+    ws: _Workspace, prefix_values: np.ndarray, rng: np.random.Generator, bump: float,
     need_second: bool,
 ) -> tuple[float, float]:
-    """Central-difference (grad F, grad^2 F) at a prefix given by raw values,
-    over ``ws.m`` inner paths."""
+    """(grad F, grad^2 F) at a prefix given by raw values, over ``ws.m``
+    inner paths: the means of the bump differences of the public
+    estimators; grad^2 F is 0 unless ``need_second``."""
     dw = ws.draw(rng, prefix_values.size - 1)
     ws.hold(prefix_values)
-    offsets = (bump, -bump, 0.0) if need_second else (bump, -bump)
-    f_up, f_down, *f_mid = _stencil(model, f, spec, fine, ws, prefix_values[-1], offsets, dw)
-    grad = _mean_se(f_up - f_down)[0] / (2 * bump)
-    second = _mean_se(f_up - 2 * f_mid[0] + f_down)[0] / bump**2 if need_second else 0.0
-    return grad, second
+    first, second, _ = _bump_differences(
+        model, f, spec, fine, ws, prefix_values[-1], bump, dw, need_second
+    )
+    return _mean_se(first)[0], _mean_se(second)[0] if need_second else 0.0

@@ -54,6 +54,7 @@ __all__ = [
     "interpolation_gap_stats",
     "closed_form_expectation",
     "ladder_steps",
+    "ladder_samples",
 ]
 
 _TAG_RATE = 11
@@ -98,15 +99,16 @@ def ladder_steps(horizon: float, deltas) -> list[int]:
     return [int(n) for n in steps]
 
 
+def ladder_samples(n_base: int, deltas) -> list[int]:
+    """Samples per rung: ``n_base`` at delta_0, scaled by (delta_0 / delta)^2
+    below it, so the relative noise is rung-uniform when the bias is O(delta)."""
+    return [int(math.ceil(n_base * (deltas[0] / d) ** 2)) for d in deltas]
+
+
 @dataclass(frozen=True)
 class RateExperiment:
     """A bias-versus-mesh study over a delta ladder of at least three rungs
-    (see :func:`ladder_steps`).
-
-    ``n_base`` samples are used at the coarsest rung and scaled by
-    (delta_0 / delta)^2 below it, keeping the relative noise level
-    rung-uniform when the bias is O(delta).
-    """
+    (see :func:`ladder_steps` and :func:`ladder_samples`)."""
 
     model: SdeModel
     functional: PathFunctional
@@ -131,11 +133,10 @@ class RateExperiment:
             )
 
     def grid(self, rung: int) -> TimeGrid:
-        return make_uniform_grid(self.horizon, round(self.horizon / self.deltas[rung]))
+        return make_uniform_grid(self.horizon, ladder_steps(self.horizon, self.deltas)[rung])
 
     def n_samples(self, rung: int) -> int:
-        scale = (self.deltas[0] / self.deltas[rung]) ** 2
-        return int(math.ceil(self.n_base * scale))
+        return ladder_samples(self.n_base, self.deltas)[rung]
 
 
 @dataclass(frozen=True)

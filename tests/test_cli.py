@@ -416,6 +416,48 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == status and summary["detail"]
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("kolmogorov-check", "check: {bump: 0.0}"),
+            ("kolmogorov-check", "check: {bump: .nan}"),
+            ("kolmogorov-check", "check: {bump: -0.01}"),
+            ("kolmogorov-check", "check: {bump: .inf}"),
+            ("kolmogorov-check", "check: {allowance_rel: .nan}"),
+            ("kolmogorov-check", "check: {allowance_rel: -1.0}"),
+            ("kolmogorov-check", "check: {allowance_rel: .inf}"),
+            ("error-representation", "check: {bump: 0.0}"),
+            ("error-representation", "check: {bump: .nan}"),
+            ("error-representation", "check: {bump: -0.01}"),
+        ],
+        ids=["kolmogorov-bump-0", "kolmogorov-bump-nan", "kolmogorov-bump-negative",
+             "kolmogorov-bump-inf", "kolmogorov-allowance-nan", "kolmogorov-allowance-negative",
+             "kolmogorov-allowance-inf", "error-representation-bump-0",
+             "error-representation-bump-nan", "error-representation-bump-negative"],
+    )
+    def test_bump_and_allowance_rules_exit_2(self, tmp_path, command, text):
+        # a bump must be finite and > 0 and allowance_rel finite and >= 0;
+        # bump 0 or nan once exited 4, bump -0.01 or allowance_rel -1 passed,
+        # and allowance_rel nan failed with tolerance nan
+        cfg = write_config(tmp_path, f"command: {command}\nseed: 1\n"
+                           f"{_MATRIX_BASE[command]}{text}\n")
+        out = tmp_path / "run"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "invalid-experiment" and summary["detail"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_scheme_path_exits_4(self, tmp_path):
+        # X~ overflows, so a quadrature point's default bump is inf: only a
+        # caller's bump is checked, and the overflow stays a numeric failure
+        cfg = write_config(tmp_path, "command: error-representation\nseed: 1\n"
+                           "model: {name: ou, theta: 1.0e+25}\n"
+                           f"{_MATRIX_BASE['error-representation']}")
+        out = tmp_path / "run"
+        assert main(["error-representation", "--config", cfg, "--out", str(out)]) == 4
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "numeric-failure"
+
     def test_invalid_experiment_writes_summary(self, tmp_path):
         # t1 = 1 lies beyond the default T = 0.25
         cfg = write_config(tmp_path,

@@ -529,6 +529,46 @@ class TestWorkspaceOwnership:
         assert kolmogorov_residual(OU, *args, n_outer=2) == fresh
 
 
+class OneStream(SeedSpec):
+    """A seed whose every ``rng`` call draws the same stream: the subkeys
+    are ignored, so differently keyed draws of two calls coincide."""
+
+    def rng(self, *subkeys: int) -> np.random.Generator:
+        return SeedSpec.rng(self)
+
+
+class TestChecksAreTheEstimators:
+    """The consistency checks take their derivative samples from the
+    difference rules of the public estimators: on one shared stream their
+    numbers are the estimators' bit for bit."""
+
+    SEED = OneStream(61)
+    PREFIX = constant_prefix(0.5, 0.5)
+    N_INNER = 500
+    BUMP = fc.default_bump(0.5)
+
+    def estimator(self, fn, step):
+        return fn(SINE, self.PREFIX, SQUARE_INTEGRAL, EPS, self.N_INNER, step, self.SEED, FINE)
+
+    def test_error_representation_factors(self):
+        ws = fc._Workspace(FINE, self.N_INNER)
+        grad, second = fc._grad_pair_at(
+            SINE, SQUARE_INTEGRAL, fc._spec(EPS), FINE, ws, self.PREFIX.values, self.SEED.rng(),
+            self.BUMP, need_second=True,
+        )
+        assert grad == self.estimator(vertical_derivative, self.BUMP).central.value
+        assert second == self.estimator(second_vertical_derivative, self.BUMP).value
+
+    def test_kolmogorov_terms(self):
+        rep = kolmogorov_residual(
+            SINE, self.PREFIX, SQUARE_INTEGRAL, EPS, self.N_INNER, self.SEED, FINE, n_outer=1
+        )
+        terms = rep.components
+        assert terms["grad_F"] == self.estimator(vertical_derivative, self.BUMP).central.value
+        assert terms["second_grad_F"] == self.estimator(second_vertical_derivative, self.BUMP).value
+        assert terms["horizontal_term"] == self.estimator(horizontal_derivative, None).value
+
+
 class TestKolmogorovResidual:
     def test_ou_point_passes(self):
         prefix = constant_prefix(0.5, 1.0)
@@ -743,7 +783,7 @@ class TestErrorRepresentation:
         assert rep.passed
 
     def test_rounding_floor_excuses_only_rounding(self):
-        est = NestedEstimate(0.0, 0.0, 0, {})
+        est = NestedEstimate(0.0, 0.0, 0)
         assert ErrorRepresentationReport(est, est, 1e-16, 0.0, rounding_floor=4e-16).passed
         assert not ErrorRepresentationReport(est, est, 1e-9, 0.0, rounding_floor=4e-16).passed
 
@@ -763,11 +803,28 @@ class TestErrorRepresentation:
             )
 
 
+@pytest.mark.parametrize("bump", [0.0, -1e-2, np.nan, np.inf])
+def test_every_nested_entry_point_checks_a_callers_bump(bump):
+    prefix, f = constant_prefix(0.5, 1.0), point_functional(1.0)
+    calls = [
+        lambda: vertical_derivative(OU, prefix, f, EPS, 16, bump, SeedSpec(11), FINE),
+        lambda: second_vertical_derivative(OU, prefix, f, EPS, 16, bump, SeedSpec(11), FINE),
+        lambda: kolmogorov_residual(OU, prefix, f, EPS, 16, SeedSpec(11), FINE, n_outer=2, bump=bump),
+        lambda: error_representation_sides(
+            OU, point_functional(0.25), EPS, make_uniform_grid(0.25, 2), 2, 2, SeedSpec(11),
+            fine_factor=8, quad_per_interval=2, bump=bump,
+        ),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgumentError, match="bump"):
+            call()
+
+
 def test_non_finite_value_or_tolerance_fails():
     assert ResidualReport.make(0.5, 1.0, {}).passed
     for value, tol in ((1.0, np.inf), (np.nan, 1.0), (np.inf, np.inf)):
         assert not ResidualReport.make(value, tol, {}).passed
-    est = NestedEstimate(0.0, 0.0, 0, {})
+    est = NestedEstimate(0.0, 0.0, 0)
     assert ErrorRepresentationReport(est, est, 1.0, 1.0).passed
     assert not ErrorRepresentationReport(est, est, 1.0, np.inf).passed
 
