@@ -191,7 +191,8 @@ def _feps_batch(
         return f.batch_eval(values, grid)
     # near-equal row blocks of at most _BLOCK_BYTES, one at a time (the hook
     # is row-wise); neither a block's raw rows nor, once the hook returns, its
-    # mollified rows are held here (held to the append, they cost 0.9 MiB RSS)
+    # mollified rows are held here: held past the append, they raised the
+    # fine-grid peak RSS by 0.9 MiB (numpy's traced peak did not move)
     mollified = _mollifier(spec, grid)
     rows = max(1, _BLOCK_BYTES // (values.itemsize * values.shape[-1]))
     blocks = np.array_split(values, -(-len(values) // rows))
