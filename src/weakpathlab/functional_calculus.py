@@ -496,9 +496,10 @@ def horizontal_derivative(
 
     The extension freezes the path at x(t) on (t, t+h]; both estimates share
     per-interval Brownian increments so most of the variance cancels.  ``h``
-    must land on a fine node; None selects one fine interval.
+    must land on a fine node; None selects one fine interval.  Every check
+    runs before the continuation is drawn.
     """
-    spec, i_t, ws, dw = _inner(prefix, fine, eps, n_inner, seed)
+    i_t = _prefix_index(prefix, fine)
     if i_t >= fine.n_intervals:
         raise OutOfRangeError("t + h exceeds the horizon")
     if h_step is None:
@@ -512,6 +513,7 @@ def horizontal_derivative(
         i_ext = fine.index_near(target)
         if i_ext <= i_t:
             raise InvalidArgumentError(f"t + h = {target} is not a fine node after t")
+    spec, _, ws, dw = _inner(prefix, fine, eps, n_inner, seed)
     x0 = prefix.values[-1]
     (base,) = _stencil(model, f, spec, fine, ws, x0, (0.0,), dw)
     return _estimate(_flat_extension(model, f, spec, fine, ws, x0, base, dw, i_t, i_ext), dw)

@@ -61,6 +61,11 @@ _TAG_RATE = 11
 _TAG_COV = 12
 _TAG_GAP = 13
 
+# fine path values per fine-grid coupling batch: about 32 MiB of fine path,
+# the largest array a coupling holds, per batch and so per worker; it fixes
+# the batch layout, and so the streams drawn
+_FINE_BATCH_VALUES = 1 << 22
+
 # samples per interpolation_gap_stats batch; it fixes the batch layout, and
 # so the streams drawn
 _GAP_BATCH = 4096
@@ -244,7 +249,7 @@ def coupled_bias(exp: RateExperiment, rung: int) -> BiasPoint:
     if fine_ref:
         factor = exp.reference.factor
         fine = refine_grid(grid, factor)
-        batch = max(1, min(exp.batch_size, (1 << 23) // max(1, fine.n_intervals)))
+        batch = max(1, min(exp.batch_size, _FINE_BATCH_VALUES // max(1, fine.n_intervals)))
     else:
         ref_value = closed_form_expectation(exp.model, f)
         batch = max(1, min(exp.batch_size, n))

@@ -367,6 +367,17 @@ class TestSecondVerticalDerivative:
             second_vertical_derivative(OU, prefix, point_functional(1.0), EPS, 16, -1e-2, SeedSpec(14), FINE)
 
 
+@dataclasses.dataclass(frozen=True)
+class CountingSeed(SeedSpec):
+    """A SeedSpec that records every generator it hands out."""
+
+    calls: list = dataclasses.field(default_factory=list)
+
+    def rng(self, *subkeys: int) -> np.random.Generator:
+        self.calls.append(subkeys)
+        return super().rng(*subkeys)
+
+
 class TestHorizontalDerivative:
     def test_frozen_dynamics_zero_exactly(self):
         model = frozen_model(0.9)
@@ -387,6 +398,24 @@ class TestHorizontalDerivative:
         prefix = constant_prefix(0.5, 1.0)
         with pytest.raises(InvalidArgumentError):
             horizontal_derivative(OU, prefix, point_functional(1.0), EPS, 16, 0.3 / 128, SeedSpec(19), FINE)
+
+    @pytest.mark.parametrize(
+        "t, h_step, error",
+        [
+            (1.0, None, OutOfRangeError),  # t = T
+            (0.5, 0.75, OutOfRangeError),  # t + h past the horizon
+            (0.5, 0.3 / 128, InvalidArgumentError),  # t + h off the fine nodes
+            (0.5, -1 / 128, InvalidArgumentError),
+            (0.5, 0.0, InvalidArgumentError),
+        ],
+    )
+    def test_rejected_call_draws_nothing(self, t, h_step, error):
+        seed = CountingSeed(20)
+        with pytest.raises(error):
+            horizontal_derivative(OU, constant_prefix(t, 1.0), point_functional(1.0), EPS, 16, h_step, seed, FINE)
+        assert seed.calls == []
+        horizontal_derivative(OU, constant_prefix(0.5, 1.0), point_functional(1.0), EPS, 16, None, seed, FINE)
+        assert len(seed.calls) == 1
 
     def test_boundary_step_to_horizon_accepted(self):
         # t + h = T is allowed: the extension reaches the horizon exactly

@@ -22,6 +22,7 @@ from weakpathlab.randomness import SeedSpec
 from weakpathlab.schemes import euler_scan, euler_values_batch
 from weakpathlab.weak_error import (
     ClosedFormReference,
+    _FINE_BATCH_VALUES,
     _TAG_RATE,
     _at_times,
     FineGridReference,
@@ -288,7 +289,7 @@ def materialised_bias(exp, rung, mollified=band_tiled):
             return f.probe_eval(interpolate_values(g.nodes, values, f.probe_times))
         return f.batch_eval(values, g)
 
-    batch = max(1, min(exp.batch_size, (1 << 23) // fine.n_intervals))
+    batch = max(1, min(exp.batch_size, _FINE_BATCH_VALUES // fine.n_intervals))
     parts = []
     for bi, (_, m) in enumerate(batch_layout(exp.n_samples(rung), batch)):
         dw_fine = exp.seed.rng(_TAG_RATE, rung, bi).standard_normal((fine.n_intervals, m))
@@ -372,8 +373,10 @@ class TestStreamedCoupling:
         assert 0 < point.excluded < 700
 
     def test_peak_memory_below_twice_the_fine_path(self):
-        # one rung of one 8192 x 1025 batch: the fine path is the only
-        # full-size array; mollification runs in row blocks
+        # one rung of 8192 samples on 1025 fine nodes runs as two 4096-row
+        # batches set by the path budget; a batch's fine path is the only
+        # full-size array, mollification runs in row blocks, and no batch
+        # outlives its moments
         exp = RateExperiment(
             model=sine_model(0.5, 1.0, 0.5), functional=integral_square(), horizon=1.0,
             deltas=(1 / 16, 1 / 32, 1 / 64), n_base=8192, reference=FineGridReference(64),
@@ -381,9 +384,11 @@ class TestStreamedCoupling:
         )
         grid = exp.grid(0)
         fine = refine_grid(grid, 64)
+        batch = _FINE_BATCH_VALUES // fine.n_intervals
+        assert batch_layout(8192, batch) == [(0, 4096), (4096, 4096)]
         for g in (grid, fine):  # warm the operator cache
             mollify_operator(MollifierSpec(0.25), g, PathMode.LINEAR)
-        path_bytes = 8192 * fine.nodes.size * 8
+        path_bytes = batch * fine.nodes.size * 8
         tracemalloc.start()
         try:
             point = coupled_bias(exp, 0)
@@ -391,7 +396,23 @@ class TestStreamedCoupling:
         finally:
             tracemalloc.stop()
         assert point.n_samples == 8192
-        assert peak < 2 * path_bytes, f"peak {peak / path_bytes:.2f}x the fine path"
+        assert peak < 2 * path_bytes, f"peak {peak / path_bytes:.2f}x the batch's fine path"
+
+    def test_budget_set_batches_are_thread_invariant(self):
+        # 2560 samples on 2049 fine nodes: the path budget, not batch_size,
+        # splits the rung into a 2048-row and a 512-row batch
+        exps = [
+            RateExperiment(
+                model=sine_model(0.5, 1.0, 0.5), functional=integral_square(), horizon=1.0,
+                deltas=(1 / 8, 1 / 16, 1 / 32), n_base=160, reference=FineGridReference(64),
+                seed=SeedSpec(44), eps=0.25, threads=threads,
+            )
+            for threads in (1, 2)
+        ]
+        assert exps[0].n_samples(2) == 2560 and _FINE_BATCH_VALUES // 2048 == 2048
+        one, two = (coupled_bias(exp, 2) for exp in exps)
+        assert one.n_samples == 2560
+        assert one == two
 
 
 class TestCovarianceBias:
