@@ -386,36 +386,33 @@ class TestHorizontalDerivative:
         est = horizontal_derivative(model, prefix, point_functional(1.0), EPS, 64, None, SeedSpec(16), FINE)
         assert est.value == 0.0
 
+    # a rejected call raises before it draws the continuation
     def test_domain_guards(self):
+        seed = CountingSeed(17)
         prefix = constant_prefix(1.0, 1.0)  # t = T
         with pytest.raises(OutOfRangeError):
-            horizontal_derivative(OU, prefix, point_functional(1.0), EPS, 16, None, SeedSpec(17), FINE)
+            horizontal_derivative(OU, prefix, point_functional(1.0), EPS, 16, None, seed, FINE)
         prefix = constant_prefix(0.5, 1.0)
         with pytest.raises(OutOfRangeError):
-            horizontal_derivative(OU, prefix, point_functional(1.0), EPS, 16, 0.75, SeedSpec(18), FINE)
+            horizontal_derivative(OU, prefix, point_functional(1.0), EPS, 16, 0.75, seed, FINE)
+        assert seed.calls == []
 
     def test_off_node_step_rejected(self):
+        seed = CountingSeed(19)
         prefix = constant_prefix(0.5, 1.0)
         with pytest.raises(InvalidArgumentError):
-            horizontal_derivative(OU, prefix, point_functional(1.0), EPS, 16, 0.3 / 128, SeedSpec(19), FINE)
-
-    @pytest.mark.parametrize(
-        "t, h_step, error",
-        [
-            (1.0, None, OutOfRangeError),  # t = T
-            (0.5, 0.75, OutOfRangeError),  # t + h past the horizon
-            (0.5, 0.3 / 128, InvalidArgumentError),  # t + h off the fine nodes
-            (0.5, -1 / 128, InvalidArgumentError),
-            (0.5, 0.0, InvalidArgumentError),
-        ],
-    )
-    def test_rejected_call_draws_nothing(self, t, h_step, error):
-        seed = CountingSeed(20)
-        with pytest.raises(error):
-            horizontal_derivative(OU, constant_prefix(t, 1.0), point_functional(1.0), EPS, 16, h_step, seed, FINE)
+            horizontal_derivative(OU, prefix, point_functional(1.0), EPS, 16, 0.3 / 128, seed, FINE)
         assert seed.calls == []
-        horizontal_derivative(OU, constant_prefix(0.5, 1.0), point_functional(1.0), EPS, 16, None, seed, FINE)
-        assert len(seed.calls) == 1
+
+    def test_non_positive_step_rejected(self):
+        seed = CountingSeed(20)
+        prefix = constant_prefix(0.5, 1.0)
+        for h_step in (0.0, -1 / 128):
+            with pytest.raises(InvalidArgumentError):
+                horizontal_derivative(OU, prefix, point_functional(1.0), EPS, 16, h_step, seed, FINE)
+        assert seed.calls == []
+        horizontal_derivative(OU, prefix, point_functional(1.0), EPS, 16, 1 / 128, seed, FINE)
+        assert seed.calls == [(fc._TAG_CONTINUATION,)]
 
     def test_boundary_step_to_horizon_accepted(self):
         # t + h = T is allowed: the extension reaches the horizon exactly
