@@ -6,21 +6,22 @@ where X^{t,x} keeps the frozen prefix x on [0, t) and continues from x(t) as
 a fresh solution path (realized by Euler on the experiment's fine grid), and
 f_eps = f o M_eps is the mollified functional.
 
-Every estimator draws its inner samples through one stencil,
-:func:`_stencil`: Euler from the prefix's endpoint moved by each of a few
-offsets, over one shared set of increments, glued onto the prefix and
-evaluated by the one batch evaluator of f o M_eps.  ``estimate_F`` takes the
-offsets (0,), the first vertical derivative (+h, -h) and the second
-(+h, 0, -h); the horizontal derivative and the consistency checks build on
-the same stencil.  The checks take their derivative samples from the same two
-difference rules as the public estimators: :func:`_bump_differences` and
-:func:`_flat_extension`.  At t = T the continuation has zero steps: one row
-of increments with no columns, so each sample is f_eps of the prefix with
-its endpoint moved, and the estimate is that number with no inner samples.
-Each estimator call holds one :class:`_Workspace` for all its offsets and
-outer batches: the increments are drawn into it, and its step-major paths
-hold the prefix rows, written once, and each continuation, scanned in
-after them, so a batch allocates no path-sized array.
+Every estimator and check builds each nested call as one :class:`_Nest`:
+the call's model, f, mollifier spec and fine grid, with the buffers of its
+inner paths, which serve all its offsets and outer batches.  Every inner
+sample comes from its stencil, :meth:`_Nest.stencil`: Euler from the
+prefix's endpoint moved by each of a few offsets, over one shared set of
+increments drawn into the ``_Nest``, scanned into its step-major paths after
+the prefix rows (written once) and evaluated by the one batch evaluator of
+f o M_eps, so a batch allocates no path-sized array.  ``estimate_F`` takes
+the offsets (0,), the first vertical derivative (+h, -h) and the second
+(+h, 0, -h); the horizontal derivative and the consistency checks take
+theirs from the same two difference rules, :meth:`_Nest.bump_differences`
+and :meth:`_Nest.flat_extension`.  At t = T the continuation has zero
+steps: one row of increments with no columns, so each sample is f_eps of
+the prefix with its endpoint moved, and the estimate is that number with no
+inner samples.  A ``_Nest`` rejects ``n_inner`` < 1 before any draw, and a
+check with fewer than two outer samples raises ``InsufficientSignalError``.
 Vertical derivatives are common-random-number central differences over
 endpoint bumps, cross-checked by pairing f's directional derivative with a
 simulated first-variation path (at t = T, the endpoint indicator).  The
@@ -252,24 +253,29 @@ def _prefix_index(prefix: DiscretePath, fine: TimeGrid) -> int:
     return k
 
 
-class _Workspace:
-    """The buffers of one estimator call on the fine grid, for m paths,
-    reused by all its offsets and outer batches:
+class _Nest:
+    """One nested call on the fine grid: its model, f and mollifier spec,
+    and the buffers of its m inner paths, reused by all its offsets and
+    outer batches:
     - ``draw`` fills a held (m, n_steps) array with scaled increments;
     - ``scan`` holds the m paths step-major, one (m,) row per node:
-      ``hold`` writes the prefix rows once, and ``_continue`` scans each
+      ``hold`` writes the prefix rows once, and ``paths`` scans each
       continuation into the rows after them;
     - ``out`` is a flat buffer of m (N+1) values for the mollified rows.
-    Every call builds its own, so calls in other threads share none.
+    m is ``n_inner`` unless given; ``n_inner`` must be >= 1.  Every call
+    builds its own, so calls in other threads share none.
     """
 
-    def __init__(self, fine: TimeGrid, m: int):
+    def __init__(self, model: SdeModel, f: PathFunctional, eps, fine: TimeGrid, n_inner: int,
+                 m: int | None = None):
+        if not n_inner >= 1:
+            raise InvalidArgumentError(f"n_inner must be >= 1, got {n_inner!r}")
+        self.model, self.f, self.spec, self.fine = model, f, _spec(eps), fine
+        self.m = n_inner if m is None else m
         n = fine.nodes.size
-        self.fine = fine
-        self.m = m
-        self._dw = np.empty(m * (n - 1))
-        self.scan = np.empty((n, m))
-        self.out = np.empty(n * m)
+        self._dw = np.empty(self.m * (n - 1))
+        self.scan = np.empty((n, self.m))
+        self.out = np.empty(n * self.m)
 
     def draw(self, rng: np.random.Generator, i_t: int) -> np.ndarray:
         """``_draw_dw`` of the m paths from node i_t, into the held buffer."""
@@ -282,70 +288,61 @@ class _Workspace:
         rows = np.reshape(prefix_values, (-1, prefix_values.shape[-1]))[:, :-1].T  # (i, k)
         self.scan[: len(rows)].reshape(*rows.shape, self.m // rows.shape[1])[...] = rows[:, :, None]
 
+    def paths(self, x0, dw: np.ndarray) -> np.ndarray:
+        """The m paths continued from node i = N - (columns of ``dw``) by
+        Euler from ``x0`` (shared, or one value per path) over the
+        increments ``dw`` of steps i..N-1: the (m, N+1) view ``scan.T``,
+        whose rows before i keep what the caller wrote there."""
+        start = self.fine.n_intervals - dw.shape[1]
+        euler_scan(self.model, self.fine, x0, dw, start=start, out=self.scan[start:])
+        return self.scan.T
 
-def _continue(model: SdeModel, fine: TimeGrid, ws: _Workspace, x0, dw: np.ndarray) -> np.ndarray:
-    """The paths of ``ws`` continued from node i = N - (columns of ``dw``)
-    by Euler from ``x0`` (shared, or one value per path) over the
-    increments ``dw`` of steps i..N-1: the (m, N+1) view ``ws.scan.T``,
-    whose rows before i keep what the caller wrote there."""
-    start = fine.n_intervals - dw.shape[1]
-    euler_scan(model, fine, x0, dw, start=start, out=ws.scan[start:])
-    return ws.scan.T
+    def stencil(self, x0, offsets, dw: np.ndarray) -> list[np.ndarray]:
+        """f_eps of the paths continued from ``x0`` moved by each of
+        ``offsets``: one array per offset, one sample per row of ``dw``.
 
+        Every f_eps sample of a continued path in this module comes from here.
+        The offsets share ``dw``, so differences of the arrays are the
+        common-random-number bump differences of the estimators.  The
+        continuation starts at node i = N - (columns of ``dw``), and rows
+        [:i] of ``scan`` must hold the prefix; with no columns in ``dw``
+        (t = T) each path is the prefix with its endpoint moved.
+        """
+        return [_feps_batch(self.f, self.spec, self.fine, self.paths(x0 + o, dw), self.out)
+                for o in offsets]
 
-def _stencil(
-    model: SdeModel,
-    f: PathFunctional,
-    spec: MollifierSpec | None,
-    fine: TimeGrid,
-    ws: _Workspace,
-    x0,
-    offsets,
-    dw: np.ndarray,
-) -> list[np.ndarray]:
-    """f_eps of the paths of ``ws`` continued from ``x0`` moved by each of
-    ``offsets``: one array per offset, one sample per row of ``dw``.
+    def bump_differences(
+        self, x0, h: float, dw: np.ndarray, second: bool
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """Per-sample central differences of f_eps over endpoint bumps, from
+        one ``stencil`` call over (h, -h), or (h, 0, -h) with ``second``: the
+        first (up - down) / 2h, then (up - 2 mid + down) / h^2 and the
+        unbumped samples mid with ``second``, else None and None."""
+        up, *mid, down = self.stencil(x0, (h, 0.0, -h) if second else (h, -h), dw)
+        first = (up - down) / (2 * h)
+        if not second:
+            return first, None, None
+        return first, (up - 2 * mid[0] + down) / h**2, mid[0]
 
-    Every f_eps sample of a continued path in this module comes from here.
-    The offsets share ``dw``, so differences of the arrays are the
-    common-random-number bump differences of the estimators.  The
-    continuation starts at node i = N - (columns of ``dw``), and rows
-    [:i] of ``ws.scan`` must hold the prefix; with no columns in ``dw``
-    (t = T) each path is the prefix with its endpoint moved.
-    """
-    return [
-        _feps_batch(f, spec, fine, _continue(model, fine, ws, x0 + o, dw), ws.out)
-        for o in offsets
-    ]
+    def flat_extension(self, x0, base: np.ndarray, dw: np.ndarray, i_t: int, i_ext: int) -> np.ndarray:
+        """Per-sample forward time differences (f_ext - base) / (t_ext - t):
+        the paths stay at ``x0`` on nodes i_t..i_ext (written into ``scan``)
+        and continue after t_ext over the increments of ``dw`` that follow,
+        so f_ext shares the noise of ``base``, drawn from t."""
+        self.scan[i_t:i_ext] = x0
+        (ext,) = self.stencil(x0, (0.0,), dw[:, i_ext - i_t :])
+        return (ext - base) / (self.fine.nodes[i_ext] - self.fine.nodes[i_t])
 
-
-def _bump_differences(
-    model: SdeModel, f: PathFunctional, spec: MollifierSpec | None, fine: TimeGrid,
-    ws: _Workspace, x0, h: float, dw: np.ndarray, second: bool,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Per-sample central differences of f_eps over endpoint bumps, from
-    one ``_stencil`` call over (h, -h), or (h, 0, -h) with ``second``: the
-    first (up - down) / 2h, then (up - 2 mid + down) / h^2 and the unbumped
-    samples mid with ``second``, else None and None."""
-    offsets = (h, 0.0, -h) if second else (h, -h)
-    up, *mid, down = _stencil(model, f, spec, fine, ws, x0, offsets, dw)
-    first = (up - down) / (2 * h)
-    if not second:
-        return first, None, None
-    return first, (up - 2 * mid[0] + down) / h**2, mid[0]
-
-
-def _flat_extension(
-    model: SdeModel, f: PathFunctional, spec: MollifierSpec | None, fine: TimeGrid,
-    ws: _Workspace, x0, base: np.ndarray, dw: np.ndarray, i_t: int, i_ext: int,
-) -> np.ndarray:
-    """Per-sample forward time differences (f_ext - base) / (t_ext - t):
-    the paths of ``ws`` stay at ``x0`` on nodes i_t..i_ext (written into
-    ``ws.scan``) and continue after t_ext over the increments of ``dw``
-    that follow, so f_ext shares the noise of ``base``, drawn from t."""
-    ws.scan[i_t:i_ext] = x0
-    (ext,) = _stencil(model, f, spec, fine, ws, x0, (0.0,), dw[:, i_ext - i_t :])
-    return (ext - base) / (fine.nodes[i_ext] - fine.nodes[i_t])
+    def grad_pair(
+        self, prefix_values: np.ndarray, rng: np.random.Generator, bump: float, need_second: bool
+    ) -> tuple[float, float]:
+        """(grad F, grad^2 F) at a prefix given by raw values, over the m
+        inner paths: the means of the bump differences of the public
+        estimators; grad^2 F is 0 unless ``need_second``."""
+        dw = self.draw(rng, prefix_values.size - 1)
+        self.hold(prefix_values)
+        first, second, _ = self.bump_differences(prefix_values[-1], bump, dw, need_second)
+        return _mean_se(first)[0], _mean_se(second)[0] if need_second else 0.0
 
 
 def _draw_dw(
@@ -363,17 +360,18 @@ def _draw_dw(
 
 
 def _inner(
-    prefix: DiscretePath, fine: TimeGrid, eps, n_inner: int, seed: SeedSpec
-) -> tuple[MollifierSpec | None, int, _Workspace, np.ndarray]:
-    """The set-up of a public estimator: the mollifier spec, the prefix's
-    last node i_t on ``fine``, the workspace holding the prefix, and the
-    continuation increments: ``n_inner`` rows, or at t = T one row with no
-    columns, whose continuation is the prefix itself."""
-    spec = _spec(eps)
+    model: SdeModel, prefix: DiscretePath, f: PathFunctional, eps, n_inner: int, seed: SeedSpec,
+    fine: TimeGrid,
+) -> tuple[_Nest, int, np.ndarray]:
+    """The set-up of a public estimator: the nested call holding the prefix,
+    the prefix's last node i_t on ``fine``, and the continuation increments
+    of the ``_TAG_CONTINUATION`` stream, drawn once the call is built:
+    ``n_inner`` rows, or at t = T one row with no columns, whose
+    continuation is the prefix itself."""
     i_t = _prefix_index(prefix, fine)
-    ws = _Workspace(fine, n_inner if i_t < fine.n_intervals else 1)
-    ws.hold(prefix.values)
-    return spec, i_t, ws, ws.draw(seed.rng(_TAG_CONTINUATION), i_t)
+    nest = _Nest(model, f, eps, fine, n_inner, None if i_t < fine.n_intervals else 1)
+    nest.hold(prefix.values)
+    return nest, i_t, nest.draw(seed.rng(_TAG_CONTINUATION), i_t)
 
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:
@@ -396,6 +394,13 @@ def _checked_bump(bump) -> float | None:
     if bump is not None and not (np.isfinite(bump) and bump > 0):
         raise InvalidArgumentError(f"bump must be finite and positive, got {bump!r}")
     return None if bump is None else float(bump)
+
+
+def _check_outer(n: int, name: str) -> None:
+    """A check's outer sample count: one sample gives no SE, and a check
+    whose tolerance is then its allowance alone tests nothing."""
+    if n < 2:
+        raise InsufficientSignalError(f"{name} = {n}: a check needs at least 2 outer samples")
 
 
 def _spec(eps) -> MollifierSpec | None:
@@ -426,8 +431,8 @@ def estimate_F(
     continuation is Euler on the remaining fine nodes started from x(t).
     At t = T it has no steps, so the value is f_eps(x) with SE 0.
     """
-    spec, _, ws, dw = _inner(prefix, fine, eps, n_inner, seed)
-    (vals,) = _stencil(model, f, spec, fine, ws, prefix.values[-1], (0.0,), dw)
+    nest, _, dw = _inner(model, prefix, f, eps, n_inner, seed, fine)
+    (vals,) = nest.stencil(prefix.values[-1], (0.0,), dw)
     return _estimate(vals, dw)
 
 
@@ -450,15 +455,15 @@ def vertical_derivative(
     Monte-Carlo noise and an O(bump^2) difference bias.
     """
     bump = _checked_bump(bump)
-    spec, i_t, ws, dw = _inner(prefix, fine, eps, n_inner, seed)
+    nest, i_t, dw = _inner(model, prefix, f, eps, n_inner, seed, fine)
     x0 = prefix.values[-1]
-    first, _, _ = _bump_differences(model, f, spec, fine, ws, x0, bump, dw, second=False)
+    first, _, _ = nest.bump_differences(x0, bump, dw, second=False)
     central = _estimate(first, dw)
 
-    combined = _continue(model, fine, ws, x0, dw)
+    combined = nest.paths(x0, dw)
     # Z = 0 on the prefix and 1 at node i_t: at t = T, the endpoint indicator
     direction = variation_values_batch(model, combined, fine, dw, start=i_t)
-    pairing = _estimate(_fd1_batch(f, spec, fine, combined, direction), dw)
+    pairing = _estimate(_fd1_batch(f, nest.spec, fine, combined, direction), dw)
     return VerticalDerivative(central, pairing)
 
 
@@ -476,9 +481,8 @@ def second_vertical_derivative(
     """Second central difference (F(x+h) - 2 F(x) + F(x-h)) / h^2 with common
     random numbers; invariant under h -> -h by construction."""
     bump = _checked_bump(bump)
-    spec, _, ws, dw = _inner(prefix, fine, eps, n_inner, seed)
-    x0 = prefix.values[-1]
-    return _estimate(_bump_differences(model, f, spec, fine, ws, x0, bump, dw, second=True)[1], dw)
+    nest, _, dw = _inner(model, prefix, f, eps, n_inner, seed, fine)
+    return _estimate(nest.bump_differences(prefix.values[-1], bump, dw, second=True)[1], dw)
 
 
 @one_thread()
@@ -513,10 +517,10 @@ def horizontal_derivative(
         i_ext = fine.index_near(target)
         if i_ext <= i_t:
             raise InvalidArgumentError(f"t + h = {target} is not a fine node after t")
-    spec, _, ws, dw = _inner(prefix, fine, eps, n_inner, seed)
+    nest, _, dw = _inner(model, prefix, f, eps, n_inner, seed, fine)
     x0 = prefix.values[-1]
-    (base,) = _stencil(model, f, spec, fine, ws, x0, (0.0,), dw)
-    return _estimate(_flat_extension(model, f, spec, fine, ws, x0, base, dw, i_t, i_ext), dw)
+    (base,) = nest.stencil(x0, (0.0,), dw)
+    return _estimate(nest.flat_extension(x0, base, dw, i_t, i_ext), dw)
 
 
 # ---------------------------------------------------------------------------
@@ -551,23 +555,23 @@ def kolmogorov_residual(
     bump = _checked_bump(bump)
     if not (np.isfinite(allowance_rel) and allowance_rel >= 0):
         raise InvalidArgumentError(f"allowance_rel must be finite and >= 0, got {allowance_rel!r}")
-    spec = _spec(eps)
+    _check_outer(n_outer, "n_outer")
     i_t = _prefix_index(prefix, fine)
     if i_t >= fine.nodes.size - 1:
         raise OutOfRangeError("the check needs t < T")
-    if not _reads_after(f, spec, fine, i_t):
+    nest = _Nest(model, f, eps, fine, n_inner)
+    if not _reads_after(f, nest.spec, fine, i_t):
         raise InsufficientSignalError("f_eps reads no node after t, so the residual is 0")
     x0 = float(prefix.values[-1])
     h = default_bump(x0) if bump is None else bump
     b0 = float(model.b(x0))
     s0 = float(model.sigma(x0))
-    ws = _Workspace(fine, n_inner)
-    ws.hold(prefix.values)
+    nest.hold(prefix.values)
 
     def _batch(bi: int) -> tuple[float, float, float, float]:
-        dw = ws.draw(seed.rng(_TAG_INNER, bi), i_t)
-        first, second, mid = _bump_differences(model, f, spec, fine, ws, x0, h, dw, second=True)
-        dt = _flat_extension(model, f, spec, fine, ws, x0, mid, dw, i_t, i_t + 1)
+        dw = nest.draw(seed.rng(_TAG_INNER, bi), i_t)
+        first, second, mid = nest.bump_differences(x0, h, dw, second=True)
+        dt = nest.flat_extension(x0, mid, dw, i_t, i_t + 1)
         dt_term, grad, second = (_mean_se(d)[0] for d in (dt, first, second))
         resid = dt_term + b0 * grad + 0.5 * s0**2 * second
         return resid, dt_term, grad, second
@@ -614,25 +618,25 @@ def martingale_gap(
     s, t = float(times[0]), float(times[1])
     if not 0.0 <= s <= t <= fine.horizon:
         raise InvalidArgumentError(f"need 0 <= s <= t <= T, got {times!r}")
-    spec = _spec(eps)
+    _check_outer(n_samples, "n_samples")
     i_s, i_t = fine.index_near(s), fine.index_near(t)
-    if i_s == i_t or not _reads_after(f, spec, fine, i_s):
+    if i_s == i_t or not _reads_after(f, _spec(eps), fine, i_s):
         raise InsufficientSignalError("s and t are one fine node, or f_eps reads none after s")
 
-    gaps, ws = [], None
+    gaps, nest = [], None
     for ci, (_, m) in enumerate(batch_layout(n_samples, _MARTINGALE_CHUNK)):
+        if nest is None or nest.m != m * n_inner:
+            nest = _Nest(model, f, eps, fine, n_inner, m * n_inner)
         outer = euler_values_batch(model, fine, _draw_dw(fine, 0, m, seed.rng(_TAG_OUTER, ci)))
-        if ws is None or ws.m != m * n_inner:
-            ws = _Workspace(fine, m * n_inner)
-        dw_in = ws.draw(seed.rng(_TAG_INNER, ci), i_s)
-        ws.hold(outer[:, : i_t + 1])
+        dw_in = nest.draw(seed.rng(_TAG_INNER, ci), i_s)
+        nest.hold(outer[:, : i_t + 1])
 
         means = {}
         # t first: the continuation from s then overwrites the rows
         # [i_s, i_t) of the outer paths that the one from t reads
         for i_u in (i_t, i_s):
             x0 = np.repeat(outer[:, i_u], n_inner)
-            (fv,) = _stencil(model, f, spec, fine, ws, x0, (0.0,), dw_in[:, i_u - i_s :])
+            (fv,) = nest.stencil(x0, (0.0,), dw_in[:, i_u - i_s :])
             means[i_u] = fv.reshape(m, n_inner).mean(axis=1)
         gaps.append(means[i_t] - means[i_s])
     gap_samples = np.concatenate(gaps)
@@ -739,7 +743,7 @@ def error_representation_sides(
         )
     if fine_factor % quad_per_interval != 0:
         raise InvalidArgumentError("quad_per_interval must divide fine_factor")
-    spec = _spec(eps)
+    _check_outer(n_outer, "n_outer")
     fine = refine_grid(coarse, fine_factor)
     coarse_idx = fine.indices_of_subgrid(coarse)
     block = fine_factor // quad_per_interval
@@ -754,7 +758,7 @@ def error_representation_sides(
     lhs_samples = np.empty(n_outer)
     lhs_scale = np.empty(n_outer)
     rhs_samples = np.empty(n_outer)
-    ws = _Workspace(fine, n_inner)
+    nest = _Nest(model, f, eps, fine, n_inner)
     for oi in range(n_outer):
         rng = seed.rng(_TAG_OUTER, oi)
         dw_fine = _draw_dw(fine, 0, 1, rng)
@@ -766,8 +770,8 @@ def error_representation_sides(
             x_tilde = stochastic_interpolation_batch(model, coarse, fine, y, w_vals)
         else:
             x_tilde = x_ref
-        f_tilde = _feps_batch(f, spec, fine, x_tilde)[0]
-        f_ref = _feps_batch(f, spec, fine, x_ref)[0]
+        f_tilde = _feps_batch(f, nest.spec, fine, x_tilde)[0]
+        f_ref = _feps_batch(f, nest.spec, fine, x_ref)[0]
         lhs_samples[oi] = f_tilde - f_ref
         lhs_scale[oi] = abs(f_tilde) + abs(f_ref)
 
@@ -788,9 +792,8 @@ def error_representation_sides(
                 prefix = x_tilde[0, : k + 2].copy()
                 prefix[-1] = end
                 h = default_bump(end) if bump is None else bump
-                grad, second = _grad_pair_at(
-                    model, f, spec, fine, ws, prefix,
-                    seed.rng(_TAG_INNER, oi, n, j), h, need_second=delta_s2 != 0.0,
+                grad, second = nest.grad_pair(
+                    prefix, seed.rng(_TAG_INNER, oi, n, j), h, need_second=delta_s2 != 0.0
                 )
                 weight = fine.nodes[first + block] - fine.nodes[first]
                 rhs += weight * (grad * delta_b + 0.5 * second * delta_s2)
@@ -826,18 +829,3 @@ def _one_step(model: SdeModel, x_tilde: np.ndarray, k: int, b_frozen, s2_frozen,
     delta_s2 = s2_frozen - model.sigma(xk) ** 2
     return x_tilde[..., k + 1] - 0.5 * delta_b * dt, delta_b, delta_s2
 
-
-def _grad_pair_at(
-    model: SdeModel, f: PathFunctional, spec: MollifierSpec | None, fine: TimeGrid,
-    ws: _Workspace, prefix_values: np.ndarray, rng: np.random.Generator, bump: float,
-    need_second: bool,
-) -> tuple[float, float]:
-    """(grad F, grad^2 F) at a prefix given by raw values, over ``ws.m``
-    inner paths: the means of the bump differences of the public
-    estimators; grad^2 F is 0 unless ``need_second``."""
-    dw = ws.draw(rng, prefix_values.size - 1)
-    ws.hold(prefix_values)
-    first, second, _ = _bump_differences(
-        model, f, spec, fine, ws, prefix_values[-1], bump, dw, need_second
-    )
-    return _mean_se(first)[0], _mean_se(second)[0] if need_second else 0.0

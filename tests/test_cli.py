@@ -400,15 +400,23 @@ class TestRun:
             ("martingale-check", "check: {times: [0.5, 0.5]}", 3, "insufficient-signal"),
             ("martingale-check", "functional: {name: point, t1: 0.25}\n"
              "check: {times: [0.5, 0.75]}", 3, "insufficient-signal"),
+            ("kolmogorov-check", "budget: {n_inner: 1000, n_outer: 1}", 3, "insufficient-signal"),
+            ("martingale-check", "budget: {n_samples: 1, n_inner: 4}", 3, "insufficient-signal"),
+            ("error-representation", "budget: {n_outer: 1, n_inner: 2}", 3,
+             "insufficient-signal"),
         ],
         ids=["kolmogorov-eps-inf", "kolmogorov-eps-1e300", "kolmogorov-eps-100",
              "kolmogorov-probe-before-t", "martingale-eps-inf", "martingale-s=t",
-             "martingale-probe-before-s"],
+             "martingale-probe-before-s", "kolmogorov-one-batch", "martingale-one-sample",
+             "error-representation-one-sample"],
     )
     def test_a_check_that_tests_nothing_does_not_pass(self, tmp_path, command, text, code,
                                                       status):
         # each of these once printed PASS value=0 tolerance=0 and exited 0:
-        # f_eps read no node after the conditioning time
+        # f_eps read no node after the conditioning time.  One outer sample
+        # gives SE 0, so the tolerance was the allowance alone: one batch
+        # passed kolmogorov-check at seed 1.  A budget given here replaces
+        # the base's (the later key of a YAML mapping wins)
         cfg = write_config(tmp_path, f"command: {command}\nseed: 1\n"
                            f"{_MATRIX_BASE[command]}{text}\n")
         out = tmp_path / "run"

@@ -437,7 +437,7 @@ def reference_stencil(model, f, spec, prefix_values, offsets, dw):
 
 
 class TestStencil:
-    """``_stencil`` on a held workspace gives the bits of the reference for
+    """``_Nest.stencil`` on a held prefix gives the bits of the reference for
     every model kind, functional kind, prefix kind and start node."""
 
     ROWS = 48
@@ -458,14 +458,14 @@ class TestStencil:
         return np.cumsum(rng.standard_normal(shape) * 0.1, axis=-1)
 
     @staticmethod
-    def draws(i, rows, seed):
-        """The reference's increments and the workspace holding its own
-        draw of the same stream."""
-        ws = fc._Workspace(FINE, rows)
-        dw = ws.draw(SeedSpec(seed).rng(), i)
+    def draws(model, f, eps, i, rows, seed):
+        """The nested call of ``model``, ``f`` and ``eps`` holding its own
+        draw of a stream, and the reference's increments of that stream."""
+        nest = fc._Nest(model, f, eps, FINE, rows)
+        dw = nest.draw(SeedSpec(seed).rng(), i)
         want = fc._draw_dw(FINE, i, rows, SeedSpec(seed).rng())
         assert np.array_equal(dw, want)
-        return ws, want
+        return nest, want
 
     @pytest.mark.parametrize("eps", [None, EPS], ids=["raw", "mollified"])
     @pytest.mark.parametrize("f", FUNCTIONALS, ids=lambda f: f.name)
@@ -477,9 +477,9 @@ class TestStencil:
         spec, offsets = fc._spec(eps), (0.01, 0.0, -0.01)
         prefix = self.prefix(i, per_row)
         rows = 1 if i == FINE.n_intervals else self.ROWS
-        ws, dw = self.draws(i, rows, 91)
-        ws.hold(prefix)
-        got = fc._stencil(model, f, spec, FINE, ws, prefix[..., -1], offsets, dw)
+        nest, dw = self.draws(model, f, eps, i, rows, 91)
+        nest.hold(prefix)
+        got = nest.stencil(prefix[..., -1], offsets, dw)
         want = reference_stencil(model, f, spec, prefix, offsets, dw)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -491,11 +491,11 @@ class TestStencil:
         spec, i = fc._spec(eps), 64
         prefix = self.prefix(i, False)
         x0 = prefix[-1]
-        ws, dw = self.draws(i, self.ROWS, 92)
-        ws.hold(prefix)
-        got = fc._stencil(SINE, f, spec, FINE, ws, x0, (0.01, 0.0, -0.01), dw)
-        ws.scan[i] = x0
-        got += fc._stencil(SINE, f, spec, FINE, ws, x0, (0.0,), dw[:, 1:])
+        nest, dw = self.draws(SINE, f, eps, i, self.ROWS, 92)
+        nest.hold(prefix)
+        got = nest.stencil(x0, (0.01, 0.0, -0.01), dw)
+        nest.scan[i] = x0
+        got += nest.stencil(x0, (0.0,), dw[:, 1:])
         want = reference_stencil(SINE, f, spec, prefix, (0.01, 0.0, -0.01), dw)
         want += reference_stencil(SINE, f, spec, np.append(prefix, x0), (0.0,), dw[:, 1:])
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -506,14 +506,62 @@ class TestStencil:
         # |1 - theta dt| = 389 per step: the continuation from 0 overflows
         stiff, f, spec = ou_model(50000.0, 1.0, 1.0), SQUARE_INTEGRAL, fc._spec(eps)
         prefix = np.array([1.0])
-        ws, dw = self.draws(0, self.ROWS, 93)
-        ws.hold(prefix)
-        (got,) = fc._stencil(stiff, f, spec, FINE, ws, prefix[-1], (0.0,), dw)
+        nest, dw = self.draws(stiff, f, eps, 0, self.ROWS, 93)
+        nest.hold(prefix)
+        (got,) = nest.stencil(prefix[-1], (0.0,), dw)
         (want,) = reference_stencil(stiff, f, spec, prefix, (0.0,), dw)
         assert not np.isfinite(got).any()
         assert np.array_equal(got, want, equal_nan=True)
         with pytest.raises(NumericalOverflowError):
             estimate_F(stiff, constant_prefix(0.0, 1.0), f, eps, self.ROWS, SeedSpec(93), FINE)
+
+
+class TestInnerCount:
+    """``n_inner`` < 1 is rejected when the nested call is built, before any
+    stream is drawn; it once gave nan with SE 0, a plain ValueError or a
+    NumericalOverflowError."""
+
+    @pytest.mark.parametrize("n_inner", [0, -1])
+    @pytest.mark.parametrize("f", [point_functional(1.0), smooth_max_functional(2.0)],
+                             ids=["point", "smooth-max"])
+    def test_rejected_before_any_draw(self, f, n_inner):
+        prefix, seed = constant_prefix(0.5, 1.0), CountingSeed(75)
+        calls = [
+            lambda: estimate_F(OU, prefix, f, EPS, n_inner, seed, FINE),
+            lambda: vertical_derivative(OU, prefix, f, EPS, n_inner, 1e-2, seed, FINE),
+            lambda: second_vertical_derivative(OU, prefix, f, EPS, n_inner, 1e-2, seed, FINE),
+            lambda: horizontal_derivative(OU, prefix, f, EPS, n_inner, None, seed, FINE),
+            lambda: kolmogorov_residual(OU, prefix, f, EPS, n_inner, seed, FINE, n_outer=2),
+            lambda: martingale_gap(OU, f, EPS, (0.25, 0.75), 8, seed, FINE, n_inner=n_inner),
+            lambda: error_representation_sides(
+                OU, f, EPS, make_uniform_grid(0.25, 2), 2, n_inner, seed,
+                fine_factor=8, quad_per_interval=2,
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidArgumentError, match="n_inner"):
+                call()
+        assert seed.calls == []
+
+
+class TestOneOuterSample:
+    """One outer sample gives no SE, so a check's tolerance would be its
+    allowance alone: each check raises before it draws."""
+
+    def test_rejected_before_any_draw(self):
+        prefix, f, seed = constant_prefix(0.5, 1.0), point_functional(1.0), CountingSeed(76)
+        calls = [
+            lambda: kolmogorov_residual(OU, prefix, f, EPS, 16, seed, FINE, n_outer=1),
+            lambda: martingale_gap(OU, f, EPS, (0.25, 0.75), 1, seed, FINE, n_inner=16),
+            lambda: error_representation_sides(
+                OU, point_functional(0.25), EPS, make_uniform_grid(0.25, 2), 1, 16, seed,
+                fine_factor=8, quad_per_interval=2,
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(InsufficientSignalError, match="2 outer samples"):
+                call()
+        assert seed.calls == []
 
 
 class TestWorkspaceOwnership:
@@ -577,17 +625,15 @@ class TestChecksAreTheEstimators:
         return fn(SINE, self.PREFIX, SQUARE_INTEGRAL, EPS, self.N_INNER, step, self.SEED, FINE)
 
     def test_error_representation_factors(self):
-        ws = fc._Workspace(FINE, self.N_INNER)
-        grad, second = fc._grad_pair_at(
-            SINE, SQUARE_INTEGRAL, fc._spec(EPS), FINE, ws, self.PREFIX.values, self.SEED.rng(),
-            self.BUMP, need_second=True,
-        )
+        nest = fc._Nest(SINE, SQUARE_INTEGRAL, EPS, FINE, self.N_INNER)
+        grad, second = nest.grad_pair(self.PREFIX.values, self.SEED.rng(), self.BUMP, need_second=True)
         assert grad == self.estimator(vertical_derivative, self.BUMP).central.value
         assert second == self.estimator(second_vertical_derivative, self.BUMP).value
 
     def test_kolmogorov_terms(self):
+        # both batches draw the one stream, and (a + a) / 2 is a
         rep = kolmogorov_residual(
-            SINE, self.PREFIX, SQUARE_INTEGRAL, EPS, self.N_INNER, self.SEED, FINE, n_outer=1
+            SINE, self.PREFIX, SQUARE_INTEGRAL, EPS, self.N_INNER, self.SEED, FINE, n_outer=2
         )
         terms = rep.components
         assert terms["grad_F"] == self.estimator(vertical_derivative, self.BUMP).central.value
@@ -942,6 +988,23 @@ class TestOuOracles:
     def test_kolmogorov_product_curvature(self):
         components, beta = self.kolmogorov(product_functional(0.5, 1.0))
         assert abs(components["second_grad_F"] - 2 * beta[0] * beta[1]) <= 1e-11
+
+    def test_kolmogorov_horizontal_term(self):
+        # as in test_horizontal_derivative: each sample's noise is the step
+        # the extension drops, -beta(i+1) dW_i / dt, so the term's SE over
+        # n_outer n_inner samples is |beta(i+1)| / sqrt(dt n_outer n_inner)
+        f, prefix = point_functional(1.0), constant_prefix(0.5, 1.0)
+        _, rows, beta = self.oracle(f)
+        base = self.exact_F(*self.moments(rows, beta, prefix.values))
+        ext = self.exact_F(*self.moments(rows, beta, np.append(prefix.values, 1.0)))
+        exact = (ext - base) / FINE.mesh
+        n_outer = 10
+        rep = kolmogorov_residual(
+            OU, prefix, f, EPS, self.N_INNER, SeedSpec(68), FINE, n_outer=n_outer, bump=self.BUMP
+        )
+        se = abs(beta[self.I_T + 1][0]) / np.sqrt(FINE.mesh * n_outer * self.N_INNER)
+        assert abs(exact) > 10 * se
+        assert abs(rep.components["horizontal_term"] - exact) <= 4 * se
 
     @pytest.mark.parametrize(
         "f", [point_functional(1.0), product_functional(0.5, 1.0)], ids=["point", "product"]
