@@ -544,9 +544,10 @@ def kolmogorov_residual(
 
     All three derivative estimates share each batch's continuation noise.
     The prefix must start at xi0 (the equation only holds on such paths).
-    The tolerance is 4 SE plus an explicit relative allowance for finite
-    bump, horizontal step and fine-grid bias; ``bump`` (None:
-    ``default_bump``) must be finite and > 0, ``allowance_rel`` finite and >= 0.
+    The tolerance is 4 SE over ``n_outer`` >= 2 batches plus an explicit
+    relative allowance for finite bump, horizontal step and fine-grid bias;
+    ``bump`` (None: ``default_bump``) must be finite and > 0,
+    ``allowance_rel`` finite and >= 0.
     """
     if prefix.values[0] != model.xi0:
         raise InvalidArgumentError(
@@ -559,13 +560,13 @@ def kolmogorov_residual(
     i_t = _prefix_index(prefix, fine)
     if i_t >= fine.nodes.size - 1:
         raise OutOfRangeError("the check needs t < T")
-    nest = _Nest(model, f, eps, fine, n_inner)
-    if not _reads_after(f, nest.spec, fine, i_t):
+    if not _reads_after(f, _spec(eps), fine, i_t):
         raise InsufficientSignalError("f_eps reads no node after t, so the residual is 0")
     x0 = float(prefix.values[-1])
     h = default_bump(x0) if bump is None else bump
     b0 = float(model.b(x0))
     s0 = float(model.sigma(x0))
+    nest = _Nest(model, f, eps, fine, n_inner)
     nest.hold(prefix.values)
 
     def _batch(bi: int) -> tuple[float, float, float, float]:
@@ -613,7 +614,7 @@ def martingale_gap(
 
     Zero in expectation by the tower property (exactly, since outer paths
     and inner continuations use the same fine-grid dynamics); the check is
-    |gap| <= 4 SE.
+    |gap| <= 4 SE over ``n_samples`` >= 2 outer paths.
     """
     s, t = float(times[0]), float(times[1])
     if not 0.0 <= s <= t <= fine.horizon:
@@ -732,7 +733,8 @@ def error_representation_sides(
 
     ``freeze=False`` is the degenerate control: the tilde coefficients are
     the instantaneous ones, so the scheme path coincides with the reference
-    and both sides vanish identically.  A ``bump`` must be finite and > 0.
+    and both sides vanish identically.  A ``bump`` must be finite and > 0,
+    and ``n_outer`` >= 2.
     """
     bump = _checked_bump(bump)
     T = coarse.horizon
