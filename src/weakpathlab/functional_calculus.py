@@ -734,7 +734,9 @@ def error_representation_sides(
     ``freeze=False`` is the degenerate control: the tilde coefficients are
     the instantaneous ones, so the scheme path coincides with the reference
     and both sides vanish identically.  A ``bump`` must be finite and > 0,
-    and ``n_outer`` >= 2.
+    and ``n_outer`` >= 2.  The LHS draws no inner paths, so its
+    ``inner_samples`` is 0; the RHS's counts the inner paths of every
+    derivative estimate it made, which is 0 with ``freeze=False``.
     """
     bump = _checked_bump(bump)
     T = coarse.horizon
@@ -761,6 +763,7 @@ def error_representation_sides(
     lhs_scale = np.empty(n_outer)
     rhs_samples = np.empty(n_outer)
     nest = _Nest(model, f, eps, fine, n_inner)
+    drawn = 0  # inner paths of the grad_pair calls
     for oi in range(n_outer):
         rng = seed.rng(_TAG_OUTER, oi)
         dw_fine = _draw_dw(fine, 0, 1, rng)
@@ -797,6 +800,7 @@ def error_representation_sides(
                 grad, second = nest.grad_pair(
                     prefix, seed.rng(_TAG_INNER, oi, n, j), h, need_second=delta_s2 != 0.0
                 )
+                drawn += nest.m
                 weight = fine.nodes[first + block] - fine.nodes[first]
                 rhs += weight * (grad * delta_b + 0.5 * second * delta_s2)
         rhs_samples[oi] = rhs
@@ -805,8 +809,8 @@ def error_representation_sides(
     rhs_mean, rhs_se = _mean_se(rhs_samples)
     diff_mean, diff_se = _mean_se(lhs_samples - rhs_samples)
     return ErrorRepresentationReport(
-        lhs=NestedEstimate(lhs_mean, lhs_se, int(n_inner)),
-        rhs=NestedEstimate(rhs_mean, rhs_se, int(n_inner)),
+        lhs=NestedEstimate(lhs_mean, lhs_se, 0),
+        rhs=NestedEstimate(rhs_mean, rhs_se, drawn),
         diff=diff_mean,
         diff_std_error=diff_se,
         rounding_floor=4 * np.finfo(np.float64).eps * float(np.mean(lhs_scale)),

@@ -61,10 +61,10 @@ _TAG_RATE = 11
 _TAG_COV = 12
 _TAG_GAP = 13
 
-# fine path values per fine-grid coupling batch: about 32 MiB of fine path,
+# fine path values per fine-grid coupling batch: about 16 MiB of fine path,
 # the largest array a coupling holds, per batch and so per worker; it fixes
 # the batch layout, and so the streams drawn
-_FINE_BATCH_VALUES = 1 << 22
+_FINE_BATCH_VALUES = 1 << 21
 
 # samples per interpolation_gap_stats batch; it fixes the batch layout, and
 # so the streams drawn
@@ -203,14 +203,24 @@ def closed_form_expectation(model: SdeModel, f: PathFunctional) -> float:
     return mom.cov + mom.mean1 * mom.mean2
 
 
-def _gaussian_rows(rng: np.random.Generator, grid: TimeGrid, m: int):
-    """Increment source drawing the m Brownian increments of step k per call."""
-    sqdt = np.sqrt(np.diff(grid.nodes))
+def _gaussian_rows(rng: np.random.Generator, grid: TimeGrid, m: int, block: int = 1, sums=None):
+    """Increment source: row(k) is the (m,) Brownian increments of step k,
+    called for k = 0, 1, ... in order.  The rows of ``block`` steps are drawn
+    by one call into one held (block, m) buffer and scaled by its sqrt(dt)
+    column, so the draws are those of standard_normal((N, m)); a row lives
+    until the next block is drawn.  With ``sums``, row j of it receives the
+    sum of block j's rows."""
+    sqdt = np.sqrt(np.diff(grid.nodes))[:, None]
+    buf = np.empty((block, m))
 
     def row(k: int) -> np.ndarray:
-        z = rng.standard_normal(m)
-        z *= sqdt[k]
-        return z
+        j = k % block
+        if j == 0:
+            rng.standard_normal(out=buf)
+            np.multiply(buf, sqdt[k : k + block], out=buf)
+            if sums is not None:
+                np.add.reduce(buf, axis=0, out=sums[k // block])
+        return buf[j]
 
     return row
 
@@ -260,18 +270,12 @@ def coupled_bias(exp: RateExperiment, rung: int) -> BiasPoint:
         rng = exp.seed.rng(_TAG_RATE, rung, bi)
         if fine_ref:
             # one fine Brownian path per sample: coarse increments are exact
-            # block sums of the fine ones (common random numbers), summed
-            # from zero while the fine scan draws them, so no (n_fine, m)
+            # block sums of the fine ones (common random numbers), formed as
+            # the fine scan draws each coarse step's rows, so no (n_fine, m)
             # increment array is held; the draws and sums are those of
             # standard_normal((n_fine, m)) and reshape(...).sum(axis=1)
-            dw_coarse = np.zeros((grid.n_intervals, m))
-            fine_rows = _gaussian_rows(rng, fine, m)
-
-            def fine_row(k: int) -> np.ndarray:
-                z = fine_rows(k)
-                dw_coarse[k // factor] += z
-                return z
-
+            dw_coarse = np.empty((grid.n_intervals, m))
+            fine_row = _gaussian_rows(rng, fine, m, factor, dw_coarse)
             g_fine = _f_on_scheme(f, spec, fine, exp.model, m, fine_row)
             g = _f_on_scheme(f, spec, grid, exp.model, m, dw_coarse.__getitem__) - g_fine
         else:

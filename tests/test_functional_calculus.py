@@ -835,6 +835,24 @@ class TestErrorRepresentation:
         )
         assert rep.lhs.value == 0.0 and rep.rhs.value == 0.0 and rep.passed
 
+    def test_sample_counts_without_freezing(self):
+        # neither side draws an inner path: the scheme path is the reference
+        rep = error_representation_sides(
+            OU, point_functional(0.25), self.EPS_FINE, self.COARSE, 4, 64, SeedSpec(1), freeze=False
+        )
+        assert rep.lhs == NestedEstimate(0.0, 0.0, 0) and rep.rhs == NestedEstimate(0.0, 0.0, 0)
+
+    def test_sample_counts_are_the_inner_paths_drawn(self):
+        # every derivative estimate draws n_inner paths from one _TAG_INNER
+        # stream; a pick at a coarse node makes no estimate
+        seed = CountingSeed(38)
+        rep = error_representation_sides(
+            OU, point_functional(0.25), self.EPS_FINE, self.COARSE, 4, 16, seed
+        )
+        estimates = sum(subkeys[0] == fc._TAG_INNER for subkeys in seed.calls)
+        assert 0 < estimates <= 4 * 2 * 4
+        assert rep.lhs.inner_samples == 0 and rep.rhs.inner_samples == 16 * estimates
+
     def test_sine_identity_with_diffusion_term(self):
         rep = error_representation_sides(
             SINE, point_functional(0.25), self.EPS_FINE, self.COARSE, 128, 128, SeedSpec(34)

@@ -1,3 +1,4 @@
+import dataclasses
 import operator
 import tracemalloc
 import warnings
@@ -8,7 +9,7 @@ import pytest
 
 from weakpathlab.core_paths import PathMode, interpolate_values, make_uniform_grid, refine_grid
 from weakpathlab.errors import InsufficientSignalError, InvalidArgumentError
-from weakpathlab.functional_calculus import _mollifier
+from weakpathlab.functional_calculus import _BLOCK_BYTES, _mollifier
 from weakpathlab.functionals import (
     integral_functional,
     point_functional,
@@ -316,10 +317,28 @@ EXPLODING_BOTH = SdeModel(
 )
 
 
+@dataclasses.dataclass(frozen=True)
+class CountingDraws(SeedSpec):
+    """A SeedSpec whose generators record the size of every standard_normal call."""
+
+    sizes: list = dataclasses.field(default_factory=list)
+
+    def rng(self, *subkeys: int):
+        gen, sizes = super().rng(*subkeys), self.sizes
+
+        class Counting:
+            def standard_normal(self, *args, **kwargs):
+                z = gen.standard_normal(*args, **kwargs)
+                sizes.append(np.size(z))
+                return z
+
+        return Counting()
+
+
 class TestStreamedCoupling:
-    """The fine increments are drawn one step at a time and summed into the
-    coarse ones as the fine scan runs; every bit equals the materialised
-    coupling."""
+    """The fine increments are drawn one coarse step at a time and summed
+    into the coarse ones as the fine scan runs; every bit equals the
+    materialised coupling."""
 
     @pytest.mark.parametrize("factor", [4, 16])
     @pytest.mark.parametrize(
@@ -344,6 +363,38 @@ class TestStreamedCoupling:
         assert point.bias == float(ref.mean) and point.std_error == float(ref.se)
         if model is EXPLODING:
             assert 0 < point.excluded < 700
+
+    def test_one_row_batches_equal_materialised(self):
+        # a coarse increment of one sample is a contiguous reduction, which
+        # numpy sums pairwise, as it does the materialised block sums
+        exp = RateExperiment(
+            model=sine_model(0.5, 1.0, 0.5), functional=point_functional(1.0), horizon=1.0,
+            deltas=(0.125, 0.0625, 0.03125), n_base=40, reference=FineGridReference(16),
+            seed=SeedSpec(45), batch_size=1,
+        )
+        point = coupled_bias(exp, 0)
+        ref = materialised_bias(exp, 0)
+        assert point.n_samples == ref.n == 40
+        assert point.bias == float(ref.mean) and point.std_error == float(ref.se)
+
+    def test_one_draw_per_coarse_step(self):
+        # 700 samples in batches of 300, 300 and 100 on 8 coarse steps of 4
+        # fine ones: one standard_normal call per coarse step and batch, of
+        # factor * m values; the closed-form ladder makes one per step
+        fine_exp, closed_exp = (
+            RateExperiment(
+                model=OU, functional=product_functional(0.5, 1.0), horizon=1.0,
+                deltas=(0.125, 0.0625, 0.03125), n_base=700, reference=reference,
+                seed=CountingDraws(46), batch_size=300,
+            )
+            for reference in (FineGridReference(4), ClosedFormReference())
+        )
+        for exp, per_step in ((fine_exp, 4), (closed_exp, 1)):
+            point = coupled_bias(exp, 0)
+            assert exp.seed.sizes == [per_step * m for m in (300, 300, 100) for _ in range(8)]
+            assert sum(exp.seed.sizes) == 700 * 8 * per_step
+            plain = dataclasses.replace(exp, seed=SeedSpec(46))
+            assert coupled_bias(plain, 0) == point
 
     @pytest.mark.parametrize(
         "functional", [integral_square(), smooth_max_functional(4.0)],
@@ -372,11 +423,12 @@ class TestStreamedCoupling:
             point = coupled_bias(exp, 0)
         assert 0 < point.excluded < 700
 
-    def test_peak_memory_below_twice_the_fine_path(self):
-        # one rung of 8192 samples on 1025 fine nodes runs as two 4096-row
+    def test_peak_memory_is_one_fine_path_and_its_blocks(self):
+        # one rung of 8192 samples on 1025 fine nodes runs as four 2048-row
         # batches set by the path budget; a batch's fine path is the only
-        # full-size array, mollification runs in row blocks, and no batch
-        # outlives its moments
+        # full-size array, mollification runs in row blocks, the draws in
+        # one (factor, m) block per coarse step, and no batch outlives its
+        # moments
         exp = RateExperiment(
             model=sine_model(0.5, 1.0, 0.5), functional=integral_square(), horizon=1.0,
             deltas=(1 / 16, 1 / 32, 1 / 64), n_base=8192, reference=FineGridReference(64),
@@ -385,10 +437,15 @@ class TestStreamedCoupling:
         grid = exp.grid(0)
         fine = refine_grid(grid, 64)
         batch = _FINE_BATCH_VALUES // fine.n_intervals
-        assert batch_layout(8192, batch) == [(0, 4096), (4096, 4096)]
+        assert batch_layout(8192, batch) == [(0, 2048), (2048, 2048), (4096, 2048), (6144, 2048)]
         for g in (grid, fine):  # warm the operator cache
             mollify_operator(MollifierSpec(0.25), g, PathMode.LINEAR)
         path_bytes = batch * fine.nodes.size * 8
+        blocks = -(-batch // (_BLOCK_BYTES // (fine.nodes.size * 8)))
+        row_block_bytes = -(-batch // blocks) * fine.nodes.size * 8
+        draw_bytes = 64 * batch * 8
+        bound = path_bytes + 2 * row_block_bytes + draw_bytes + (2 << 20)
+        assert bound < 2 * 32.8e6  # twice the fine path of a 2^22-value batch
         tracemalloc.start()
         try:
             point = coupled_bias(exp, 0)
@@ -396,11 +453,11 @@ class TestStreamedCoupling:
         finally:
             tracemalloc.stop()
         assert point.n_samples == 8192
-        assert peak < 2 * path_bytes, f"peak {peak / path_bytes:.2f}x the batch's fine path"
+        assert peak < bound, f"peak {peak / 1e6:.1f} MB above the {bound / 1e6:.1f} MB bound"
 
     def test_budget_set_batches_are_thread_invariant(self):
         # 2560 samples on 2049 fine nodes: the path budget, not batch_size,
-        # splits the rung into a 2048-row and a 512-row batch
+        # splits the rung into two 1024-row batches and a 512-row batch
         exps = [
             RateExperiment(
                 model=sine_model(0.5, 1.0, 0.5), functional=integral_square(), horizon=1.0,
@@ -409,7 +466,8 @@ class TestStreamedCoupling:
             )
             for threads in (1, 2)
         ]
-        assert exps[0].n_samples(2) == 2560 and _FINE_BATCH_VALUES // 2048 == 2048
+        assert exps[0].n_samples(2) == 2560
+        assert batch_layout(2560, _FINE_BATCH_VALUES // 2048) == [(0, 1024), (1024, 1024), (2048, 512)]
         one, two = (coupled_bias(exp, 2) for exp in exps)
         assert one.n_samples == 2560
         assert one == two
