@@ -166,13 +166,18 @@ def interpolate_values(nodes: np.ndarray, values: np.ndarray, t: np.ndarray) -> 
     must lie in [nodes[0], nodes[-1]].  Exact node values are reproduced.
     """
     t = np.asarray(t, dtype=np.float64)
-    idx = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, nodes.size - 2)
+    idx = np.clip(np.searchsorted(nodes, t.ravel(), side="right") - 1, 0, nodes.size - 2)
     left = nodes[idx]
     gap = nodes[idx + 1] - left
-    lam = np.where(gap > 0, (t - left) / np.where(gap > 0, gap, 1.0), 0.0)
-    # a row that is infinite at a bracketing node gets NaN from 0 * inf
+    lam = np.where(gap > 0, (t.ravel() - left) / np.where(gap > 0, gap, 1.0), 0.0)
+    # in place on two gathered copies: a 1-d idx copies (a 0-d one gives views)
+    # and keeps a step-major layout; an inf at a bracketing node gives 0 * inf = NaN
+    values = np.asarray(values, dtype=np.float64)
+    out, right = values[..., idx], values[..., idx + 1]
     with np.errstate(invalid="ignore"):
-        return (1.0 - lam) * values[..., idx] + lam * values[..., idx + 1]
+        out *= 1.0 - lam
+        out += np.multiply(right, lam, out=right)
+    return out.reshape(values.shape[:-1] + t.shape)[()]  # a scalar for 0-d results
 
 
 def sup_norm(p: DiscretePath) -> float:

@@ -76,9 +76,11 @@ __all__ = [
     "default_bump",
 ]
 
-# bytes of raw rows per mollified row block in _feps_batch; 4096 x 2049
-# gemm rows run fastest in blocks of 1024-2048 rows
-_BLOCK_BYTES = 1 << 24
+# bytes of raw rows per mollified row block in _feps_batch: a fine-grid batch
+# holds at most 16 MiB of path (weak_error._FINE_BATCH_VALUES), and 4 MiB
+# blocks keep its mollified rows and f's temporaries to a quarter of that;
+# 2 MiB blocks saved ~4 MiB more but cost 5-8% wall time in smaller gemms
+_BLOCK_BYTES = 1 << 22
 
 # purpose tags for stream derivation
 _TAG_CONTINUATION = 3
@@ -183,15 +185,16 @@ def _feps_batch(
 
     ``values`` are read as they are, step-major rows from ``euler_scan``
     included, and the mollified rows are step-major (see ``BandRows``).
-    ``out``, when given, is a C-contiguous buffer of as many values as
-    ``values`` that receives the mollified rows, one row block at a time.
+    With a mollifier, near-equal row blocks of at most _BLOCK_BYTES run one
+    at a time, so beside ``values`` a call holds one block's mollified rows
+    and f's temporaries.  ``out``, when given, is a C-contiguous buffer of
+    as many values as ``values`` that receives each block's mollified rows.
     """
     if f.probe_times is not None:
         return f.probe_eval(_at_probes(f, spec, grid, values))
     if spec is None:
         return f.batch_eval(values, grid)
-    # near-equal row blocks of at most _BLOCK_BYTES, one at a time (the hook
-    # is row-wise); neither a block's raw rows nor, once the hook returns, its
+    # neither a block's raw rows nor, once the row-wise hook returns, its
     # mollified rows are held here: held past the append, they raised the
     # fine-grid peak RSS by 0.9 MiB (numpy's traced peak did not move)
     mollified = _mollifier(spec, grid)

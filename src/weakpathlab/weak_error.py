@@ -208,19 +208,21 @@ def _gaussian_rows(rng: np.random.Generator, grid: TimeGrid, m: int, block: int 
     called for k = 0, 1, ... in order.  The rows of ``block`` steps are drawn
     by one call into one held (block, m) buffer and scaled by its sqrt(dt)
     column, so the draws are those of standard_normal((N, m)); a row lives
-    until the next block is drawn.  With ``sums``, row j of it receives the
-    sum of block j's rows."""
+    until the next block is drawn, and the buffer is let go with the last
+    row.  With ``sums``, row j of it receives the sum of block j's rows."""
     sqdt = np.sqrt(np.diff(grid.nodes))[:, None]
     buf = np.empty((block, m))
 
     def row(k: int) -> np.ndarray:
+        nonlocal buf
         j = k % block
         if j == 0:
             rng.standard_normal(out=buf)
             np.multiply(buf, sqdt[k : k + block], out=buf)
             if sums is not None:
                 np.add.reduce(buf, axis=0, out=sums[k // block])
-        return buf[j]
+        out, buf = buf[j], (None if k == len(sqdt) - 1 else buf)
+        return out
 
     return row
 

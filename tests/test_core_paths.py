@@ -85,6 +85,59 @@ class TestInterpolateValues:
         assert np.allclose(interpolate_values(nodes, rows, t), want, rtol=1e-15, atol=1e-15)
 
 
+class TestInterpolateValuesInPlace:
+    """The affine read is formed in place on gathered copies; its bits are
+    those of the plain formula, and ``values`` is never written."""
+
+    NODES = make_uniform_grid(1.0, 8).nodes
+
+    @staticmethod
+    def formula(nodes, values, t):
+        t = np.asarray(t, dtype=np.float64)
+        idx = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, nodes.size - 2)
+        left = nodes[idx]
+        gap = nodes[idx + 1] - left
+        lam = np.where(gap > 0, (t - left) / np.where(gap > 0, gap, 1.0), 0.0)
+        with np.errstate(invalid="ignore"):
+            return (1.0 - lam) * values[..., idx] + lam * values[..., idx + 1]
+
+    def rows(self, seed):
+        rng = np.random.default_rng(seed)
+        c_order = np.cumsum(rng.standard_normal((5, 9)), axis=1)
+        return {"c-order": c_order, "step-major": np.ascontiguousarray(c_order.T).T,
+                "one-row": c_order[2].copy()}
+
+    @pytest.mark.parametrize("layout", ["c-order", "step-major", "one-row"])
+    @pytest.mark.parametrize(
+        "t", [0.3, 1.0, 0.0, [0.3, 0.5, 0.97], [[0.1, 0.2], [0.9, 1.0]]],
+        ids=["scalar", "scalar-end", "scalar-start", "vector", "matrix"],
+    )
+    def test_bits_of_the_formula_and_input_untouched(self, layout, t):
+        values = self.rows(7)[layout]
+        before = values.copy()
+        got = interpolate_values(self.NODES, values, t)
+        want = self.formula(self.NODES, values, t)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+        assert np.array_equal(values, before)
+        if isinstance(got, np.ndarray):
+            assert not np.shares_memory(got, values)
+
+    def test_infinite_row_gives_nan_bit_for_bit(self):
+        values = self.rows(8)["step-major"].copy()
+        values[1, 4] = np.inf  # weight 0 at t = 0.375, the node before it
+        values[3, 7] = -np.inf  # weight 0 at t = 1.0, read on the last interval
+        before = values.copy()
+        t = np.array([0.3, 0.375, 0.44, 1.0])
+        got = interpolate_values(self.NODES, values, t)
+        want = self.formula(self.NODES, values, t)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[1, 1]) and got[1, 2] == np.inf and np.isnan(got[3, 3])
+        assert np.isfinite(np.delete(got, [1, 3], axis=0)).all()
+        assert np.array_equal(values, before)
+
+
 class TestSupNorm:
     def test_zero_path(self):
         assert sup_norm(path([0.0, 0.0, 0.0])) == 0.0

@@ -45,6 +45,12 @@ from weakpathlab.models import SdeModel, constant_model, ou_model, sine_model
 from weakpathlab.mollifier import MollifierSpec, band_tiles, mollify, mollify_operator
 from weakpathlab.randomness import SeedSpec, sample_brownian
 from weakpathlab.schemes import euler_scan, euler_values_batch, stochastic_interpolation_batch
+from weakpathlab.weak_error import (
+    _FINE_BATCH_VALUES,
+    FineGridReference,
+    RateExperiment,
+    coupled_bias,
+)
 
 FINE = make_uniform_grid(1.0, 128)
 EPS = 2.0 / 128
@@ -146,6 +152,20 @@ class TestMollifiedBlocks:
         others = np.arange(self.ROWS) != 200
         assert np.isnan(got[200])
         assert np.array_equal(got[others], clean[others])
+
+    def test_workload_rung_2_batch_runs_in_five_blocks(self):
+        # finegrid-mollified's rung 2: 1024-row batches on 2049 fine nodes,
+        # a 16 MiB path, mollified in five 4 MiB blocks; its 33-node coarse
+        # rows are one block
+        sizes = []
+        exp = RateExperiment(
+            model=SINE, functional=self.recording(SQUARE_INTEGRAL, sizes), horizon=1.0,
+            deltas=(1 / 8, 1 / 16, 1 / 32), n_base=64, reference=FineGridReference(64),
+            seed=SeedSpec(47), eps=0.25,
+        )
+        assert exp.n_samples(2) == _FINE_BATCH_VALUES // 2048 == 1024
+        assert coupled_bias(exp, 2).n_samples == 1024
+        assert sizes == [205, 205, 205, 205, 204, 1024]
 
 
 class TestNonFiniteRows:

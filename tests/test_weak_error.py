@@ -426,9 +426,9 @@ class TestStreamedCoupling:
     def test_peak_memory_is_one_fine_path_and_its_blocks(self):
         # one rung of 8192 samples on 1025 fine nodes runs as four 2048-row
         # batches set by the path budget; a batch's fine path is the only
-        # full-size array, mollification runs in row blocks, the draws in
-        # one (factor, m) block per coarse step, and no batch outlives its
-        # moments
+        # full-size array, mollification runs in five 4 MiB row blocks of
+        # 409-410 rows, the draws in one (factor, m) block per coarse step,
+        # and no batch outlives its moments
         exp = RateExperiment(
             model=sine_model(0.5, 1.0, 0.5), functional=integral_square(), horizon=1.0,
             deltas=(1 / 16, 1 / 32, 1 / 64), n_base=8192, reference=FineGridReference(64),
@@ -442,10 +442,11 @@ class TestStreamedCoupling:
             mollify_operator(MollifierSpec(0.25), g, PathMode.LINEAR)
         path_bytes = batch * fine.nodes.size * 8
         blocks = -(-batch // (_BLOCK_BYTES // (fine.nodes.size * 8)))
+        assert blocks == 5
         row_block_bytes = -(-batch // blocks) * fine.nodes.size * 8
         draw_bytes = 64 * batch * 8
         bound = path_bytes + 2 * row_block_bytes + draw_bytes + (2 << 20)
-        assert bound < 2 * 32.8e6  # twice the fine path of a 2^22-value batch
+        assert bound < 27e6  # 36.7 MB with the former two 8 MiB blocks
         tracemalloc.start()
         try:
             point = coupled_bias(exp, 0)
@@ -454,6 +455,29 @@ class TestStreamedCoupling:
             tracemalloc.stop()
         assert point.n_samples == 8192
         assert peak < bound, f"peak {peak / 1e6:.1f} MB above the {bound / 1e6:.1f} MB bound"
+
+    def test_closed_form_peak_is_the_kept_columns_and_two_gathers(self):
+        # ladder-ou's rung 2 (OU product(0.5, 1), 320,000 samples on 16
+        # steps, one thread) in batches of 131,072 rows: past the scan a
+        # batch holds its four kept node columns and the two gathered probe
+        # columns of the affine read, not the draw row nor other temporaries
+        exp = RateExperiment(
+            model=OU, functional=product_functional(0.5, 1.0), horizon=1.0,
+            deltas=tuple(2.0**-k for k in range(2, 7)), n_base=20000,
+            reference=ClosedFormReference(), seed=SeedSpec(48), threads=1,
+        )
+        m = exp.batch_size
+        assert (exp.n_samples(2), m) == (320000, 131072)
+        coupled_bias(dataclasses.replace(exp, n_base=20), 2)  # warm the caches
+        tracemalloc.start()
+        try:
+            point = coupled_bias(exp, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert point.n_samples == 320000
+        bound = (4 + 2 * 2) * m * 8 + (1 << 19)
+        assert peak < bound, f"peak {peak / 2**20:.2f} MiB above the {bound / 2**20:.2f} MiB bound"
 
     def test_budget_set_batches_are_thread_invariant(self):
         # 2560 samples on 2049 fine nodes: the path budget, not batch_size,
