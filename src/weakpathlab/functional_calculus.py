@@ -79,7 +79,7 @@ __all__ = [
 # bytes of raw rows per mollified row block in _feps_batch: a fine-grid batch
 # holds at most 16 MiB of path (weak_error._FINE_BATCH_VALUES), and 4 MiB
 # blocks keep its mollified rows and f's temporaries to a quarter of that;
-# 2 MiB blocks saved ~4 MiB more but cost 5-8% wall time in smaller gemms
+# 2 MiB blocks saved ~5 MiB more but made the band-tile gemms a third slower
 _BLOCK_BYTES = 1 << 22
 
 # purpose tags for stream derivation
